@@ -272,7 +272,7 @@ type frame struct {
 // Iterator walks pairs in ascending key order. It is a point-in-time walk of
 // the node version the tree held at Seek: iterating a Snapshot is always
 // safe, while mutating the live tree invalidates its outstanding iterators
-// (the engine materializes scans before yielding to callbacks).
+// (the engine scans a Snapshot cut, so its callbacks may write).
 type Iterator struct {
 	stack []frame
 	hi    []byte // exclusive upper bound; nil = unbounded

@@ -237,7 +237,10 @@ func (s *Store) ScanJSON(tx engine.Tx, table string, fn func(doc mmvalue.Value) 
 			return true
 		}
 		doc := cur.Set("_part", curPart).Set("_sort", curSort)
-		return fn(doc)
+		// Cleared once fn stops the scan, so the closing flush does not hand
+		// it the same item again.
+		started = fn(doc)
+		return started
 	}
 	var decErr error
 	err := tx.Scan(Keyspace(table), nil, nil, func(k, v []byte) bool {

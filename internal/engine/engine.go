@@ -30,11 +30,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand"
 	"os"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/btree"
 	"repro/internal/wal"
@@ -575,117 +577,128 @@ func (t *Txn) Delete(ks string, key []byte) error {
 }
 
 // Scan iterates pairs with lo <= key < hi (nil bounds are open) in ks,
-// calling fn for each; fn returning false stops early. The scan takes a
+// calling fn for each; fn returning false stops the walk. The scan takes a
 // shared lock on the whole keyspace (snapshot transactions take none),
-// which also prevents phantoms. The pair list is materialized before fn
-// runs, so callbacks may freely issue further operations on this
-// transaction (including writes to the scanned keyspace — they do not
-// affect the in-flight iteration). Callers must not mutate the key/value
-// slices.
+// which also prevents phantoms. It streams: the pairs come straight off an
+// O(1) copy-on-write cut of the one tree being scanned, merged with the
+// in-range staged writes as of scan start, so its cost follows the pairs it
+// touches rather than the size of the keyspace. fn runs outside every
+// engine mutex and may freely issue further operations on this transaction
+// (including writes to the scanned keyspace — they do not affect the
+// in-flight iteration). Callers must not mutate the key/value slices.
 func (t *Txn) Scan(ks string, lo, hi []byte, fn func(key, value []byte) bool) error {
-	pairs, err := t.collect(ks, lo, hi, false)
-	if err != nil {
-		return err
-	}
-	for _, p := range pairs {
-		if !fn(p[0], p[1]) {
-			return nil
-		}
-	}
-	return nil
+	return t.scan(ks, lo, hi, false, fn)
 }
 
 // ScanReverse is Scan in descending key order.
 func (t *Txn) ScanReverse(ks string, lo, hi []byte, fn func(key, value []byte) bool) error {
-	pairs, err := t.collect(ks, lo, hi, true)
-	if err != nil {
+	return t.scan(ks, lo, hi, true, fn)
+}
+
+func (t *Txn) scan(ks string, lo, hi []byte, reverse bool, fn func(key, value []byte) bool) error {
+	if t.done {
+		return ErrTxnDone
+	}
+	if t.snap != nil {
+		scanTree(t.snap.trees[ks], lo, hi, reverse, fn)
+		return nil
+	}
+	if err := t.e.locks.acquire(t.id, ksLockName(ks), LockS); err != nil {
 		return err
 	}
-	for _, p := range pairs {
-		if !fn(p[0], p[1]) {
-			return nil
+	w := t.ws[ks]
+	var cut *btree.Tree
+	if w == nil || !w.dropped {
+		// Cut only the scanned tree: writers to other keyspaces keep
+		// mutating their nodes in place.
+		t.e.mu.Lock()
+		if tree := t.e.keyspaces[ks]; tree != nil {
+			cut = tree.Snapshot()
+		}
+		t.e.mu.Unlock()
+	}
+	staged := w.stagedIn(lo, hi, reverse)
+	if len(staged) == 0 {
+		scanTree(cut, lo, hi, reverse, fn)
+		return nil
+	}
+	// Merge: staged values supersede committed ones, tombstones hide them,
+	// and staged inserts appear in key order.
+	stopped := false
+	yield := func(k, v []byte) bool {
+		stopped = !fn(k, v)
+		return !stopped
+	}
+	scanTree(cut, lo, hi, reverse, func(k, v []byte) bool {
+		for len(staged) > 0 {
+			s := staged[0]
+			c := bytes.Compare(s.key, k)
+			if reverse {
+				c = -c
+			}
+			if c > 0 {
+				break
+			}
+			staged = staged[1:]
+			if c == 0 {
+				return s.del || yield(s.key, s.value)
+			}
+			if !s.del && !yield(s.key, s.value) {
+				return false
+			}
+		}
+		return yield(k, v)
+	})
+	for _, s := range staged {
+		if stopped {
+			break
+		}
+		if !s.del {
+			yield(s.key, s.value)
 		}
 	}
 	return nil
 }
 
-func (t *Txn) collect(ks string, lo, hi []byte, reverse bool) ([][2][]byte, error) {
-	if t.done {
-		return nil, ErrTxnDone
-	}
-	if t.snap != nil {
-		return t.snap.collect(ks, lo, hi, reverse), nil
-	}
-	if err := t.e.locks.acquire(t.id, ksLockName(ks), LockS); err != nil {
-		return nil, err
-	}
-	w := t.ws[ks]
-	var pairs [][2][]byte
-	if w == nil || !w.dropped {
-		t.e.mu.Lock()
-		if tree := t.e.keyspaces[ks]; tree != nil {
-			pairs = make([][2][]byte, 0, tree.Len())
-			add := func(k, v []byte) bool {
-				pairs = append(pairs, [2][]byte{k, v})
-				return true
-			}
-			if reverse {
-				tree.ScanReverse(lo, hi, add)
-			} else {
-				tree.Scan(lo, hi, add)
-			}
-		}
-		t.e.mu.Unlock()
-	}
-	if w == nil || len(w.entries) == 0 {
-		return pairs, nil
-	}
-	return overlayPairs(pairs, w, lo, hi, reverse), nil
+// stagedPair is one write-set entry captured for a scan.
+type stagedPair struct {
+	key, value []byte
+	del        bool
 }
 
-// overlayPairs merges a transaction's staged writes into an ordered scan of
-// the committed tree: staged values supersede committed ones, tombstones
-// hide them, and staged inserts appear in key order.
-func overlayPairs(pairs [][2][]byte, w *wsKeyspace, lo, hi []byte, reverse bool) [][2][]byte {
-	staged := make([][]byte, 0, len(w.entries))
-	for k := range w.entries {
-		kb := []byte(k)
-		if lo != nil && bytes.Compare(kb, lo) < 0 {
-			continue
-		}
-		if hi != nil && bytes.Compare(kb, hi) >= 0 {
-			continue
-		}
-		staged = append(staged, kb)
+// stagedIn returns the staged entries with lo <= key < hi in scan order: the
+// write-set side of a scan's merge, fixed at scan start. A nil receiver (no
+// writes staged on the keyspace) yields none.
+func (w *wsKeyspace) stagedIn(lo, hi []byte, reverse bool) []stagedPair {
+	if w == nil || len(w.entries) == 0 {
+		return nil
 	}
-	sort.Slice(staged, func(i, j int) bool {
-		if reverse {
-			return bytes.Compare(staged[i], staged[j]) > 0
+	var out []stagedPair
+	for k, ent := range w.entries {
+		if (lo != nil && k < string(lo)) || (hi != nil && k >= string(hi)) {
+			continue
 		}
-		return bytes.Compare(staged[i], staged[j]) < 0
+		out = append(out, stagedPair{key: []byte(k), value: ent.value, del: ent.del})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if reverse {
+			i, j = j, i
+		}
+		return bytes.Compare(out[i].key, out[j].key) < 0
 	})
-	before := func(a, b []byte) bool {
-		if reverse {
-			return bytes.Compare(a, b) > 0
-		}
-		return bytes.Compare(a, b) < 0
+	return out
+}
+
+// scanTree walks lo <= key < hi of an immutable tree in either direction; a
+// nil tree (absent keyspace) is empty.
+func scanTree(t *btree.Tree, lo, hi []byte, reverse bool, fn func(key, value []byte) bool) {
+	switch {
+	case t == nil:
+	case reverse:
+		t.ScanReverse(lo, hi, fn)
+	default:
+		t.Scan(lo, hi, fn)
 	}
-	out := make([][2][]byte, 0, len(pairs)+len(staged))
-	i := 0
-	for _, k := range staged {
-		for i < len(pairs) && before(pairs[i][0], k) {
-			out = append(out, pairs[i])
-			i++
-		}
-		if i < len(pairs) && bytes.Compare(pairs[i][0], k) == 0 {
-			i++ // superseded by the staged entry
-		}
-		ent := w.entries[string(k)]
-		if !ent.del {
-			out = append(out, [2][]byte{k, ent.value})
-		}
-	}
-	return append(out, pairs[i:]...)
 }
 
 // DropKeyspace stages the removal of an entire keyspace. Dropping a
@@ -904,12 +917,29 @@ func (t *Txn) Abort() error {
 	return err
 }
 
+// DeadlockRetries bounds how many times Update (here and on the shard
+// router) runs a closure that keeps losing deadlocks.
+const DeadlockRetries = 24
+
+// DeadlockBackoff sleeps before retry number attempt (1-based) of a
+// transaction that was a deadlock victim. Retrying at once livelocks: the
+// transactions that collided are all runnable again and collide again (eight
+// read-then-upgrade writers on one key exhausted eight back-to-back retries
+// most of the time on two cores). A random wait in a window that doubles per
+// attempt, 50 µs up to 6.4 ms, lets one of them finish alone.
+func DeadlockBackoff(attempt int) {
+	window := 25 * time.Microsecond << min(attempt, 8)
+	time.Sleep(time.Duration(rand.Int63n(int64(window))))
+}
+
 // Update runs fn in a transaction, committing on nil and aborting on error,
-// with bounded automatic retry on deadlock.
+// with bounded automatic retry (after a jittered backoff) on deadlock.
 func (e *Engine) Update(fn func(*Txn) error) error {
-	const maxRetries = 8
 	var lastErr error
-	for attempt := 0; attempt < maxRetries; attempt++ {
+	for attempt := 0; attempt < DeadlockRetries; attempt++ {
+		if attempt > 0 {
+			DeadlockBackoff(attempt)
+		}
 		t, err := e.Begin()
 		if err != nil {
 			return err
@@ -1148,35 +1178,12 @@ func (s *Snapshot) Keyspaces() []string {
 
 // Scan iterates pairs with lo <= key < hi in ascending order.
 func (s *Snapshot) Scan(ks string, lo, hi []byte, fn func(key, value []byte) bool) {
-	if t := s.trees[ks]; t != nil {
-		t.Scan(lo, hi, fn)
-	}
+	scanTree(s.trees[ks], lo, hi, false, fn)
 }
 
 // ScanReverse is Scan in descending key order.
 func (s *Snapshot) ScanReverse(ks string, lo, hi []byte, fn func(key, value []byte) bool) {
-	if t := s.trees[ks]; t != nil {
-		t.ScanReverse(lo, hi, fn)
-	}
-}
-
-// collect materializes a range like Txn.collect, without any locking.
-func (s *Snapshot) collect(ks string, lo, hi []byte, reverse bool) [][2][]byte {
-	t := s.trees[ks]
-	if t == nil {
-		return nil
-	}
-	pairs := make([][2][]byte, 0, t.Len())
-	add := func(k, v []byte) bool {
-		pairs = append(pairs, [2][]byte{k, v})
-		return true
-	}
-	if reverse {
-		t.ScanReverse(lo, hi, add)
-	} else {
-		t.Scan(lo, hi, add)
-	}
-	return pairs
+	scanTree(s.trees[ks], lo, hi, true, fn)
 }
 
 // --- Checkpoint and snapshots ---

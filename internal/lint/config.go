@@ -160,10 +160,10 @@ func DefaultSnapshotRoots() []FuncRef {
 		"Engine.BeginSnapshot", "Engine.BeginSnapshotAt",
 		"Engine.SnapshotView", "Engine.SnapshotViewAt",
 		"Engine.Snapshot", "Engine.VersionedSnapshot",
-		"Txn.Get", "Txn.Scan", "Txn.ScanReverse", "Txn.collect",
+		"Txn.Get", "Txn.Scan", "Txn.ScanReverse", "Txn.scan",
 		"Txn.KeyspaceNonEmpty", "Txn.Commit", "Txn.Abort", "Txn.finish",
 		"Snapshot.Get", "Snapshot.Len", "Snapshot.Keyspaces",
-		"Snapshot.Scan", "Snapshot.ScanReverse", "Snapshot.collect",
+		"Snapshot.Scan", "Snapshot.ScanReverse",
 		"Txn.SnapshotVersionsFor", "Txn.SnapshotDropEpoch",
 		"Snapshot.VersionsFor", "Snapshot.DropEpoch",
 	}

@@ -187,7 +187,15 @@ func (c *execCtx) runPipeline(pipe *Pipeline, start *env) ([]mmvalue.Value, erro
 				}
 				filters = append(filters, f)
 			}
-			next, err := c.execFor(cl, filters, rows)
+			// A LIMIT directly after the FOR and its filters bounds how many
+			// survivors the source has to produce.
+			need := -1
+			if j := i + 1 + len(filters); j < len(clauses) {
+				if lc, ok := clauses[j].(*LimitClause); ok {
+					need = c.limitBound(lc)
+				}
+			}
+			next, err := c.execFor(cl, filters, rows, need)
 			if err != nil {
 				return nil, err
 			}
@@ -432,14 +440,49 @@ func (c *execCtx) execLimit(cl *LimitClause, rows []*env) ([]*env, error) {
 		}
 		count = int(v.AsInt())
 	}
+	if offset < 0 || count < 0 {
+		return nil, fmt.Errorf("query: LIMIT offset and count must not be negative (got %d, %d)", offset, count)
+	}
 	if offset > len(rows) {
 		offset = len(rows)
 	}
-	end := offset + count
-	if end > len(rows) {
-		end = len(rows)
+	if count > len(rows)-offset {
+		count = len(rows) - offset
 	}
-	return rows[offset:end], nil
+	return rows[offset : offset+count], nil
+}
+
+// limitBound returns offset+count of a LIMIT whose bounds are literals or
+// parameters — values known before any row exists — or -1 when the clause
+// puts no usable bound on its input (no count, a bound that depends on a
+// row, or one execLimit will reject).
+func (c *execCtx) limitBound(cl *LimitClause) int {
+	if cl.Count == nil {
+		return -1
+	}
+	need := 0
+	for _, e := range []Expr{cl.Offset, cl.Count} {
+		switch t := e.(type) {
+		case nil:
+			continue
+		case *Literal:
+		case *VarRef:
+			if !t.Param {
+				return -1
+			}
+		default:
+			return -1
+		}
+		v, err := c.eval(e, nil)
+		if err != nil || v.AsInt() < 0 {
+			return -1
+		}
+		need += int(v.AsInt())
+	}
+	if need < 0 { // offset+count overflowed
+		return -1
+	}
+	return need
 }
 
 // execDistinctRows deduplicates rows by key expressions (SQL DISTINCT before
@@ -594,7 +637,11 @@ type forPart struct {
 // filters (fused with the bind, so large scans can be filtered in parallel).
 // Scanning itself stays serial — sources are read through the transaction —
 // but the per-element bind + residual filter evaluation is the hot loop.
-func (c *execCtx) execFor(cl *ForClause, filters []*FilterClause, rows []*env) ([]*env, error) {
+//
+// need > 0 says a LIMIT directly follows and keeps at most need rows: a named
+// source is then bound and filtered inside its scan, which stops at the
+// need-th survivor instead of reading (and decoding) the rest of the source.
+func (c *execCtx) execFor(cl *ForClause, filters []*FilterClause, rows []*env, need int) ([]*env, error) {
 	// Vectorized scan+filter: the opening FOR of the current pipeline, run
 	// from the empty starting environment, with a compiled vectorization
 	// plan. execVecScan declines (ok=false) for non-column sources and
@@ -608,6 +655,34 @@ func (c *execCtx) execFor(cl *ForClause, filters []*FilterClause, rows []*env) (
 		if ok {
 			return out, nil
 		}
+	}
+	if need > 0 && cl.Source.Kind == SourceName {
+		var out []*env
+		for _, r := range rows {
+			var ferr error
+			err := c.scanNamed(cl.Var, cl.Source.Name, filters, r, func(el mmvalue.Value) bool {
+				en := r.bindSource(cl.Var, el)
+				keep, err := c.applyFilters(filters, en)
+				if err != nil {
+					ferr = err
+					return false
+				}
+				if keep {
+					out = append(out, en)
+				}
+				return len(out) < need
+			})
+			if err == nil {
+				err = ferr
+			}
+			if err != nil {
+				return nil, err
+			}
+			if len(out) >= need {
+				break
+			}
+		}
+		return out, nil
 	}
 	parts := make([]forPart, 0, len(rows))
 	total := 0
@@ -697,7 +772,12 @@ func (c *execCtx) sourceElems(cl *ForClause, filters []*FilterClause, r *env) ([
 		c.stats.RowsRead += len(out)
 		return out, nil
 	case SourceName:
-		return c.scanNamed(cl.Var, s.Name, filters, r)
+		var out []mmvalue.Value
+		err := c.scanNamed(cl.Var, s.Name, filters, r, func(el mmvalue.Value) bool {
+			out = append(out, el)
+			return true
+		})
+		return out, err
 	}
 	return nil, fmt.Errorf("query: bad source")
 }
@@ -719,69 +799,47 @@ func (c *execCtx) resolveName(name string) string {
 	return kind
 }
 
-// scanNamed resolves a named source and iterates it, consulting indexes
-// first (see optimize.go).
-func (c *execCtx) scanNamed(loopVar, name string, filters []*FilterClause, r *env) ([]mmvalue.Value, error) {
+// scanNamed resolves a named source and feeds its elements to visit until
+// visit returns false, consulting indexes first (see optimize.go).
+func (c *execCtx) scanNamed(loopVar, name string, filters []*FilterClause, r *env, visit func(el mmvalue.Value) bool) error {
 	kind := c.resolveName(name)
 	if kind == "" {
-		return nil, fmt.Errorf("query: unknown source %q", name)
+		return fmt.Errorf("query: unknown source %q", name)
 	}
 	if !c.opts.DisableIndexes {
 		if vals, ok, err := c.tryIndexAccess(loopVar, name, kind, filters, r); err != nil {
-			return nil, err
+			return err
 		} else if ok {
-			return vals, nil
+			for _, v := range vals {
+				if !visit(v) {
+					break
+				}
+			}
+			return nil
 		}
 	}
 	// Full scan.
 	c.stats.FullScans++
-	var out []mmvalue.Value
+	read := func(el mmvalue.Value) bool {
+		c.stats.RowsRead++
+		return visit(el)
+	}
 	switch kind {
 	case "collection":
-		err := c.src.Docs.Scan(c.tx, name, func(_ string, doc mmvalue.Value) bool {
-			out = append(out, doc)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
+		return c.src.Docs.Scan(c.tx, name, func(_ string, doc mmvalue.Value) bool { return read(doc) })
 	case "table":
-		err := c.src.Rels.Scan(c.tx, name, func(row mmvalue.Value) bool {
-			out = append(out, row)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
+		return c.src.Rels.Scan(c.tx, name, read)
 	case "graph":
-		err := c.src.Graphs.Vertices(c.tx, name, func(_ string, doc mmvalue.Value) bool {
-			out = append(out, doc)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
+		return c.src.Graphs.Vertices(c.tx, name, func(_ string, doc mmvalue.Value) bool { return read(doc) })
 	case "bucket":
-		err := c.src.KV.Scan(c.tx, name, func(k string, v mmvalue.Value) bool {
-			out = append(out, mmvalue.Object(
+		return c.src.KV.Scan(c.tx, name, func(k string, v mmvalue.Value) bool {
+			return read(mmvalue.Object(
 				mmvalue.F("_key", mmvalue.String(k)),
 				mmvalue.F("value", v)))
-			return true
 		})
-		if err != nil {
-			return nil, err
-		}
 	case "coltable":
-		err := c.src.Cols.ScanJSON(c.tx, name, func(doc mmvalue.Value) bool {
-			out = append(out, doc)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
+		return c.src.Cols.ScanJSON(c.tx, name, read)
 	default:
-		return nil, fmt.Errorf("query: unknown source kind %q for %q", kind, name)
+		return fmt.Errorf("query: unknown source kind %q for %q", kind, name)
 	}
-	c.stats.RowsRead += len(out)
-	return out, nil
 }

@@ -13,6 +13,7 @@ import (
 // follows the paper's index classification exactly:
 //
 //	equality on _key / primary key  -> primary B+tree point lookup
+//	range on a table's primary key  -> bounded scan of the PK-ordered rows
 //	equality on an indexed path     -> secondary B+tree LookupEq
 //	range on an indexed path        -> secondary B+tree LookupRange
 //	containment (@>) on a document  -> GIN candidates + recheck
@@ -66,14 +67,14 @@ func (c *execCtx) asPredicate(loopVar string, e Expr, r *env) (predicate, bool) 
 	flip := map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
 	switch b.Op {
 	case "==", "<", "<=", ">", ">=":
-		if path, ok := varPath(loopVar, b.L); ok && c.constSide(loopVar, b.R) {
+		if path, ok := rowPath(loopVar, b.L, r); ok && c.constSide(loopVar, b.R) {
 			v, err := c.eval(b.R, r)
 			if err != nil {
 				return predicate{}, false
 			}
 			return predicate{path: path, op: b.Op, value: v}, true
 		}
-		if path, ok := varPath(loopVar, b.R); ok && c.constSide(loopVar, b.L) {
+		if path, ok := rowPath(loopVar, b.R, r); ok && c.constSide(loopVar, b.L) {
 			v, err := c.eval(b.L, r)
 			if err != nil {
 				return predicate{}, false
@@ -94,10 +95,29 @@ func (c *execCtx) asPredicate(loopVar string, e Expr, r *env) (predicate, bool) 
 	return predicate{}, false
 }
 
-// varPath matches expressions shaped var.a.b or var->'a'->>'b', returning
-// the dotted path. Bare `var` paths are not indexable here.
-func varPath(loopVar string, e Expr) (string, bool) {
-	var parts []string
+// rowPath matches expressions shaped var.a.b or var->'a'->>'b', returning the
+// dotted path below the loop variable; the bare variable is not a path. It
+// also reads MSQL's bare columns (`id` meaning `c.id`): a name that the outer
+// row r binds neither directly nor as a column of an earlier source can, once
+// the loop variable is bound, only resolve to a column of the loop variable's
+// row (see env.lookup), so it heads a path below it.
+func rowPath(loopVar string, e Expr, r *env) (string, bool) {
+	root, parts, ok := exprPath(e)
+	if !ok {
+		return "", false
+	}
+	if root.Name != loopVar {
+		if _, bound := r.lookup(root.Name); bound {
+			return "", false
+		}
+		parts = append([]string{root.Name}, parts...)
+	}
+	return strings.Join(parts, "."), len(parts) > 0
+}
+
+// exprPath splits a chain of field accesses (var.a.b or var->'a'->>'b') into
+// its root variable and the field names below it.
+func exprPath(e Expr) (root *VarRef, parts []string, ok bool) {
 	for {
 		switch t := e.(type) {
 		case *FieldAccess:
@@ -105,21 +125,18 @@ func varPath(loopVar string, e Expr) (string, bool) {
 			e = t.Base
 		case *BinaryOp:
 			if t.Op != "->" && t.Op != "->>" {
-				return "", false
+				return nil, nil, false
 			}
 			lit, ok := t.R.(*Literal)
 			if !ok || lit.Value.Kind() != mmvalue.KindString {
-				return "", false
+				return nil, nil, false
 			}
 			parts = append([]string{lit.Value.AsString()}, parts...)
 			e = t.L
 		case *VarRef:
-			if t.Name == loopVar && len(parts) > 0 {
-				return strings.Join(parts, "."), true
-			}
-			return "", false
+			return t, parts, !t.Param
 		default:
-			return "", false
+			return nil, nil, false
 		}
 	}
 }
@@ -289,8 +306,9 @@ func (c *execCtx) tryRelIndex(table string, preds []predicate) ([]mmvalue.Value,
 		return nil, false, err
 	}
 	// Single-column primary key equality.
+	pkCol := ""
 	if len(schema.PrimaryKey) == 1 {
-		pkCol := schema.PrimaryKey[0]
+		pkCol = schema.PrimaryKey[0]
 		for _, p := range preds {
 			if p.path == pkCol && p.op == "==" {
 				row, ok, err := c.src.Rels.Get(c.tx, table, p.value)
@@ -324,44 +342,60 @@ func (c *execCtx) tryRelIndex(table string, preds []predicate) ([]mmvalue.Value,
 			return rows, true, nil
 		}
 	}
-	// Range on an indexed column: accumulate bounds per column.
+	// Range on the single-column primary key or an indexed column: accumulate
+	// bounds per column, keeping the columns in predicate order so that the
+	// choice between two bounded columns is the same on every run.
 	type bounds struct {
-		lo, hi         mmvalue.Value
-		loOpen, hiOpen bool
-		loSet, hiSet   bool
+		col          string
+		lo, hi       mmvalue.Value
+		loSet, hiSet bool
 	}
-	perCol := map[string]*bounds{}
+	var ranged []*bounds
 	for _, p := range preds {
-		if _, ok := idxCols[p.path]; !ok {
+		if _, indexed := idxCols[p.path]; !indexed && (pkCol == "" || p.path != pkCol) {
 			continue
 		}
-		b := perCol[p.path]
-		if b == nil {
-			b = &bounds{loOpen: true, hiOpen: true}
-			perCol[p.path] = b
+		var b *bounds
+		for _, x := range ranged {
+			if x.col == p.path {
+				b = x
+			}
 		}
+		if b == nil {
+			b = &bounds{col: p.path}
+			ranged = append(ranged, b)
+		}
+		// The scan covers [lo, hi), with a max-pad keeping the boundary row
+		// of <=; the residual filter drops the boundary row of >.
 		switch p.op {
 		case ">", ">=":
-			b.lo, b.loOpen, b.loSet = p.value, false, true
-		case "<", "<=":
-			b.hi, b.hiOpen, b.hiSet = p.value, false, true
+			b.lo, b.loSet = p.value, true
+		case "<":
+			b.hi, b.hiSet = p.value, true
+		case "<=":
+			b.hi, b.hiSet = padMax(p.value), true
 		}
 	}
-	for col, b := range perCol {
+	for _, b := range ranged {
 		if !b.loSet && !b.hiSet {
 			continue
 		}
-		// Inclusivity refinement is left to the residual filter; the scan
-		// uses [lo, hi) plus a max-pad for <=.
-		hi := b.hi
-		if b.hiSet {
-			hi = padMax(b.hi)
+		var rows []mmvalue.Value
+		if b.col == pkCol {
+			// The table keyspace is ordered by primary key: a bounded scan
+			// of it reads exactly the rows in range.
+			err = c.src.Rels.ScanRange(c.tx, table, b.lo, b.hi, !b.loSet, !b.hiSet, func(row mmvalue.Value) bool {
+				rows = append(rows, row)
+				return true
+			})
+			c.noteIndex("rel:" + table + " primary key (range)")
+		} else {
+			rows, err = c.src.Rels.LookupRange(c.tx, table, idxCols[b.col], b.lo, b.hi, !b.loSet, !b.hiSet)
+			c.noteIndex(fmt.Sprintf("rel:%s idx %s (range)", table, idxCols[b.col]))
 		}
-		rows, err := c.src.Rels.LookupRange(c.tx, table, idxCols[col], b.lo, hi, b.loOpen, b.hiOpen)
 		if err != nil {
 			return nil, false, err
 		}
-		c.noteIndex(fmt.Sprintf("rel:%s idx %s (range)", table, idxCols[col]))
 		c.stats.RowsRead += len(rows)
 		return rows, true, nil
 	}

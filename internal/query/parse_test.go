@@ -234,24 +234,61 @@ func TestParseErrorsMSQL(t *testing.T) {
 	}
 }
 
-func TestVarPathExtraction(t *testing.T) {
+func TestRowPathExtraction(t *testing.T) {
 	e := &FieldAccess{Base: &FieldAccess{Base: &VarRef{Name: "c"}, Name: "a"}, Name: "b"}
-	path, ok := varPath("c", e)
+	path, ok := rowPath("c", e, nil)
 	if !ok || path != "a.b" {
-		t.Fatalf("varPath = %q, %v", path, ok)
-	}
-	if _, ok := varPath("x", e); ok {
-		t.Fatal("wrong variable matched")
+		t.Fatalf("rowPath = %q, %v", path, ok)
 	}
 	// Arrow form.
 	arrow := &BinaryOp{Op: "->>", L: &VarRef{Name: "c"}, R: &Literal{Value: mmvalue.String("k")}}
-	path, ok = varPath("c", arrow)
+	path, ok = rowPath("c", arrow, nil)
 	if !ok || path != "k" {
-		t.Fatalf("arrow varPath = %q, %v", path, ok)
+		t.Fatalf("arrow rowPath = %q, %v", path, ok)
 	}
-	// Bare var is not a path.
-	if _, ok := varPath("c", &VarRef{Name: "c"}); ok {
+	// Bare var is not a path, and a parameter is not a variable.
+	if _, ok := rowPath("c", &VarRef{Name: "c"}, nil); ok {
 		t.Fatal("bare var should not be a path")
+	}
+	if _, ok := rowPath("c", &FieldAccess{Base: &VarRef{Name: "c", Param: true}, Name: "a"}, nil); ok {
+		t.Fatal("a path below a parameter matched")
+	}
+	// A name the outer row does not bind is a column of the loop row; one it
+	// binds — directly or as a column of an earlier source — is not.
+	if path, ok := rowPath("x", e, nil); !ok || path != "c.a.b" {
+		t.Fatalf("bare column rowPath = %q, %v", path, ok)
+	}
+	if _, ok := rowPath("x", e, newEnv().bind("c", mmvalue.Int(1))); ok {
+		t.Fatal("an outer binding matched as a column")
+	}
+	outer := newEnv().bindSource("o", mmvalue.Object(mmvalue.F("c", mmvalue.Int(1))))
+	if _, ok := rowPath("x", e, outer); ok {
+		t.Fatal("a column of an earlier source matched as a column of the loop row")
+	}
+}
+
+// TestLimitBound: only bounds known before the first row (literals and
+// parameters) bound the FOR before a LIMIT.
+func TestLimitBound(t *testing.T) {
+	c := &execCtx{opts: Options{Params: map[string]mmvalue.Value{"n": mmvalue.Int(7), "neg": mmvalue.Int(-1)}}}
+	lit := func(i int64) Expr { return &Literal{Value: mmvalue.Int(i)} }
+	param := func(name string) Expr { return &VarRef{Name: name, Param: true} }
+	for _, tc := range []struct {
+		cl   LimitClause
+		want int
+	}{
+		{LimitClause{Count: lit(20)}, 20},
+		{LimitClause{Offset: lit(5), Count: param("n")}, 12},
+		{LimitClause{Offset: lit(5)}, -1},            // OFFSET alone keeps everything behind it
+		{LimitClause{Count: &VarRef{Name: "x"}}, -1}, // depends on a row
+		{LimitClause{Count: &BinaryOp{Op: "+", L: lit(1), R: lit(2)}}, -1},
+		{LimitClause{Count: param("neg")}, -1},                       // execLimit reports it
+		{LimitClause{Count: param("unbound")}, -1},                   // execLimit reports it
+		{LimitClause{Offset: lit(1 << 62), Count: lit(1 << 62)}, -1}, // overflow
+	} {
+		if got := c.limitBound(&tc.cl); got != tc.want {
+			t.Errorf("limitBound(%+v) = %d, want %d", tc.cl, got, tc.want)
+		}
 	}
 }
 

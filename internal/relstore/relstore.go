@@ -366,8 +366,21 @@ func (s *Store) Delete(tx engine.Tx, table string, pk ...mmvalue.Value) (bool, e
 
 // Scan iterates all rows in primary key order.
 func (s *Store) Scan(tx engine.Tx, table string, fn func(row mmvalue.Value) bool) error {
+	return s.scanKeys(tx, table, nil, nil, fn)
+}
+
+// ScanRange iterates, in primary key order, the rows of a table with a
+// single-column primary key whose key lies in lo <= pk < hi — a bounded scan
+// of the PK-ordered table keyspace that reads only the rows in range. Bounds
+// follow LookupRange.
+func (s *Store) ScanRange(tx engine.Tx, table string, lo, hi mmvalue.Value, loOpen, hiOpen bool, fn func(row mmvalue.Value) bool) error {
+	loKey, hiKey := rangeKeys(lo, hi, loOpen, hiOpen)
+	return s.scanKeys(tx, table, loKey, hiKey, fn)
+}
+
+func (s *Store) scanKeys(tx engine.Tx, table string, lo, hi []byte, fn func(row mmvalue.Value) bool) error {
 	var decodeErr error
-	err := tx.Scan(Keyspace(table), nil, nil, func(k, v []byte) bool {
+	err := tx.Scan(Keyspace(table), lo, hi, func(k, v []byte) bool {
 		row, err := s.dc.Decode(v)
 		if err != nil {
 			decodeErr = err
@@ -379,6 +392,23 @@ func (s *Store) Scan(tx engine.Tx, table string, fn func(row mmvalue.Value) bool
 		return err
 	}
 	return decodeErr
+}
+
+// rangeKeys encodes value bounds as scan keys; an open bound is nil. An
+// integral float lower bound is encoded as the int it equals: keyenc orders
+// Int(5) before Float(5.0) although they compare equal, so the float's own
+// key would skip an equal int.
+func rangeKeys(lo, hi mmvalue.Value, loOpen, hiOpen bool) (loKey, hiKey []byte) {
+	if !loOpen {
+		if f := lo.AsFloat(); lo.Kind() == mmvalue.KindFloat && f == float64(int64(f)) {
+			lo = mmvalue.Int(int64(f))
+		}
+		loKey = keyenc.Append(nil, lo)
+	}
+	if !hiOpen {
+		hiKey = keyenc.Append(nil, hi)
+	}
+	return loKey, hiKey
 }
 
 // Count returns the table's row count (engine statistic).
@@ -487,13 +517,7 @@ func (s *Store) LookupEq(tx engine.Tx, table, idx string, v mmvalue.Value) ([]mm
 // semantics (lo inclusive, hi exclusive) with AppendMax available for
 // inclusive upper bounds at the caller.
 func (s *Store) LookupRange(tx engine.Tx, table, idx string, lo, hi mmvalue.Value, loOpen, hiOpen bool) ([]mmvalue.Value, error) {
-	var loKey, hiKey []byte
-	if !loOpen {
-		loKey = keyenc.Append(nil, lo)
-	}
-	if !hiOpen {
-		hiKey = keyenc.Append(nil, hi)
-	}
+	loKey, hiKey := rangeKeys(lo, hi, loOpen, hiOpen)
 	return s.lookupRange(tx, table, idx, loKey, hiKey)
 }
 

@@ -3,10 +3,12 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/engine/scantest"
 )
 
 func openEphemeral(t *testing.T, n int) *Router {
@@ -431,5 +433,71 @@ func TestShardedReplicaRoutesAndMerges(t *testing.T) {
 func TestOpenRejectsBadShardCount(t *testing.T) {
 	if _, err := Open(Options{Durability: engine.Ephemeral, Shards: 0}); err == nil {
 		t.Fatal("Shards=0 accepted")
+	}
+}
+
+// TestScanMatchesSortedMapModelSharded runs the engine's range-read property
+// check (random ranges, staged writes, tombstones, a dropped keyspace,
+// re-entrant callbacks, early stop) on 4-shard fan-out transactions.
+func TestScanMatchesSortedMapModelSharded(t *testing.T) {
+	r := openEphemeral(t, 4)
+	scantest.Run(t, scantest.DB{
+		Update:       r.Update,
+		Begin:        r.BeginTx,
+		SnapshotView: r.SnapshotView,
+	}, 20170321)
+}
+
+// TestShardScanAllocatesByRangeNotKeyspace guards the fan-out scan against
+// sizing its per-shard runs by the keyspace: a 3-row range costs about the
+// same bytes whether the keyspace holds a thousand keys or a hundred thousand.
+func TestShardScanAllocatesByRangeNotKeyspace(t *testing.T) {
+	r := openEphemeral(t, 4)
+	load := func(ks string, n int) {
+		if err := r.Update(func(tx engine.Tx) error {
+			for i := 0; i < n; i++ {
+				if err := tx.Put(ks, []byte(fmt.Sprintf("k%06d", i)), []byte{1}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load("small", 1_000)
+	load("large", 100_000)
+	bytesPerScan := func(ks string) uint64 {
+		var before, after runtime.MemStats
+		var n uint64
+		err := r.SnapshotView(func(tx engine.Tx) error {
+			scan := func() error {
+				rows := 0
+				err := tx.Scan(ks, []byte("k000500"), []byte("k000503"), func(_, _ []byte) bool { rows++; return true })
+				if err == nil && rows != 3 {
+					err = fmt.Errorf("%s: %d rows, want 3", ks, rows)
+				}
+				return err
+			}
+			if err := scan(); err != nil { // warm up
+				return err
+			}
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 50; i++ {
+				if err := scan(); err != nil {
+					return err
+				}
+			}
+			runtime.ReadMemStats(&after)
+			n = (after.TotalAlloc - before.TotalAlloc) / 50
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if small, large := bytesPerScan("small"), bytesPerScan("large"); large > 2*small {
+		t.Errorf("a 3-row fan-out scan allocates %d B on 1 000 keys but %d B on 100 000", small, large)
 	}
 }

@@ -166,11 +166,11 @@ func (t *Txn) ScanReverse(ks string, lo, hi []byte, fn func(key, value []byte) b
 	return t.scan(ks, lo, hi, fn, true)
 }
 
-// scan scatters the range over all shards, materializing each shard's run
-// on its own goroutine (the engine read path is safe for concurrent readers
-// of one transaction), then gathers by ordered merge and drives fn. Like
-// engine.Txn.Scan, the range is materialized before the callback runs, so
-// fn may freely re-enter the transaction.
+// scan scatters the range over all shards, collecting each shard's run on
+// its own goroutine (the engine read path is safe for concurrent readers of
+// one transaction), then gathers by ordered merge and drives fn. The runs
+// are complete before fn first runs, so fn may freely re-enter the
+// transaction; each holds only the pairs its shard has in range.
 func (t *Txn) scan(ks string, lo, hi []byte, fn func(key, value []byte) bool, reverse bool) error {
 	if len(t.subs) == 1 {
 		if reverse {
@@ -186,10 +186,12 @@ func (t *Txn) scan(ks string, lo, hi []byte, fn func(key, value []byte) bool, re
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// The shard's committed keyspace size bounds the run; sizing the
-			// slice up front keeps a full scan to one allocation instead of
-			// a realloc chain (subranges over-reserve, which is fine).
-			pairs := make([][2][]byte, 0, t.r.shards[i].KeyspaceLen(ks))
+			var pairs [][2][]byte
+			if lo == nil && hi == nil {
+				// A full scan returns the whole shard: one allocation of
+				// its committed size instead of a realloc chain.
+				pairs = make([][2][]byte, 0, t.r.shards[i].KeyspaceLen(ks))
+			}
 			collect := func(k, v []byte) bool {
 				pairs = append(pairs, [2][]byte{k, v})
 				return true
@@ -208,10 +210,9 @@ func (t *Txn) scan(ks string, lo, hi []byte, fn func(key, value []byte) bool, re
 			return err
 		}
 	}
-	// Gather: drive fn straight off the materialized runs with a min-pick
-	// (no merged copy — the runs are already stable in memory, so fn may
-	// re-enter the transaction, and skipping the merged slice halves the
-	// allocation and GC-barrier traffic of a fan-out scan).
+	// Gather: drive fn straight off the runs with a min-pick (no merged
+	// copy, which halves the allocation and GC-barrier traffic of a fan-out
+	// scan).
 	idx := make([]int, len(runs))
 	for {
 		best := -1
@@ -406,11 +407,13 @@ func (t *Txn) Abort() error {
 }
 
 // Update runs fn in a router transaction, committing on nil and aborting on
-// error, with the same bounded deadlock retry as a single engine.
+// error, with the same bounded, backed-off deadlock retry as a single engine.
 func (r *Router) Update(fn func(tx engine.Tx) error) error {
-	const maxRetries = 8
 	var lastErr error
-	for attempt := 0; attempt < maxRetries; attempt++ {
+	for attempt := 0; attempt < engine.DeadlockRetries; attempt++ {
+		if attempt > 0 {
+			engine.DeadlockBackoff(attempt)
+		}
 		t, err := r.Begin()
 		if err != nil {
 			return err

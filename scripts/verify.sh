@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Extended verification: build, vet, formatting, full tests, and the race
+# Extended verification: build, vet, formatting, full tests, the race
 # detector over the packages with concurrent execution paths (parallel
-# query executor, engine lock manager, plan cache, shard router).
+# query executor, engine lock manager, plan cache, shard router), the
+# core-count-sensitive engine tests at several GOMAXPROCS, and the tests of
+# the benchmark's own module.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +35,12 @@ go test ./...
 
 echo "== go test -race (query, engine, core, shard)"
 go test -race ./internal/query/... ./internal/engine/... ./internal/core/... ./internal/shard/...
+
+echo "== go test -cpu 1,2,4 -count=20 (deadlock retry, scan contract)"
+go test -cpu 1,2,4 -count=20 -run 'TestUpdateRetriesDeadlock|Scan' ./internal/engine/...
+
+echo "== go test (bench/, the nested module tier-1 skips)"
+(cd bench && go test ./...)
 
 echo "== fuzz smoke (parsers)"
 go test -run=^$ -fuzz=FuzzParseMMQL -fuzztime=5s ./internal/query
