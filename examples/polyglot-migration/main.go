@@ -25,7 +25,7 @@ func main() {
 	m := &evolution.Migrator{Docs: core.Docs, Rels: core.Rels, Graphs: core.Graphs, RDF: core.RDF}
 
 	// Legacy relational data.
-	err = core.Engine.Update(func(tx *engine.Txn) error {
+	err = core.Update(func(tx engine.Tx) error {
 		if err := core.Rels.CreateTable(tx, "legacy_customers", relstore.TableSchema{
 			Columns: []relstore.Column{
 				{Name: "id", Type: relstore.TInt, NotNull: true},
@@ -53,7 +53,7 @@ func main() {
 	}
 
 	// Step 1: relational -> documents (slide 94's arrow).
-	err = core.Engine.Update(func(tx *engine.Txn) error {
+	err = core.Update(func(tx engine.Tx) error {
 		n, err := m.TableToCollection(tx, "legacy_customers", "customers_v2")
 		fmt.Printf("migrated %d rows to documents\n", n)
 		return err
@@ -63,7 +63,7 @@ func main() {
 	}
 
 	// Step 2: documents -> graph along the referrer field.
-	err = core.Engine.Update(func(tx *engine.Txn) error {
+	err = core.Update(func(tx engine.Tx) error {
 		v, e, err := m.CollectionToGraph(tx, "customers_v2", "referrals", "referrer", "referred_by")
 		fmt.Printf("built referral graph: %d vertices, %d edges\n", v, e)
 		return err
@@ -73,7 +73,7 @@ func main() {
 	}
 
 	// Step 3: documents -> RDF knowledge graph.
-	err = core.Engine.Update(func(tx *engine.Txn) error {
+	err = core.Update(func(tx engine.Tx) error {
 		n, err := m.CollectionToTriples(tx, "customers_v2", "kg", "cust:")
 		fmt.Printf("exported %d documents as RDF triples\n", n)
 		return err
@@ -108,7 +108,7 @@ func main() {
 			},
 		}},
 	}
-	err = core.Engine.Update(func(tx *engine.Txn) error {
+	err = core.Update(func(tx engine.Tx) error {
 		doc, _, err := v.Get(tx, "3")
 		if err != nil {
 			return err

@@ -81,6 +81,9 @@ func TestCachedEquivalenceCorpus(t *testing.T) {
 	if st.StaleServes != 0 {
 		t.Fatalf("no writer ran, yet StaleServes=%d (stats %+v)", st.StaleServes, st)
 	}
+	if st := uncached.ResultCacheStats(); st != (core.ResultCacheStats{}) {
+		t.Fatalf("cache ran while disabled: %+v", st)
+	}
 }
 
 func TestCachedQueriesUnderConcurrentDML(t *testing.T) {
@@ -93,7 +96,7 @@ func TestCachedQueriesUnderConcurrentDML(t *testing.T) {
 	// exercise hits, misses, stale serves, and background refreshes at once.
 	db := openCachedDB(t, 1<<20, 50*time.Millisecond)
 	seedStore(t, db)
-	if err := db.Engine.Update(func(tx *engine.Txn) error {
+	if err := db.Update(func(tx engine.Tx) error {
 		if err := db.Docs.CreateCollection(tx, "events", catalogSchemaless()); err != nil {
 			return err
 		}

@@ -77,14 +77,9 @@ type Options struct {
 
 // DB is a multi-model database instance.
 type DB struct {
-	// Engine is the storage engine when the database is unsharded
-	// (Options.Shards <= 1); it is nil under a shard router. Code that must
-	// work over both goes through the DB's backend wrappers (Update, View,
-	// SnapshotView, Checkpoint, …); Engine stays exported for tests and
-	// benches that poke single-engine internals.
-	Engine *engine.Engine
-	// be is the storage backend every path actually uses: a shard.Single
-	// over Engine, or a shard.Router fanning across N engines.
+	// be is the only storage surface: a shard.Single over one engine, or a
+	// shard.Router fanning across N engines. Every path reaches it through
+	// the backend wrappers below (Update, View, SnapshotView, Checkpoint, …).
 	be     shard.Backend
 	Cat    *catalog.Catalog
 	Docs   *docstore.Store
@@ -133,7 +128,6 @@ func Open(opts Options) (*DB, error) {
 		durability = engine.Ephemeral
 	}
 	var be shard.Backend
-	var single *engine.Engine
 	if opts.Shards > 1 {
 		r, err := shard.Open(shard.Options{
 			Dir:               opts.Dir,
@@ -150,12 +144,10 @@ func Open(opts Options) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		single = e
 		be = shard.NewSingle(e)
 	}
 	cat := catalog.New(be)
 	db := &DB{
-		Engine: single,
 		be:     be,
 		Cat:    cat,
 		Docs:   docstore.New(be, cat),
@@ -214,8 +206,8 @@ func Open(opts Options) (*DB, error) {
 
 // --- Backend wrappers ---
 //
-// Every path that used to reach through db.Engine goes through these, so
-// the same code serves one engine and N shards.
+// Every path reaches storage through these, so the same code serves one
+// engine and N shards.
 
 // BeginTx starts a read-write transaction on the backend (single-engine 2PL
 // transaction, or a router transaction spanning every shard).

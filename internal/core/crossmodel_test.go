@@ -11,7 +11,7 @@ import (
 
 func TestShortestPathFunction(t *testing.T) {
 	db := openDB(t)
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		if err := db.CreateGraph(tx, "g"); err != nil {
 			return err
 		}
@@ -42,7 +42,7 @@ func TestShortestPathFunction(t *testing.T) {
 
 func TestFTSearchFunctionInQuery(t *testing.T) {
 	db := openDB(t)
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		if err := db.Docs.CreateCollection(tx, "posts", catalogSchemaless()); err != nil {
 			return err
 		}
@@ -79,14 +79,14 @@ func TestFTSearchFunctionInQuery(t *testing.T) {
 // trade of deferred (commit-time) index maintenance.
 func TestGINViewMaintenanceSemantics(t *testing.T) {
 	db := openDB(t)
-	db.Engine.Update(func(tx *engine.Txn) error {
+	db.Update(func(tx engine.Tx) error {
 		return db.Docs.CreateCollection(tx, "c", catalogSchemaless())
 	})
 	if err := db.CreateGIN("c", 0); err != nil {
 		t.Fatal(err)
 	}
 	// Committed docs are visible through the GIN.
-	db.Engine.Update(func(tx *engine.Txn) error {
+	db.Update(func(tx engine.Tx) error {
 		return db.Docs.Put(tx, "c", "a", mmvalue.MustParseJSON(`{"tag":"x"}`))
 	})
 	res, err := db.Query(`FOR d IN c FILTER d @> {tag: 'x'} RETURN d._key`, nil)
@@ -94,7 +94,7 @@ func TestGINViewMaintenanceSemantics(t *testing.T) {
 		t.Fatalf("committed visibility = %v, %v", res.Values, err)
 	}
 	// Aborted docs never reach the view.
-	tx, _ := db.Engine.Begin()
+	tx, _ := db.BeginTx()
 	db.Docs.Put(tx, "c", "b", mmvalue.MustParseJSON(`{"tag":"y"}`))
 	tx.Abort()
 	res, _ = db.Query(`FOR d IN c FILTER d @> {tag: 'y'} RETURN d._key`, nil)
@@ -102,7 +102,7 @@ func TestGINViewMaintenanceSemantics(t *testing.T) {
 		t.Fatalf("aborted doc leaked into GIN: %v", res.Values)
 	}
 	// Deletes propagate.
-	db.Engine.Update(func(tx *engine.Txn) error {
+	db.Update(func(tx engine.Tx) error {
 		_, err := db.Docs.Delete(tx, "c", "a")
 		return err
 	})
@@ -116,7 +116,7 @@ func TestMultiHopCrossModelTransaction(t *testing.T) {
 	// One transaction mutating five models, committed, then queried across
 	// all of them in one statement.
 	db := openDB(t)
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		if err := db.Docs.CreateCollection(tx, "orders", catalogSchemaless()); err != nil {
 			return err
 		}
@@ -154,7 +154,7 @@ func TestMultiHopCrossModelTransaction(t *testing.T) {
 
 func TestQueryOperatorsHasKeyFamily(t *testing.T) {
 	db := openDB(t)
-	db.Engine.Update(func(tx *engine.Txn) error {
+	db.Update(func(tx engine.Tx) error {
 		db.Docs.CreateCollection(tx, "c", catalogSchemaless())
 		db.Docs.Put(tx, "c", "a", mmvalue.MustParseJSON(`{"x":1,"y":2}`))
 		db.Docs.Put(tx, "c", "b", mmvalue.MustParseJSON(`{"y":2,"z":3}`))
@@ -207,7 +207,7 @@ func TestColTableAsQuerySource(t *testing.T) {
 	// The wide-column model (Cassandra/DynamoDB row of the matrix) joins
 	// the unified language like every other model.
 	db := openDB(t)
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		if err := db.CreateColTable(tx, "events"); err != nil {
 			return err
 		}

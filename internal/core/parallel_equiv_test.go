@@ -126,7 +126,7 @@ func TestParallelEquivalenceCorpus(t *testing.T) {
 // state and fall back to the serial fold — byte-identical either way.
 func TestDecomposedAggEquivalence(t *testing.T) {
 	db := openDB(t)
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		if err := db.Docs.CreateCollection(tx, "nums", catalogSchemaless()); err != nil {
 			return err
 		}
@@ -223,7 +223,7 @@ func TestParallelEquivalenceLargeScan(t *testing.T) {
 // (13 values, so COLLECT groups span every chunk) and a dense integer v.
 func seedEvents(t testing.TB, db *core.DB, n int) {
 	t.Helper()
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		if err := db.Docs.CreateCollection(tx, "events", catalogSchemaless()); err != nil {
 			return err
 		}
@@ -320,7 +320,7 @@ func TestParallelTailStats(t *testing.T) {
 func TestParallelIndexRangeEquivalence(t *testing.T) {
 	db := openDB(t)
 	seedEvents(t, db, 3000)
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		return db.Docs.CreateIndex(tx, "events", docstore.IndexDef{Name: "by_v", Path: "v"})
 	})
 	if err != nil {

@@ -73,7 +73,7 @@ func TestPlanCacheInvalidatedByDDL(t *testing.T) {
 
 	// CREATE INDEX is DDL: it writes to the catalog keyspace, so the WAL
 	// subscriber must bump the epoch.
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		return db.Docs.CreateIndex(tx, "products", docstore.IndexDef{Name: "by_price", Path: "price"})
 	})
 	if err != nil {
@@ -101,12 +101,12 @@ func TestPlanCacheInvalidatedByDDL(t *testing.T) {
 	}
 
 	// DROP INDEX and DROP COLLECTION are DDL too.
-	for _, ddl := range []func(tx *engine.Txn) error{
-		func(tx *engine.Txn) error { return db.Docs.DropIndex(tx, "products", "by_price") },
-		func(tx *engine.Txn) error { return db.Docs.DropCollection(tx, "products") },
+	for _, ddl := range []func(tx engine.Tx) error{
+		func(tx engine.Tx) error { return db.Docs.DropIndex(tx, "products", "by_price") },
+		func(tx engine.Tx) error { return db.Docs.DropCollection(tx, "products") },
 	} {
 		pre := db.PlanCacheStats()
-		if err := db.Engine.Update(ddl); err != nil {
+		if err := db.Update(ddl); err != nil {
 			t.Fatal(err)
 		}
 		if post := db.PlanCacheStats(); post.Epoch == pre.Epoch {
@@ -127,7 +127,7 @@ func TestPlanCacheNotInvalidatedByDML(t *testing.T) {
 	}
 	st := db.PlanCacheStats()
 
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		_, err := db.Docs.Insert(tx, "products",
 			mmvalue.MustParseJSON(`{"_key":"p9","name":"Lamp","price":12}`))
 		return err
@@ -189,7 +189,7 @@ func TestPrepareSurvivesDDL(t *testing.T) {
 	if _, err := stmt.Exec(nil); err != nil {
 		t.Fatal(err)
 	}
-	err = db.Engine.Update(func(tx *engine.Txn) error {
+	err = db.Update(func(tx engine.Tx) error {
 		return db.Docs.CreateIndex(tx, "products", docstore.IndexDef{Name: "by_price", Path: "price"})
 	})
 	if err != nil {

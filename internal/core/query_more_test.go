@@ -73,7 +73,7 @@ func TestLimitWithParams(t *testing.T) {
 
 func TestTraversalFromVertexBinding(t *testing.T) {
 	db := openDB(t)
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		db.CreateGraph(tx, "g")
 		db.Graphs.PutVertex(tx, "g", "a", mmvalue.MustParseJSON(`{"hub":true}`))
 		db.Graphs.PutVertex(tx, "g", "b", mmvalue.MustParseJSON(`{"hub":false}`))
@@ -204,7 +204,7 @@ func TestDistinctOnObjects(t *testing.T) {
 func TestMSQLMultiJoinThreeSources(t *testing.T) {
 	db := openDB(t)
 	seedStore(t, db)
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		db.Docs.CreateCollection(tx, "regions", catalogSchemaless())
 		db.Docs.Put(tx, "regions", "EU", mmvalue.MustParseJSON(`{"tax":0.2}`))
 		db.Docs.Put(tx, "regions", "US", mmvalue.MustParseJSON(`{"tax":0.1}`))
@@ -291,7 +291,7 @@ func TestStringFunctions(t *testing.T) {
 
 func TestTraversalAnyDirection(t *testing.T) {
 	db := openDB(t)
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		db.CreateGraph(tx, "u")
 		for _, v := range []string{"x", "y", "z"} {
 			db.Graphs.PutVertex(tx, "u", v, mmvalue.Object())

@@ -60,7 +60,7 @@ func TestResultCacheHitAndInvalidation(t *testing.T) {
 	}
 
 	// DML to an unrelated keyspace (sales table) preserves the entry.
-	if err := db.Engine.Update(func(tx *engine.Txn) error {
+	if err := db.Update(func(tx engine.Tx) error {
 		return db.Rels.Insert(tx, "sales", mmvalue.Object(
 			mmvalue.F("id", mmvalue.Int(99)),
 			mmvalue.F("product", mmvalue.String("p1")),
@@ -77,7 +77,7 @@ func TestResultCacheHitAndInvalidation(t *testing.T) {
 
 	// DML to a read-set keyspace (products) invalidates: fresh execution
 	// sees the new row.
-	if err := db.Engine.Update(func(tx *engine.Txn) error {
+	if err := db.Update(func(tx engine.Tx) error {
 		_, err := db.Docs.Insert(tx, "products",
 			mmvalue.MustParseJSON(`{"_key":"p5","name":"Lamp","price":70}`))
 		return err
@@ -110,7 +110,7 @@ func TestResultCacheDDLInvalidatesViaEpoch(t *testing.T) {
 	// CREATE INDEX touches only the catalog and the index keyspace — data
 	// versions of doc:products are unchanged — so only the epoch can
 	// invalidate the entry.
-	if err := db.Engine.Update(func(tx *engine.Txn) error {
+	if err := db.Update(func(tx engine.Tx) error {
 		return db.Docs.CreateIndex(tx, "products", docstore.IndexDef{Name: "by_price", Path: "price"})
 	}); err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestResultCacheDDLInvalidatesViaEpoch(t *testing.T) {
 	}
 
 	// DROP INDEX invalidates again.
-	if err := db.Engine.Update(func(tx *engine.Txn) error {
+	if err := db.Update(func(tx engine.Tx) error {
 		return db.Docs.DropIndex(tx, "products", "by_price")
 	}); err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestResultCacheDDLInvalidatesViaEpoch(t *testing.T) {
 
 	// Dropping the collection makes the query error — and must not serve
 	// the old entry instead.
-	if err := db.Engine.Update(func(tx *engine.Txn) error {
+	if err := db.Update(func(tx engine.Tx) error {
 		return db.Docs.DropCollection(tx, "products")
 	}); err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestResultCacheStaleServeWithinBound(t *testing.T) {
 	// Invalidate by writing to products; the entry stays within the
 	// staleness bound, so the next lookup serves the OLD value and kicks a
 	// background refresh.
-	if err := db.Engine.Update(func(tx *engine.Txn) error {
+	if err := db.Update(func(tx engine.Tx) error {
 		_, err := db.Docs.Insert(tx, "products",
 			mmvalue.MustParseJSON(`{"_key":"p6","name":"Desk","price":80}`))
 		return err
@@ -218,7 +218,7 @@ func TestResultCacheZeroStalenessRecomputesInForeground(t *testing.T) {
 	db := openCachedDB(t, 1<<20, 0)
 	seedStore(t, db)
 	mustQuery(t, db, cachedProductsQuery, nil)
-	if err := db.Engine.Update(func(tx *engine.Txn) error {
+	if err := db.Update(func(tx engine.Tx) error {
 		_, err := db.Docs.Insert(tx, "products",
 			mmvalue.MustParseJSON(`{"_key":"p7","name":"Chair","price":99}`))
 		return err
@@ -331,7 +331,7 @@ func TestPreparedStatementRevalidatesVersions(t *testing.T) {
 	// A committed write to the read-set must be visible on the very next
 	// Exec — the DDL epoch is unchanged, so only the data version vector
 	// can catch this.
-	if err := db.Engine.Update(func(tx *engine.Txn) error {
+	if err := db.Update(func(tx engine.Tx) error {
 		_, err := db.Docs.Insert(tx, "products",
 			mmvalue.MustParseJSON(`{"_key":"p8","name":"Rug","price":90}`))
 		return err
@@ -362,7 +362,7 @@ func TestQueryTxBypassesResultCache(t *testing.T) {
 
 	// Inside a transaction with a staged (uncommitted) write, QueryTx must
 	// see the staged row and must not disturb the committed-state entry.
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		if _, err := db.Docs.Insert(tx, "products",
 			mmvalue.MustParseJSON(`{"_key":"p9","name":"Vase","price":75}`)); err != nil {
 			return err
@@ -387,7 +387,7 @@ func TestQueryTxBypassesResultCache(t *testing.T) {
 func TestResultCacheCrossModelReadSet(t *testing.T) {
 	db := openCachedDB(t, 1<<20, 0)
 	seedStore(t, db)
-	if err := db.Engine.Update(func(tx *engine.Txn) error {
+	if err := db.Update(func(tx engine.Tx) error {
 		return db.KV.Set(tx, "carts", "u1", mmvalue.String("p1"))
 	}); err != nil {
 		t.Fatal(err)
@@ -400,7 +400,7 @@ func TestResultCacheCrossModelReadSet(t *testing.T) {
 	}
 	// Writing the KV bucket — a function-derived read-set member, not a FOR
 	// source — invalidates the entry.
-	if err := db.Engine.Update(func(tx *engine.Txn) error {
+	if err := db.Update(func(tx engine.Tx) error {
 		return db.KV.Set(tx, "carts", "u1", mmvalue.String("p2"))
 	}); err != nil {
 		t.Fatal(err)

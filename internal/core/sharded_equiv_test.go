@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/docstore"
 	"repro/internal/engine"
 	"repro/internal/mmvalue"
 	"repro/internal/query"
@@ -199,5 +202,69 @@ func TestShardedDurableRoundTrip(t *testing.T) {
 	}
 	if len(check.Values) != 4 {
 		t.Fatalf("recovered products = %d, want 4", len(check.Values))
+	}
+}
+
+// TestServerFacingMethodsSharded guards the storage surface the HTTP server
+// and operators use: every DB method that reports on or manages storage must
+// work on a sharded database, in memory and on disk, not only on one engine.
+func TestServerFacingMethodsSharded(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dir  bool
+	}{{"InMemory", false}, {"Dir", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := core.Options{Shards: 2}
+			if tc.dir {
+				opts.Dir = t.TempDir()
+				opts.Durability = engine.Buffered
+			}
+			db, err := core.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 20
+			if err := db.Update(func(tx engine.Tx) error {
+				if err := db.Docs.CreateCollection(tx, "c", catalogSchemaless()); err != nil {
+					return err
+				}
+				for i := 0; i < n; i++ {
+					if _, err := db.Docs.Insert(tx, "c", mmvalue.Object(
+						mmvalue.F("_key", mmvalue.String(fmt.Sprintf("k%02d", i))))); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if ks := db.Keyspaces(); !slices.Contains(ks, docstore.Keyspace("c")) {
+				t.Fatalf("Keyspaces() = %v, want it to list %s", ks, docstore.Keyspace("c"))
+			}
+			if got := db.KeyspaceLen(docstore.Keyspace("c")); got != n {
+				t.Fatalf("KeyspaceLen = %d, want %d", got, n)
+			}
+			if st := db.WALStats(); tc.dir && st.Appends+st.BatchedAppends == 0 {
+				t.Fatalf("WALStats on a durable database counted no appends: %+v", st)
+			}
+			if st := db.ShardStats(); st.Shards != 2 {
+				t.Fatalf("ShardStats().Shards = %d, want 2", st.Shards)
+			}
+			before := db.EngineSnapshotReads()
+			if err := db.SnapshotView(func(engine.Tx) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if db.EngineSnapshotReads() == before {
+				t.Fatal("EngineSnapshotReads did not count a snapshot view")
+			}
+			// An in-memory database has nothing to checkpoint and says so;
+			// a durable one checkpoints every shard.
+			if err := db.Checkpoint(); (err == nil) != tc.dir {
+				t.Fatalf("Checkpoint() = %v (durable=%v)", err, tc.dir)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -109,7 +109,7 @@ func TestSnapshotReadsDatabaseOption(t *testing.T) {
 	if res.Stats.SnapshotReads != 1 {
 		t.Fatalf("database-wide SnapshotReads did not engage (stats %+v)", res.Stats)
 	}
-	if got := db.Engine.SnapshotReads(); got == 0 {
+	if got := db.EngineSnapshotReads(); got == 0 {
 		t.Fatal("engine SnapshotReads counter did not advance")
 	}
 }
@@ -125,7 +125,7 @@ func TestSnapshotQueriesUnderConcurrentDML(t *testing.T) {
 	if _, err := db.Query(`INSERT {_key: "e0", qty: 1} INTO events`, nil); err == nil {
 		t.Fatal("expected insert into missing collection to fail")
 	}
-	if err := db.Engine.Update(func(tx *engine.Txn) error {
+	if err := db.Update(func(tx engine.Tx) error {
 		if err := db.Docs.CreateCollection(tx, "events", catalogSchemaless()); err != nil {
 			return err
 		}

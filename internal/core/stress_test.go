@@ -15,7 +15,7 @@ import (
 // the primary data.
 func TestConcurrentMixedWorkload(t *testing.T) {
 	db := openDB(t)
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		if err := db.Docs.CreateCollection(tx, "items", catalogSchemaless()); err != nil {
 			return err
 		}
@@ -38,7 +38,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				key := fmt.Sprintf("w%d-i%d", w, i)
-				err := db.Engine.Update(func(tx *engine.Txn) error {
+				err := db.Update(func(tx engine.Tx) error {
 					if err := db.Docs.Put(tx, "items", key, mmvalue.Object(
 						mmvalue.F("writer", mmvalue.Int(int64(w))),
 						mmvalue.F("note", mmvalue.String("written by worker")),

@@ -26,7 +26,7 @@ var (
 // and an array column on a few rows.
 func seedMetrics(t testing.TB, db *core.DB, n int) {
 	t.Helper()
-	err := db.Engine.Update(func(tx *engine.Txn) error {
+	err := db.Update(func(tx engine.Tx) error {
 		if err := db.CreateColTable(tx, "metrics"); err != nil {
 			return err
 		}
@@ -295,7 +295,7 @@ func TestVectorizedUnderConcurrentWriter(t *testing.T) {
 			}
 			// Overwrite a bounded key range so the table stays small while
 			// every query races a fresh committed version.
-			err := db.Engine.Update(func(tx *engine.Txn) error {
+			err := db.Update(func(tx engine.Tx) error {
 				part := mmvalue.String(fmt.Sprintf("p%d", i%3))
 				return db.Cols.PutItem(tx, "metrics", part, mmvalue.Int(int64(600+i%200)),
 					mmvalue.Object(

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/btree"
 )
 
 func key(i int) []byte   { return []byte(fmt.Sprintf("key%06d", i)) }
@@ -142,16 +144,75 @@ func TestPropertyMatchesMap(t *testing.T) {
 	}
 }
 
-func BenchmarkGet(b *testing.B) {
-	h := New()
-	const n = 100000
-	for i := 0; i < n; i++ {
-		h.Put(key(i), value(i))
+// E4 (slides 78–79): hash indexes win point lookups, B+trees serve ranges.
+// Both structures hold the same 100 000 keys.
+const e4Keys = 100000
+
+func e4Structures() ([][]byte, *btree.Tree, *Table) {
+	keys := make([][]byte, e4Keys)
+	t, h := btree.New(), New()
+	for i := range keys {
+		keys[i] = key(i)
+		t.Put(keys[i], keys[i])
+		h.Put(keys[i], keys[i])
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Get(key(i % n))
-	}
+	return keys, t, h
+}
+
+func BenchmarkE4PointLookup(b *testing.B) {
+	keys, t, h := e4Structures()
+	b.Run("BTree", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := t.Get(keys[i%e4Keys]); !ok {
+				b.Fatal("missing")
+			}
+		}
+	})
+	b.Run("ExtHash", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := h.Get(keys[i%e4Keys]); !ok {
+				b.Fatal("missing")
+			}
+		}
+	})
+}
+
+func BenchmarkE4RangeScan(b *testing.B) {
+	const window = 100
+	keys, t, h := e4Structures()
+	b.Run("BTree", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			count := 0
+			t.Scan(keys[i%(e4Keys-window)], nil, func(k, v []byte) bool {
+				count++
+				return count < window
+			})
+			if count != window {
+				b.Fatal("short scan")
+			}
+		}
+	})
+	// A hash table has no key order: the only way to answer a range is a
+	// full walk with a filter.
+	b.Run("ExtHashFullWalk", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lo, hi := keys[i%(e4Keys-window)], keys[i%(e4Keys-window)+window]
+			count := 0
+			h.Range(func(k, v []byte) bool {
+				if bytes.Compare(k, lo) >= 0 && bytes.Compare(k, hi) < 0 {
+					count++
+				}
+				return true
+			})
+			if count != window {
+				b.Fatalf("count = %d", count)
+			}
+		}
+	})
 }
 
 func BenchmarkPut(b *testing.B) {

@@ -1,7 +1,10 @@
 package inverted
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -135,4 +138,49 @@ func TestRepeatedTermPositions(t *testing.T) {
 	if got := ft.SearchPhrase("eggs eggs"); len(got) != 0 {
 		t.Fatalf("phantom phrase matched: %v", got)
 	}
+}
+
+// E15 (slides 56, 75): a two-term AND over 5 000 eight-word texts, by a
+// substring scan of every text vs the inverted index's posting lists.
+func BenchmarkE15FullText(b *testing.B) {
+	const n = 5000
+	r := rand.New(rand.NewSource(15))
+	words := []string{"graph", "database", "query", "index", "model", "json", "xml", "fast", "toy", "book"}
+	texts := make([]string, n)
+	ft := NewFullText()
+	for i := range texts {
+		var t []string
+		for w := 0; w < 8; w++ {
+			t = append(t, words[r.Intn(len(words))])
+		}
+		texts[i] = strings.Join(t, " ")
+		ft.Add(fmt.Sprintf("t%d", i), texts[i])
+	}
+	terms := Tokenize("graph xml")
+	want := len(ft.SearchAll(terms))
+	if want == 0 {
+		b.Fatal("no hits")
+	}
+	b.Run("NaiveScanContains", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			got := 0
+			for _, t := range texts {
+				if strings.Contains(t, "graph") && strings.Contains(t, "xml") {
+					got++
+				}
+			}
+			if got != want {
+				b.Fatalf("matched %d, want %d", got, want)
+			}
+		}
+	})
+	b.Run("InvertedIndex", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if got := len(ft.SearchAll(terms)); got != want {
+				b.Fatalf("matched %d, want %d", got, want)
+			}
+		}
+	})
 }

@@ -219,3 +219,62 @@ func randDoc(r *rand.Rand) mmvalue.Value {
 	}
 	return mmvalue.ObjectOf(fields)
 }
+
+// E3 (slide 82): containment d @> pattern over 3 000 documents, answered by
+// a full scan, or by each GIN mode's candidates plus the recheck the query
+// layer applies.
+func BenchmarkE3GIN(b *testing.B) {
+	const n = 3000
+	r := rand.New(rand.NewSource(3))
+	ids := make([]string, n)
+	docs := make(map[string]mmvalue.Value, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("d%d", i)
+		docs[ids[i]] = mmvalue.MustParseJSON(fmt.Sprintf(
+			`{"_key":"%s","user":"u%d","tags":["t%d","t%d"],"addr":{"city":"c%d"}}`,
+			ids[i], r.Intn(200), r.Intn(30), r.Intn(30), r.Intn(50)))
+	}
+	pattern := mmvalue.MustParseJSON(`{"tags":["t7"],"addr":{"city":"c3"}}`)
+	want := 0
+	for _, id := range ids {
+		if mmvalue.Contains(docs[id], pattern) {
+			want++
+		}
+	}
+	b.Run("NoIndex", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			got := 0
+			for _, id := range ids {
+				if mmvalue.Contains(docs[id], pattern) {
+					got++
+				}
+			}
+			if got != want {
+				b.Fatalf("matched %d, want %d", got, want)
+			}
+		}
+	})
+	for _, mode := range []Mode{OpsMode, PathOpsMode} {
+		b.Run(mode.String(), func(b *testing.B) {
+			g := NewGIN(mode)
+			for _, id := range ids {
+				g.Add(id, docs[id])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got := 0
+				for _, id := range g.CandidatesContains(pattern) {
+					if mmvalue.Contains(docs[id], pattern) {
+						got++
+					}
+				}
+				if got != want {
+					b.Fatalf("matched %d, want %d", got, want)
+				}
+			}
+			b.ReportMetric(float64(g.Items()), "index-items")
+		})
+	}
+}

@@ -1,6 +1,8 @@
 package mmindex
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/engine"
@@ -36,7 +38,12 @@ func buildFixture(t *testing.T) (*engine.Engine, *graphstore.Store, *kvstore.Sto
 	if err != nil {
 		t.Fatal(err)
 	}
-	hops := []Hop{
+	return e, g, kv, paperHops(g, kv)
+}
+
+// paperHops is the hop chain customer -> friends -> cart -> order total.
+func paperHops(g *graphstore.Store, kv *kvstore.Store) []Hop {
+	return []Hop{
 		{
 			Name:      "friends",
 			Keyspaces: []string{graphstore.OutKeyspace("social"), graphstore.EdgeKeyspace("social")},
@@ -75,7 +82,6 @@ func buildFixture(t *testing.T) (*engine.Engine, *graphstore.Store, *kvstore.Sto
 			},
 		},
 	}
-	return e, g, kv, hops
 }
 
 func totals(vals []mmvalue.Value) []int64 {
@@ -207,4 +213,84 @@ func TestHopChainEmptyMidway(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// E13 (slide 95): the three-hop graph -> KV -> KV path from 1 000 customers
+// with about four friends each, followed on the fly vs read from the
+// materialized join index.
+func BenchmarkE13MultiModelIndex(b *testing.B) {
+	const customers = 1000
+	e, err := engine.Open(engine.Options{Durability: engine.Ephemeral})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { e.Close() })
+	g, kv := graphstore.New(e), kvstore.New(e)
+	key := func(i int) string { return fmt.Sprintf("c%d", i) }
+	if err := e.Update(func(tx *engine.Txn) error {
+		for i := 0; i < customers; i++ {
+			if err := g.PutVertex(tx, "social", key(i), mmvalue.Object()); err != nil {
+				return err
+			}
+			if err := kv.Set(tx, "cart", key(i), mmvalue.String(fmt.Sprintf("o%d", i))); err != nil {
+				return err
+			}
+			if err := kv.Set(tx, "orders", fmt.Sprintf("o%d", i), mmvalue.Int(int64(i))); err != nil {
+				return err
+			}
+		}
+		r := rand.New(rand.NewSource(13))
+		for i := 0; i < customers; i++ {
+			for f := 0; f < 4; f++ {
+				if other := r.Intn(customers); other != i {
+					if _, err := g.Connect(tx, "social", key(i), key(other), "knows", mmvalue.Null); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	idx := New(e, paperHops(g, kv))
+	if err := e.Update(func(tx *engine.Txn) error {
+		for i := 0; i < customers; i++ {
+			if err := idx.Put(tx, key(i), mmvalue.String(key(i))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("OnTheFlyJoin", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := e.View(func(tx *engine.Txn) error {
+				_, err := idx.follow(tx, mmvalue.String(key(i%customers)))
+				return err
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("JoinIndex", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := key(i % customers)
+			if err := e.View(func(tx *engine.Txn) error {
+				_, ok, err := idx.Lookup(tx, k, mmvalue.String(k))
+				if err == nil && !ok {
+					err = fmt.Errorf("anchor %s not indexed", k)
+				}
+				return err
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if idx.Stale() {
+		b.Fatal("join index went stale without a write")
+	}
 }

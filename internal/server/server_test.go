@@ -14,12 +14,16 @@ import (
 )
 
 func newServer(t *testing.T) (*core.DB, *httptest.Server) {
+	return newServerOpts(t, core.Options{})
+}
+
+func newServerOpts(t *testing.T, opts core.Options) (*core.DB, *httptest.Server) {
 	t.Helper()
-	db, err := core.Open(core.Options{})
+	db, err := core.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = db.Engine.Update(func(tx *engine.Txn) error {
+	err = db.Update(func(tx engine.Tx) error {
 		return db.Docs.CreateCollection(tx, "products", catalog.Schemaless)
 	})
 	if err != nil {
@@ -54,10 +58,21 @@ func do(t *testing.T, method, url, body string) (int, string) {
 }
 
 func TestHealthz(t *testing.T) {
-	_, ts := newServer(t)
-	code, body := do(t, "GET", ts.URL+"/healthz", "")
-	if code != 200 || !strings.Contains(body, `"status":"ok"`) {
-		t.Fatalf("healthz = %d %s", code, body)
+	for _, tc := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"Unsharded", core.Options{}},
+		// A sharded database has no single engine to ask.
+		{"Sharded", core.Options{Shards: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newServerOpts(t, tc.opts)
+			code, body := do(t, "GET", ts.URL+"/healthz", "")
+			if code != 200 || !strings.Contains(body, `"status":"ok"`) {
+				t.Fatalf("healthz = %d %s", code, body)
+			}
+		})
 	}
 }
 

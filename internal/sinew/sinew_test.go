@@ -1,6 +1,8 @@
 package sinew
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -151,4 +153,76 @@ func TestRowAccess(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d", r.Len())
 	}
+}
+
+// e6Relation is E6's flex table: 20 000 rows of one shape plus a nested
+// extra object.
+func e6Relation() *Relation {
+	rel := New()
+	r := rand.New(rand.NewSource(6))
+	for i := 0; i < 20000; i++ {
+		rel.Insert(mmvalue.MustParseJSON(fmt.Sprintf(
+			`{"user":"u%d","score":%d,"extra":{"a":%d,"b":"x%d"}}`,
+			r.Intn(500), r.Intn(100), i, i%7)))
+	}
+	return rel
+}
+
+// e10Relation is E10's universal relation: 20 000 documents of three
+// heterogeneous shapes.
+func e10Relation() *Relation {
+	rel := New()
+	r := rand.New(rand.NewSource(10))
+	shapes := []string{
+		`{"kind":"click","page":"p%d","ms":%d}`,
+		`{"kind":"buy","sku":"s%d","price":%d}`,
+		`{"kind":"view","page":"p%d","dwell":{"ms":%d}}`,
+	}
+	for i := 0; i < 20000; i++ {
+		rel.Insert(mmvalue.MustParseJSON(fmt.Sprintf(shapes[i%3], r.Intn(100), r.Intn(1000))))
+	}
+	return rel
+}
+
+// benchSelect times one Select and checks every call returns want rows.
+func benchSelect(b *testing.B, rel *Relation, col string, pred Predicate, want int) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := len(rel.Select(col, pred)); got != want {
+			b.Fatalf("selected %d rows, want %d", got, want)
+		}
+	}
+}
+
+// E6 (slides 43, 79): promoting a virtual column to a real one speeds up a
+// predicate on it.
+func BenchmarkE6FlexTable(b *testing.B) {
+	pred := Gt(mmvalue.Int(90))
+	want := len(e6Relation().Select("score", pred))
+	b.Run("VirtualColumn", func(b *testing.B) {
+		benchSelect(b, e6Relation(), "score", pred, want)
+	})
+	b.Run("MaterializedColumn", func(b *testing.B) {
+		rel := e6Relation()
+		if err := rel.Materialize("score"); err != nil {
+			b.Fatal(err)
+		}
+		benchSelect(b, rel, "score", pred, want)
+	})
+}
+
+// E10 (slide 36): the column materializer promotes the hottest columns of
+// schemaless data.
+func BenchmarkE10Sinew(b *testing.B) {
+	pred := Eq(mmvalue.String("buy"))
+	want := len(e10Relation().Select("kind", pred))
+	b.Run("VirtualSelect", func(b *testing.B) {
+		benchSelect(b, e10Relation(), "kind", pred, want)
+	})
+	b.Run("AfterAutoMaterialize", func(b *testing.B) {
+		rel := e10Relation()
+		rel.AutoMaterialize(3)
+		benchSelect(b, rel, "kind", pred, want)
+	})
 }

@@ -1,6 +1,8 @@
 package xmlstore
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -24,7 +26,7 @@ const orderJSON = `{
   ]
 }`
 
-func setup(t *testing.T) (*engine.Engine, *Store) {
+func setup(t testing.TB) (*engine.Engine, *Store) {
 	t.Helper()
 	e, err := engine.Open(engine.Options{Durability: engine.Ephemeral})
 	if err != nil {
@@ -281,5 +283,48 @@ func TestJSONScalarRootAndNested(t *testing.T) {
 			t.Fatalf("null = %v", vals)
 		}
 		return nil
+	})
+}
+
+// E14 (slide 81): /catalog/product[@no='p777']/name over a 2 000-product
+// catalog, by XPath tree navigation vs the ORDPATH path range index.
+func BenchmarkE14XPath(b *testing.B) {
+	e, s := setup(b)
+	var sb strings.Builder
+	sb.WriteString("<catalog>")
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&sb, `<product no="p%d"><name>item %d</name><price>%d</price></product>`, i, i, i%300)
+	}
+	sb.WriteString("</catalog>")
+	if err := e.Update(func(tx *engine.Txn) error {
+		return s.LoadXML(tx, "catalog", []byte(sb.String()))
+	}); err != nil {
+		b.Fatal(err)
+	}
+	view := func(b *testing.B, fn func(tx *engine.Txn) (int, error)) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := e.View(func(tx *engine.Txn) error {
+				n, err := fn(tx)
+				if err == nil && n != 1 {
+					err = fmt.Errorf("%d matches, want 1", n)
+				}
+				return err
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("TreeWalkXPath", func(b *testing.B) {
+		view(b, func(tx *engine.Txn) (int, error) {
+			nodes, err := s.XPath(tx, "catalog", `/catalog/product[@no='p777']/name`)
+			return len(nodes), err
+		})
+	})
+	b.Run("PathRangeIndex", func(b *testing.B) {
+		view(b, func(tx *engine.Txn) (int, error) {
+			labels, err := s.PathLookup(tx, "catalog", "/catalog/product/@no", mmvalue.String("p777"))
+			return len(labels), err
+		})
 	})
 }

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Extended verification: build, vet, formatting, full tests, the race
-# detector over the packages with concurrent execution paths (parallel
-# query executor, engine lock manager, plan cache, shard router), the
-# core-count-sensitive engine tests at several GOMAXPROCS, and the tests of
-# the benchmark's own module.
+# detector over every package, the core-count-sensitive engine tests at
+# several GOMAXPROCS, one iteration of every in-package microbenchmark, and
+# the tests of the benchmark's own module.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,11 +32,14 @@ fi
 echo "== go test"
 go test ./...
 
-echo "== go test -race (query, engine, core, shard)"
-go test -race ./internal/query/... ./internal/engine/... ./internal/core/... ./internal/shard/...
+echo "== go test -race (every package)"
+go test -race ./...
 
 echo "== go test -cpu 1,2,4 -count=20 (deadlock retry, scan contract)"
 go test -cpu 1,2,4 -count=20 -run 'TestUpdateRetriesDeadlock|Scan' ./internal/engine/...
+
+echo "== microbenchmarks, one iteration each (the index-taxonomy tables)"
+go test -run '^$' -bench . -benchtime 1x ./internal/...
 
 echo "== go test (bench/, the nested module tier-1 skips)"
 (cd bench && go test ./...)

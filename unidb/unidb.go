@@ -601,8 +601,9 @@ func (r *Replica) Lag() int { return r.r.Lag() }
 // CatchUp applies everything pending.
 func (r *Replica) CatchUp() { r.r.CatchUp() }
 
-// Internal accessor for the reproduction harness (benches, cmd/unibench).
-// It exposes the full internal core object; applications should not need it.
+// Core exposes the full internal core object, for the benchmark in bench/,
+// the cmd/unidb shell and examples that drive a model store directly;
+// applications should not need it.
 func (d *Database) Core() *core.DB { return d.db }
 
 // ParseJSON decodes JSON text into a Value.
