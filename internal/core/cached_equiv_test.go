@@ -23,22 +23,13 @@ import (
 func assertCachedUncachedEqual(t *testing.T, cached, uncached *core.DB, dialect, q string, params map[string]mmvalue.Value) {
 	t.Helper()
 	opts := query.Options{ParallelThreshold: 1, MaxParallel: 4}
-	run := func(db *core.DB) *query.Result {
-		var res *query.Result
-		var err error
-		if dialect == "msql" {
-			res, err = db.SQLOpts(q, params, opts)
-		} else {
-			res, err = db.QueryOpts(q, params, opts)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		return res
+	run := func(db *core.DB) string { return mustJSON(t, runCorpusQuery(t, db, dialect, q, params, opts).Values) }
+	base := mustJSON(t, runLockedQuery(t, uncached, dialect, q, params, opts).Values)
+	if snap := run(uncached); snap != base {
+		t.Fatalf("snapshot differs from locked for %q\nsnapshot: %s\n  locked: %s", q, snap, base)
 	}
-	base := mustJSON(t, run(uncached).Values)
-	cold := mustJSON(t, run(cached).Values) // executes and populates the cache
-	warm := mustJSON(t, run(cached).Values) // served from the cache when cacheable
+	cold := run(cached) // executes and populates the cache
+	warm := run(cached) // served from the cache when cacheable
 	if cold != base {
 		t.Fatalf("cache-on (cold) differs from cache-off for %q\n cached: %s\nuncached: %s", q, cold, base)
 	}

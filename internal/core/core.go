@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -37,12 +38,6 @@ type Options struct {
 	// GroupCommitWindow is forwarded to the engine: the maximum number of
 	// concurrent Synced committers that share one WAL fsync (0 = default).
 	GroupCommitWindow int
-	// SnapshotReads makes Query/SQL (and the Opts variants) run pipelines
-	// the compile-time analysis proves read-only on a lock-free MVCC
-	// snapshot transaction: zero lock-manager traffic, no deadlock
-	// exposure, and no blocking of concurrent writers. Mutating pipelines
-	// always keep the 2PL read-write path.
-	SnapshotReads bool
 	// ResultCacheBytes enables the cross-query result cache with this total
 	// byte budget; 0 disables it. Cacheable (proven read-only, fully
 	// read-set-analyzed) pipelines then serve materialized results while
@@ -96,6 +91,10 @@ type DB struct {
 	viewMu sync.RWMutex
 	gins   map[string]*inverted.GIN      // collection -> GIN
 	fts    map[string]*inverted.FullText // collection -> full-text
+	// views mirrors len(gins)+len(fts), stored under viewMu, so the query
+	// path can ask "is there any view?" without taking viewMu, which every
+	// commit's subscriber holds exclusively.
+	views atomic.Int32
 
 	// plans caches parsed pipelines keyed by (dialect, text); a WAL
 	// subscriber bumps its epoch on every committed DDL (see
@@ -113,11 +112,9 @@ type DB struct {
 
 	sources *query.Sources
 
-	// snapshotReads is the Options.SnapshotReads default applied by the
+	// vectorized is the Options.Vectorized default applied by the
 	// auto-transaction query entry points (per-call query.Options can still
 	// opt in explicitly).
-	snapshotReads bool
-	// vectorized is the Options.Vectorized default, applied the same way.
 	vectorized bool
 }
 
@@ -161,9 +158,8 @@ func Open(opts Options) (*DB, error) {
 		fts:    map[string]*inverted.FullText{},
 		plans:  newPlanCache(defaultPlanCacheCap),
 
-		snapshotReads: opts.SnapshotReads,
-		vectorized:    opts.Vectorized,
-		maxStale:      opts.MaxResultStaleness,
+		vectorized: opts.Vectorized,
+		maxStale:   opts.MaxResultStaleness,
 	}
 	if opts.ResultCacheBytes > 0 {
 		db.results = newResultCache(opts.ResultCacheBytes)
@@ -336,6 +332,7 @@ func (db *DB) CreateGIN(coll string, mode inverted.Mode) error {
 	}
 	db.viewMu.Lock()
 	db.gins[coll] = g
+	db.countViewsLocked()
 	db.viewMu.Unlock()
 	return nil
 }
@@ -344,8 +341,12 @@ func (db *DB) CreateGIN(coll string, mode inverted.Mode) error {
 func (db *DB) DropGIN(coll string) {
 	db.viewMu.Lock()
 	delete(db.gins, coll)
+	db.countViewsLocked()
 	db.viewMu.Unlock()
 }
+
+// countViewsLocked refreshes db.views; the caller holds viewMu for writing.
+func (db *DB) countViewsLocked() { db.views.Store(int32(len(db.gins) + len(db.fts))) }
 
 // GINItems reports the index size (for E3).
 func (db *DB) GINItems(coll string) int {
@@ -372,6 +373,7 @@ func (db *DB) CreateFullText(coll string) error {
 	}
 	db.viewMu.Lock()
 	db.fts[coll] = ft
+	db.countViewsLocked()
 	db.viewMu.Unlock()
 	return nil
 }
@@ -459,8 +461,9 @@ func (db *DB) applyToViews(batch []wal.Record) {
 
 // --- Query entry points ---
 
-// Query parses and runs an MMQL query in its own transaction (committed on
-// success so DML sticks). Parsed plans are served from the plan cache.
+// Query parses and runs an MMQL query in its own transaction: a lock-free
+// MVCC snapshot for a read-only statement, a 2PL transaction committed on
+// success for DML. Parsed plans are served from the plan cache.
 func (db *DB) Query(mmql string, params map[string]mmvalue.Value) (*query.Result, error) {
 	return db.queryAuto(dialectMMQL, mmql, params, query.Options{})
 }
@@ -514,8 +517,14 @@ func (db *DB) queryAuto(dialect, text string, params map[string]mmvalue.Value,
 
 // execPipeline is the shared execution tail behind Query/SQL (and their
 // Opts variants) and prepared-statement Exec: result cache first for
-// cacheable pipelines, then the snapshot-read fast path for proven
-// read-only ones, then the 2PL auto-commit path.
+// cacheable pipelines, then a lock-free MVCC snapshot for every proven
+// read-only one, then the 2PL auto-commit path for DML.
+//
+// One read-only shape stays locked: a pipeline that may be answered from a
+// GIN or full-text view, while the database has such a view. The views
+// follow the latest commit, not a snapshot, so a snapshot consulting them
+// could miss rows it should see; on a snapshot `@>` falls back to scan and
+// recheck, but FTSEARCH has no scan form.
 func (db *DB) execPipeline(dialect, text string, pipe *query.Pipeline, opts query.Options) (*query.Result, error) {
 	// Apply the database-level vectorization default before either execution
 	// path (cached or not) so both observe the same options. Like the
@@ -532,22 +541,20 @@ func (db *DB) execPipeline(dialect, text string, pipe *query.Pipeline, opts quer
 		}
 	}
 	var res *query.Result
-	var err error
-	if (opts.SnapshotReads || db.snapshotReads) && pipe.ReadOnly() {
-		// Proven read-only: run on a lock-free MVCC snapshot. No locks are
-		// taken, no deadlock retry loop is needed, and nothing is committed.
-		err = db.be.SnapshotView(func(tx engine.Tx) error {
-			var qerr error
-			res, qerr = query.Execute(tx, db.sources, pipe, opts)
-			return qerr
-		})
-		return res, err
-	}
-	err = db.be.Update(func(tx engine.Tx) error {
+	exec := func(tx engine.Tx) error {
 		var qerr error
 		res, qerr = query.Execute(tx, db.sources, pipe, opts)
 		return qerr
-	})
+	}
+	var err error
+	if pipe.ReadOnly() && !(pipe.ViewBacked() && db.views.Load() > 0) {
+		// Proven read-only: no locks are taken, so the statement neither
+		// waits for nor delays a writer, no deadlock retry loop is needed,
+		// and nothing is committed.
+		err = db.be.SnapshotView(exec)
+	} else {
+		err = db.be.Update(exec)
+	}
 	return res, err
 }
 
@@ -728,7 +735,8 @@ func (db *DB) readSetKeyspaces(refs []query.ReadRef) (keyspaces []string, resolv
 }
 
 // QueryTx runs MMQL inside an existing transaction (for cross-model
-// transactions mixing queries and store calls).
+// transactions mixing queries and store calls). The caller's choice of
+// transaction stands: inside View or Update it reads under 2PL S locks.
 func (db *DB) QueryTx(tx engine.Tx, mmql string, params map[string]mmvalue.Value) (*query.Result, error) {
 	pipe, err := db.parseCached(dialectMMQL, mmql)
 	if err != nil {

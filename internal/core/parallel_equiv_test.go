@@ -30,23 +30,12 @@ func mustJSON(t *testing.T, vals []mmvalue.Value) string {
 	return string(b)
 }
 
+// assertSerialParallelEqual runs a query serially on the locked path and in
+// parallel on a snapshot and requires byte-identical JSON output.
 func assertSerialParallelEqual(t *testing.T, db *core.DB, dialect, q string, params map[string]mmvalue.Value, wantParallel bool) {
 	t.Helper()
-	run := func(opts query.Options) *query.Result {
-		var res *query.Result
-		var err error
-		if dialect == "msql" {
-			res, err = db.SQLOpts(q, params, opts)
-		} else {
-			res, err = db.QueryOpts(q, params, opts)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		return res
-	}
-	ser := run(serialOpts)
-	par := run(parallelOpts)
+	ser := runLockedQuery(t, db, dialect, q, params, serialOpts)
+	par := runCorpusQuery(t, db, dialect, q, params, parallelOpts)
 	if ser.Stats.ParallelScans != 0 {
 		t.Fatalf("serial run used the parallel executor: %+v", ser.Stats)
 	}
@@ -201,10 +190,7 @@ func TestParallelEquivalenceLargeScan(t *testing.T) {
 	seedEvents(t, db, 5000)
 
 	q := `FOR e IN events FILTER e.v % 7 == 3 FILTER e.tag != 't5' RETURN e._key`
-	ser, err := db.QueryOpts(q, nil, serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ser := runLockedQuery(t, db, "mmql", q, nil, serialOpts)
 	// Default threshold (1024) with forced workers: n=5000 qualifies.
 	par, err := db.QueryOpts(q, nil, query.Options{MaxParallel: 4})
 	if err != nil {
@@ -255,14 +241,8 @@ func TestParallelEquivalenceLargeAggSort(t *testing.T) {
 		`FOR e IN events SORT e.tag, e.v % 10 DESC, e.v RETURN e._key`,
 		`FOR e IN events SORT e.tag DESC RETURN e.v`,
 	} {
-		ser, err := db.QueryOpts(q, nil, serialOpts)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		par, err := db.QueryOpts(q, nil, query.Options{MaxParallel: 4})
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
+		ser := runLockedQuery(t, db, "mmql", q, nil, serialOpts)
+		par := runCorpusQuery(t, db, "mmql", q, nil, query.Options{MaxParallel: 4})
 		if par.Stats.ParallelCollects == 0 && par.Stats.ParallelSorts == 0 {
 			t.Fatalf("%q: no parallel tail stage engaged: %+v", q, par.Stats)
 		}
@@ -300,10 +280,7 @@ func TestParallelTailStats(t *testing.T) {
 	if st.ParallelEvals == 0 {
 		t.Fatalf("LET/RETURN projection stayed serial: %+v", st)
 	}
-	ser, err := db.QueryOpts(q, nil, serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ser := runLockedQuery(t, db, "mmql", q, nil, serialOpts)
 	if zero := (query.Stats{}); ser.Stats.ParallelCollects != zero.ParallelCollects ||
 		ser.Stats.ParallelSorts != 0 || ser.Stats.ParallelEvals != 0 || ser.Stats.ParallelIndexFetches != 0 {
 		t.Fatalf("serial run used parallel tail stages: %+v", ser.Stats)
@@ -328,17 +305,11 @@ func TestParallelIndexRangeEquivalence(t *testing.T) {
 	}
 
 	q := `FOR e IN events FILTER e.v >= 100 FILTER e.v < 2500 RETURN e._key`
-	ser, err := db.QueryOpts(q, nil, serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ser := runLockedQuery(t, db, "mmql", q, nil, serialOpts)
 	if ser.Stats.IndexScans == 0 {
 		t.Fatalf("range query did not use the index: %+v", ser.Stats)
 	}
-	par, err := db.QueryOpts(q, nil, parallelOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := runCorpusQuery(t, db, "mmql", q, nil, parallelOpts)
 	if par.Stats.IndexScans == 0 || par.Stats.ParallelIndexFetches == 0 {
 		t.Fatalf("parallel run did not materialize the index range on the pool: %+v", par.Stats)
 	}

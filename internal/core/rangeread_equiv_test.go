@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mmvalue"
 	"repro/internal/query"
@@ -17,21 +16,6 @@ import (
 // table keyspace — are access paths, not semantics: on the paper-example and
 // cross-model fixtures their results must be byte-identical to the full-scan
 // answer, and they must read fewer rows.
-
-func runRangeRead(t *testing.T, db *core.DB, dialect, q string, params map[string]mmvalue.Value, opts query.Options) *query.Result {
-	t.Helper()
-	var res *query.Result
-	var err error
-	if dialect == "msql" {
-		res, err = db.SQLOpts(q, params, opts)
-	} else {
-		res, err = db.QueryOpts(q, params, opts)
-	}
-	if err != nil {
-		t.Fatalf("%s: %v", q, err)
-	}
-	return res
-}
 
 // TestFilterLimitEarlyStopEquivalence checks every query with its LIMIT
 // against the same query without it, cut to the window by the test.
@@ -66,29 +50,33 @@ func TestFilterLimitEarlyStopEquivalence(t *testing.T) {
 			map[string]mmvalue.Value{"min": mmvalue.Int(2500), "n": mmvalue.Int(1)}, 0, 1},
 	}
 	for _, tc := range cases {
-		full := runRangeRead(t, db, tc.dialect, tc.body+" "+tc.tail, tc.params, query.Options{})
+		full := runLockedQuery(t, db, tc.dialect, tc.body+" "+tc.tail, tc.params, query.Options{})
 		want := full.Values
 		want = want[min(tc.offset, len(want)):]
 		want = want[:min(tc.count, len(want))]
 		q := tc.body + " " + tc.limit + " " + tc.tail
 		for _, opts := range []query.Options{{}, serialOpts, parallelOpts, {DisableIndexes: true}} {
-			got := runRangeRead(t, db, tc.dialect, q, tc.params, opts)
-			if g, w := mustJSON(t, got.Values), mustJSON(t, want); g != w {
-				t.Errorf("%s (%+v)\n got %s\nwant %s", q, opts, g, w)
-			}
-			if got.Stats.RowsRead > full.Stats.RowsRead {
-				t.Errorf("%s: the bounded run read %d rows, the unbounded one %d", q, got.Stats.RowsRead, full.Stats.RowsRead)
+			for _, got := range []*query.Result{
+				runLockedQuery(t, db, tc.dialect, q, tc.params, opts),
+				runCorpusQuery(t, db, tc.dialect, q, tc.params, opts),
+			} {
+				if g, w := mustJSON(t, got.Values), mustJSON(t, want); g != w {
+					t.Errorf("%s (%+v, snapshot=%d)\n got %s\nwant %s", q, opts, got.Stats.SnapshotReads, g, w)
+				}
+				if got.Stats.RowsRead > full.Stats.RowsRead {
+					t.Errorf("%s: the bounded run read %d rows, the unbounded one %d", q, got.Stats.RowsRead, full.Stats.RowsRead)
+				}
 			}
 		}
 	}
 
 	// The point of the rule: rows behind the last survivor are never read.
-	res := runRangeRead(t, db, "mmql", `FOR m IN metrics FILTER m.pos >= 0 LIMIT 3 RETURN m.v`, nil, query.Options{})
+	res := runCorpusQuery(t, db, "mmql", `FOR m IN metrics FILTER m.pos >= 0 LIMIT 3 RETURN m.v`, nil, query.Options{})
 	if res.Stats.RowsRead != 3 || res.Stats.FullScans != 1 {
 		t.Errorf("FILTER+LIMIT 3 over 40 rows: RowsRead = %d, FullScans = %d; want 3 and 1", res.Stats.RowsRead, res.Stats.FullScans)
 	}
 	// A bound that depends on a row is not known before the scan.
-	res = runRangeRead(t, db, "mmql", `FOR s IN sales LIMIT s.id RETURN s.id`, nil, query.Options{})
+	res = runCorpusQuery(t, db, "mmql", `FOR s IN sales LIMIT s.id RETURN s.id`, nil, query.Options{})
 	if got := mustJSON(t, res.Values); got != `[1]` || res.Stats.RowsRead != 5 {
 		t.Errorf("row-dependent LIMIT: %s after %d rows; want [1] after 5", got, res.Stats.RowsRead)
 	}
@@ -133,8 +121,8 @@ func TestPrimaryKeyRangeEquivalence(t *testing.T) {
 		{"mmql", `FOR c IN customers FOR s IN sales FILTER s.id > c.id AND s.id <= c.id + 1 RETURN [c.id, s.id]`, nil, 3 + 2 + 2 + 2},
 	}
 	for _, tc := range cases {
-		want := runRangeRead(t, db, tc.dialect, tc.q, tc.params, query.Options{DisableIndexes: true})
-		got := runRangeRead(t, db, tc.dialect, tc.q, tc.params, query.Options{})
+		want := runLockedQuery(t, db, tc.dialect, tc.q, tc.params, query.Options{DisableIndexes: true})
+		got := runCorpusQuery(t, db, tc.dialect, tc.q, tc.params, query.Options{})
 		if g, w := mustJSON(t, got.Values), mustJSON(t, want.Values); g != w {
 			t.Errorf("%s\n got %s\nwant %s", tc.q, g, w)
 		}
@@ -148,7 +136,7 @@ func TestPrimaryKeyRangeEquivalence(t *testing.T) {
 	}
 
 	// A name the outer row binds is that binding, not a column of the table.
-	res := runRangeRead(t, db, "mmql", `FOR id IN [2, 3] FOR s IN sales FILTER id >= 3 RETURN s.id`, nil, query.Options{})
+	res := runCorpusQuery(t, db, "mmql", `FOR id IN [2, 3] FOR s IN sales FILTER id >= 3 RETURN s.id`, nil, query.Options{})
 	if got := mustJSON(t, res.Values); got != `[1,2,3,4,5]` || res.Stats.IndexScans != 0 {
 		t.Errorf("outer binding shadowing a column: %s with %d index scans", got, res.Stats.IndexScans)
 	}
@@ -187,9 +175,9 @@ func TestRelIndexChoiceIsDeterministic(t *testing.T) {
 		{`FOR r IN t FILTER r.c >= 1 AND r.b >= 4 SORT r.a RETURN r.a`, "by_c"},
 		{`FOR r IN t FILTER r.b >= 4 AND r.c >= 1 SORT r.a RETURN r.a`, "by_b"},
 	} {
-		want := runRangeRead(t, db, "mmql", tc.q, nil, query.Options{DisableIndexes: true})
+		want := runCorpusQuery(t, db, "mmql", tc.q, nil, query.Options{DisableIndexes: true})
 		for run := 0; run < 20; run++ {
-			got := runRangeRead(t, db, "mmql", tc.q, nil, query.Options{})
+			got := runCorpusQuery(t, db, "mmql", tc.q, nil, query.Options{})
 			if used := fmt.Sprint(got.Stats.IndexUsed); used != fmt.Sprintf("[rel:t idx %s (range)]", tc.idx) {
 				t.Fatalf("%s: run %d used %s, want %s", tc.q, run, used, tc.idx)
 			}

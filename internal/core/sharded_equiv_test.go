@@ -32,21 +32,6 @@ func openShardedDB(t testing.TB) *core.DB {
 	return db
 }
 
-func runCorpusQuery(t *testing.T, db *core.DB, dialect, q string, params map[string]mmvalue.Value, opts query.Options) *query.Result {
-	t.Helper()
-	var res *query.Result
-	var err error
-	if dialect == "msql" {
-		res, err = db.SQLOpts(q, params, opts)
-	} else {
-		res, err = db.QueryOpts(q, params, opts)
-	}
-	if err != nil {
-		t.Fatalf("%s: %v", q, err)
-	}
-	return res
-}
-
 func TestShardedEquivalenceCorpus(t *testing.T) {
 	single := openDB(t)
 	seedStore(t, single)
@@ -75,12 +60,17 @@ func TestShardedEquivalenceCorpus(t *testing.T) {
 		{"msql", `SELECT COUNT(*) AS n, SUM(qty) AS total, AVG(qty) AS mean FROM sales`, nil},
 	}
 	for _, tc := range cases {
-		for _, opts := range []query.Options{{}, {SnapshotReads: true}} {
-			want := runCorpusQuery(t, single, tc.dialect, tc.q, tc.params, opts)
-			got := runCorpusQuery(t, sharded, tc.dialect, tc.q, tc.params, opts)
-			wj, gj := mustJSON(t, want.Values), mustJSON(t, got.Values)
-			if wj != gj {
-				t.Fatalf("sharded result differs for %q (opts %+v)\nsingle:  %s\nsharded: %s", tc.q, opts, wj, gj)
+		want := mustJSON(t, runLockedQuery(t, single, tc.dialect, tc.q, tc.params, query.Options{}).Values)
+		for _, run := range []struct {
+			name string
+			res  *query.Result
+		}{
+			{"single/snapshot", runCorpusQuery(t, single, tc.dialect, tc.q, tc.params, query.Options{})},
+			{"sharded/locked", runLockedQuery(t, sharded, tc.dialect, tc.q, tc.params, query.Options{})},
+			{"sharded/snapshot", runCorpusQuery(t, sharded, tc.dialect, tc.q, tc.params, query.Options{})},
+		} {
+			if got := mustJSON(t, run.res.Values); got != want {
+				t.Fatalf("%s result differs for %q\nsingle/locked: %s\n%s: %s", run.name, tc.q, want, run.name, got)
 			}
 		}
 	}
@@ -145,9 +135,8 @@ func TestShardedEquivalenceUnderConcurrentWriter(t *testing.T) {
 		}
 	}()
 	check := func() {
-		res, err := db.QueryOpts(`
-			FOR s IN sales COLLECT all = 1 INTO g RETURN SUM(g[*].s.qty)`,
-			nil, query.Options{SnapshotReads: true})
+		res, err := db.Query(`
+			FOR s IN sales COLLECT all = 1 INTO g RETURN SUM(g[*].s.qty)`, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

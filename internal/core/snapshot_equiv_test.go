@@ -7,37 +7,23 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/inverted"
 	"repro/internal/mmvalue"
 	"repro/internal/query"
 )
 
-// The serial ≡ snapshot equivalence corpus: every read-only query must
+// The locked ≡ snapshot equivalence corpus: every read-only query must
 // produce byte-identical JSON whether it runs under S-lock reads (the 2PL
-// path) or on a lock-free MVCC snapshot, and the SnapshotReads stat must
+// path, reached explicitly through db.View) or on the lock-free MVCC
+// snapshot the default entry points choose, and the SnapshotReads stat must
 // report which path actually ran.
 
 func assertLockedSnapshotEqual(t *testing.T, db *core.DB, dialect, q string, params map[string]mmvalue.Value) {
 	t.Helper()
-	run := func(opts query.Options) *query.Result {
-		var res *query.Result
-		var err error
-		if dialect == "msql" {
-			res, err = db.SQLOpts(q, params, opts)
-		} else {
-			res, err = db.QueryOpts(q, params, opts)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		return res
-	}
-	locked := run(query.Options{})
-	snap := run(query.Options{SnapshotReads: true})
-	if locked.Stats.SnapshotReads != 0 {
-		t.Fatalf("locked run reported SnapshotReads=%d for %q", locked.Stats.SnapshotReads, q)
-	}
+	locked := runLockedQuery(t, db, dialect, q, params, query.Options{})
+	snap := runCorpusQuery(t, db, dialect, q, params, query.Options{})
 	if snap.Stats.SnapshotReads != 1 {
-		t.Fatalf("snapshot run fell back to the locked path for %q (stats %+v)", q, snap.Stats)
+		t.Fatalf("default run took the locked path for %q (stats %+v)", q, snap.Stats)
 	}
 	lj, sj := mustJSON(t, locked.Values), mustJSON(t, snap.Values)
 	if lj != sj {
@@ -75,12 +61,11 @@ func TestSnapshotEquivalenceCorpus(t *testing.T) {
 }
 
 func TestSnapshotReadsMutationFallsBackToLockedPath(t *testing.T) {
-	// A pipeline containing DML is never routed to a snapshot, even with
-	// SnapshotReads set: the write must land and the stat must stay 0.
+	// A pipeline containing DML is never routed to a snapshot: the write
+	// must land and the stat must stay 0.
 	db := openDB(t)
 	seedStore(t, db)
-	res, err := db.QueryOpts(`INSERT {_key: "p9", name: "Lamp", price: 12, stock: 1} INTO products`,
-		nil, query.Options{SnapshotReads: true})
+	res, err := db.Query(`INSERT {_key: "p9", name: "Lamp", price: 12, stock: 1} INTO products`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,24 +78,117 @@ func TestSnapshotReadsMutationFallsBackToLockedPath(t *testing.T) {
 	}
 }
 
-func TestSnapshotReadsDatabaseOption(t *testing.T) {
-	// The database-wide option routes read-only queries to snapshots
-	// without per-call opts.
-	db, err := core.Open(core.Options{SnapshotReads: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
+// TestSnapshotReadsByDefault pins the routing rule of the auto-transaction
+// entry points: read-only statements run on a snapshot in every dialect and
+// through prepared statements, and a statement run inside a caller's
+// transaction keeps that transaction. (DML runs locked: see
+// TestSnapshotReadsMutationFallsBackToLockedPath.)
+func TestSnapshotReadsByDefault(t *testing.T) {
+	db := openDB(t)
 	seedStore(t, db)
-	res, err := db.Query(`FOR p IN products SORT p._key RETURN p._key`, nil)
+	before := db.EngineSnapshotReads()
+
+	stmt, err := db.Prepare(`FOR p IN products FILTER p.price > @min SORT p._key RETURN p._key`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.SnapshotReads != 1 {
-		t.Fatalf("database-wide SnapshotReads did not engage (stats %+v)", res.Stats)
+	reads := map[string]func() (*query.Result, error){
+		"Query": func() (*query.Result, error) { return db.Query(`FOR p IN products SORT p._key RETURN p._key`, nil) },
+		"SQL":   func() (*query.Result, error) { return db.SQL(`SELECT id FROM sales ORDER BY id`, nil) },
+		"Exec": func() (*query.Result, error) {
+			return stmt.Exec(map[string]mmvalue.Value{"min": mmvalue.Int(10)})
+		},
 	}
-	if got := db.EngineSnapshotReads(); got == 0 {
-		t.Fatal("engine SnapshotReads counter did not advance")
+	for name, run := range reads {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Stats.SnapshotReads != 1 {
+			t.Fatalf("read-only %s ran locked (stats %+v)", name, res.Stats)
+		}
+	}
+	if got := db.EngineSnapshotReads() - before; got < uint64(len(reads)) {
+		t.Fatalf("engine counted %d snapshot transactions for %d read-only statements", got, len(reads))
+	}
+
+	if err := db.View(func(tx engine.Tx) error {
+		res, err := db.QueryTx(tx, `FOR p IN products RETURN p._key`, nil)
+		if err != nil {
+			return err
+		}
+		if res.Stats.SnapshotReads != 0 {
+			return fmt.Errorf("QueryTx inside View reported SnapshotReads=%d", res.Stats.SnapshotReads)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotQueryIgnoresGINAheadOfSnapshot: the GIN is maintained from
+// the commit log, so it reflects the latest commit, not a snapshot's cut.
+// A snapshot query must answer `@>` from the snapshot itself, or a document
+// that matches in the snapshot but stopped matching later goes missing.
+func TestSnapshotQueryIgnoresGINAheadOfSnapshot(t *testing.T) {
+	db := openDB(t)
+	if err := db.Update(func(tx engine.Tx) error {
+		if err := db.Docs.CreateCollection(tx, "c", catalogSchemaless()); err != nil {
+			return err
+		}
+		for _, kv := range [][2]string{{"a", `{"tag":"x"}`}, {"b", `{"tag":"y"}`}} {
+			if err := db.Docs.Put(tx, "c", kv[0], mmvalue.MustParseJSON(kv[1])); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateGIN("c", inverted.OpsMode); err != nil {
+		t.Fatal(err)
+	}
+	const q = `FOR d IN c FILTER d @> @p RETURN d._key`
+	params := map[string]mmvalue.Value{"p": mmvalue.MustParseJSON(`{"tag":"x"}`)}
+
+	err := db.SnapshotView(func(snap engine.Tx) error {
+		// Committed after the snapshot was cut: "a" stops matching.
+		if err := db.Update(func(tx engine.Tx) error {
+			return db.Docs.Put(tx, "c", "a", mmvalue.MustParseJSON(`{"tag":"z"}`))
+		}); err != nil {
+			return err
+		}
+		res, err := db.QueryTx(snap, q, params)
+		if err != nil {
+			return err
+		}
+		if got := mustJSON(t, res.Values); got != `["a"]` {
+			return fmt.Errorf("snapshot @> query = %s, want [\"a\"] (the snapshot's state)", got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// While a GIN exists, the default path keeps `@>` on the locked path,
+	// where the view serves it and agrees with the committed state; without
+	// one, the statement runs on a snapshot like any other read.
+	params["p"] = mmvalue.MustParseJSON(`{"tag":"z"}`)
+	for _, want := range []struct {
+		gin  bool
+		snap int
+	}{{true, 0}, {false, 1}} {
+		if !want.gin {
+			db.DropGIN("c")
+		}
+		res, err := db.Query(q, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustJSON(t, res.Values); got != `["a"]` || res.Stats.SnapshotReads != want.snap {
+			t.Fatalf("@> with GIN=%v: %s (stats %+v), want [\"a\"] with SnapshotReads=%d", want.gin, got, res.Stats, want.snap)
+		}
 	}
 }
 
@@ -167,9 +245,8 @@ func TestSnapshotQueriesUnderConcurrentDML(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for pass := 0; pass < 25; pass++ {
-				res, err := db.QueryOpts(`FOR e IN events COLLECT g = 1 INTO grp
-					RETURN {total: SUM(grp[*].e.qty), n: LENGTH(grp)}`,
-					nil, query.Options{SnapshotReads: true})
+				res, err := db.Query(`FOR e IN events COLLECT g = 1 INTO grp
+					RETURN {total: SUM(grp[*].e.qty), n: LENGTH(grp)}`, nil)
 				if err != nil {
 					errs <- err
 					return

@@ -71,27 +71,14 @@ func seedMetrics(t testing.TB, db *core.DB, n int) {
 	}
 }
 
-// assertRowVecEqual runs a query on the row path and the vectorized path
-// and requires byte-identical JSON output. wantVec additionally requires
-// that the vectorized run actually processed column batches (rather than
-// silently falling back).
+// assertRowVecEqual runs a query on the locked row path and the vectorized
+// path on a snapshot and requires byte-identical JSON output. wantVec
+// additionally requires that the vectorized run actually processed column
+// batches (rather than silently falling back).
 func assertRowVecEqual(t *testing.T, db *core.DB, dialect, q string, params map[string]mmvalue.Value, wantVec bool) *query.Result {
 	t.Helper()
-	run := func(opts query.Options) *query.Result {
-		var res *query.Result
-		var err error
-		if dialect == "msql" {
-			res, err = db.SQLOpts(q, params, opts)
-		} else {
-			res, err = db.QueryOpts(q, params, opts)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		return res
-	}
-	row := run(rowOpts)
-	vec := run(vecOpts)
+	row := runLockedQuery(t, db, dialect, q, params, rowOpts)
+	vec := runCorpusQuery(t, db, dialect, q, params, vecOpts)
 	if row.Stats.VectorizedBatches != 0 {
 		t.Fatalf("row run processed column batches: %+v", row.Stats)
 	}
@@ -255,14 +242,8 @@ func TestVectorizedParallelEquivalence(t *testing.T) {
 		`SELECT COUNT(*) AS n, SUM(pos) AS s, MIN(v) AS lo, AVG(mixed) AS m FROM metrics WHERE v > -500`,
 		`SELECT v FROM metrics WHERE v % 7 == 3`,
 	} {
-		row, err := db.SQLOpts(q, nil, rowOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vec, err := db.SQLOpts(q, nil, parVec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		row := runLockedQuery(t, db, "msql", q, nil, rowOpts)
+		vec := runCorpusQuery(t, db, "msql", q, nil, parVec)
 		if vec.Stats.VectorizedBatches == 0 || vec.Stats.ParallelScans == 0 {
 			t.Fatalf("%q: expected parallel vectorized execution: %+v", q, vec.Stats)
 		}
@@ -280,8 +261,7 @@ func TestVectorizedUnderConcurrentWriter(t *testing.T) {
 	db := openDB(t)
 	seedMetrics(t, db, 600)
 
-	snapVec := query.Options{Vectorized: true, VectorBatchSize: 16, SnapshotReads: true,
-		ParallelThreshold: 1, MaxParallel: 4}
+	snapVec := query.Options{Vectorized: true, VectorBatchSize: 16, ParallelThreshold: 1, MaxParallel: 4}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -1,6 +1,7 @@
 package csr
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/engine"
@@ -17,26 +18,49 @@ type versioned interface {
 	SnapshotDropEpoch() (uint64, bool)
 }
 
-// entry pairs one built Graph with the validity token it was built at.
-type entry struct {
+// token is the validity key of one graph state: the keyspace-drop epoch and
+// the data versions of the graph's four keyspaces.
+type token struct {
 	epoch uint64
 	vers  [4]uint64
-	g     *Graph
+}
+
+// entry pairs one built Graph with the token it was built at.
+type entry struct {
+	tok token
+	g   *Graph
+}
+
+// buildAfter is how many distinct snapshot transactions must observe the
+// same graph state before Get builds its CSR image. A cold build costs
+// about what fifty probe traversals do, so a graph written between every
+// traversal must keep probing rather than rebuild for each query.
+const buildAfter = 3
+
+// sightings counts the distinct snapshot transactions that have observed
+// one not-yet-built graph state.
+type sightings struct {
+	tok token
+	txs [buildAfter]uint64
+	n   int
 }
 
 // Cache holds one CSR snapshot per graph, validated by the snapshot's
 // version vector: a Get whose transaction observes the same (drop epoch,
 // 4-keyspace versions) token reuses the cached Graph without touching the
 // engine at all, so an unchanged graph rebuilds zero times across any
-// number of queries.
+// number of queries. A state is built only once buildAfter distinct
+// snapshot transactions have asked for it; until then Get reports ok ==
+// false and the caller probes.
 //
-// c.mu guards only the entries map and counters — it is a leaf lock, held
-// for map operations only, never across a Build (which scans keyspaces).
-// Two transactions racing on a cold graph may both build; the later store
-// wins, which is harmless since both snapshots observed identical content.
+// c.mu guards only the maps and counters — it is a leaf lock, held for map
+// operations only, never across a Build (which scans keyspaces). Two
+// transactions racing on a cold graph may both build; the later store wins,
+// which is harmless since both snapshots observed identical content.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*entry
+	pending map[string]*sightings
 	bytes   int // sum of entry Graph footprints, maintained incrementally
 
 	builds   int // cold builds (no entry existed)
@@ -46,7 +70,7 @@ type Cache struct {
 
 // NewCache returns an empty CSR cache.
 func NewCache() *Cache {
-	return &Cache{entries: map[string]*entry{}}
+	return &Cache{entries: map[string]*entry{}, pending: map[string]*sightings{}}
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
@@ -80,12 +104,15 @@ func (c *Cache) Invalidate(name string) {
 		c.bytes -= e.g.Bytes()
 		delete(c.entries, name)
 	}
+	delete(c.pending, name)
 }
 
 // Get returns the CSR snapshot for the named graph as seen by tx's
-// snapshot, building (and caching) it if the cached one is missing or
-// stale. ok is false — with no error — when tx is not a snapshot
-// transaction; the caller falls back to the probe path.
+// snapshot: the cached one when its token matches, otherwise a fresh build
+// once buildAfter distinct snapshot transactions have observed this state.
+// ok is false — with no error — when tx is not a snapshot transaction or
+// the state has not yet earned a build; the caller falls back to the probe
+// path.
 func (c *Cache) Get(tx engine.Tx, name string, spec Spec) (*Graph, bool, error) {
 	vt, okIface := tx.(versioned)
 	if !okIface {
@@ -99,18 +126,21 @@ func (c *Cache) Get(tx engine.Tx, name string, spec Spec) (*Graph, bool, error) 
 	if !ok {
 		return nil, false, nil
 	}
-	var token [4]uint64
-	copy(token[:], vers)
+	tok := token{epoch: epoch}
+	copy(tok.vers[:], vers)
 
 	c.mu.Lock()
-	e, had := c.entries[name]
-	if had && e.epoch == epoch && e.vers == token {
+	if e, had := c.entries[name]; had && e.tok == tok {
 		c.reuses++
 		g := e.g
 		c.mu.Unlock()
 		return g, true, nil
 	}
+	ready := c.sightLocked(name, tok, tx.ID())
 	c.mu.Unlock()
+	if !ready {
+		return nil, false, nil
+	}
 
 	// Build outside the mutex: the scans may be large and must not block
 	// cache hits for other graphs.
@@ -124,7 +154,7 @@ func (c *Cache) Get(tx engine.Tx, name string, spec Spec) (*Graph, bool, error) 
 	switch prev, ok := c.entries[name]; {
 	case !ok:
 		c.builds++
-	case prev.epoch == epoch && prev.vers == token:
+	case prev.tok == tok:
 		// A concurrent transaction built the same snapshot while we did;
 		// not a staleness rebuild.
 		c.bytes -= prev.g.Bytes()
@@ -132,7 +162,27 @@ func (c *Cache) Get(tx engine.Tx, name string, spec Spec) (*Graph, bool, error) 
 		c.bytes -= prev.g.Bytes()
 		c.rebuilds++
 	}
-	c.entries[name] = &entry{epoch: epoch, vers: token, g: g}
+	c.entries[name] = &entry{tok: tok, g: g}
 	c.bytes += g.Bytes()
+	if s := c.pending[name]; s != nil && s.tok == tok {
+		delete(c.pending, name)
+	}
 	return g, true, nil
+}
+
+// sightLocked records that transaction id observed state tok of the named
+// graph and reports whether buildAfter distinct transactions now have. A
+// new state restarts the count, and a transaction that asks again is not
+// counted twice. The caller holds c.mu.
+func (c *Cache) sightLocked(name string, tok token, id uint64) bool {
+	s := c.pending[name]
+	if s == nil || s.tok != tok {
+		s = &sightings{tok: tok}
+		c.pending[name] = s
+	}
+	if s.n < buildAfter && !slices.Contains(s.txs[:s.n], id) {
+		s.txs[s.n] = id
+		s.n++
+	}
+	return s.n >= buildAfter
 }

@@ -275,6 +275,73 @@ func TestParallelExpansionDeterministic(t *testing.T) {
 	}
 }
 
+// cacheGet asks c for the named graph from one fresh snapshot transaction.
+func cacheGet(t *testing.T, e *engine.Engine, c *csr.Cache, name string) (*csr.Graph, bool) {
+	t.Helper()
+	var g *csr.Graph
+	var ok bool
+	if err := e.SnapshotView(func(tx *engine.Txn) error {
+		var err error
+		g, ok, err = c.Get(tx, name, spec(name))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return g, ok
+}
+
+// cacheWarm asks c for the named graph from fresh snapshot transactions
+// until one is served, and returns the graph and how many it took.
+func cacheWarm(t *testing.T, e *engine.Engine, c *csr.Cache, name string) (*csr.Graph, int) {
+	t.Helper()
+	for n := 1; n <= 10; n++ {
+		if g, ok := cacheGet(t, e, c, name); ok {
+			return g, n
+		}
+	}
+	t.Fatal("ten snapshot transactions on an unchanged graph never built its CSR")
+	return nil, 0
+}
+
+// TestCacheBuildsAfterRepeatedSightings pins the build rule: a graph state
+// is built only after several distinct snapshot transactions have read it,
+// one transaction asking many times counts once, and a write restarts the
+// count.
+func TestCacheBuildsAfterRepeatedSightings(t *testing.T) {
+	e, s := setup(t)
+	seedSocial(t, e, s)
+	c := csr.NewCache()
+
+	if err := e.SnapshotView(func(tx *engine.Txn) error {
+		for i := 0; i < 10; i++ {
+			if _, ok, err := c.Get(tx, "soc", spec("soc")); err != nil || ok {
+				return fmt.Errorf("lookup %d in one transaction: ok=%v err=%v", i, ok, err)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, n := cacheWarm(t, e, c, "soc"); n < 2 {
+		t.Fatalf("built after %d transactions; one transaction's lookups counted more than once", n)
+	}
+
+	// A write between every read: no state is read twice, so none is built.
+	before := c.Stats()
+	for i := 0; i < 20; i++ {
+		mustUpdate(t, e, func(tx *engine.Txn) error {
+			_, err := s.Connect(tx, "soc", "eve", "alice", fmt.Sprintf("l%d", i), docKV())
+			return err
+		})
+		if _, ok := cacheGet(t, e, c, "soc"); ok {
+			t.Fatalf("read %d: a state seen by one transaction was built", i)
+		}
+	}
+	if after := c.Stats(); after.Builds+after.Rebuilds != before.Builds+before.Rebuilds {
+		t.Fatalf("interleaved writes caused builds: before %+v after %+v", before, after)
+	}
+}
+
 func TestCacheReuseAndRebuild(t *testing.T) {
 	e, s := setup(t)
 	seedSocial(t, e, s)
@@ -282,22 +349,14 @@ func TestCacheReuseAndRebuild(t *testing.T) {
 
 	get := func() *csr.Graph {
 		t.Helper()
-		var g *csr.Graph
-		if err := e.SnapshotView(func(tx *engine.Txn) error {
-			var ok bool
-			var err error
-			g, ok, err = c.Get(tx, "soc", spec("soc"))
-			if err == nil && !ok {
-				t.Fatal("snapshot tx did not hit the CSR cache")
-			}
-			return err
-		}); err != nil {
-			t.Fatal(err)
+		g, ok := cacheGet(t, e, c, "soc")
+		if !ok {
+			t.Fatal("snapshot tx did not hit the CSR cache")
 		}
 		return g
 	}
 
-	g1 := get()
+	g1, _ := cacheWarm(t, e, c, "soc")
 	for i := 0; i < 9; i++ {
 		if get() != g1 {
 			t.Fatal("unchanged graph was rebuilt")
@@ -313,7 +372,7 @@ func TestCacheReuseAndRebuild(t *testing.T) {
 		_, err := s.Connect(tx, "soc", "eve", "alice", "follows", docKV())
 		return err
 	})
-	g2 := get()
+	g2, _ := cacheWarm(t, e, c, "soc")
 	if g2 == g1 {
 		t.Fatal("stale CSR served after commit")
 	}
@@ -353,21 +412,8 @@ func TestCacheDropRecreateEpoch(t *testing.T) {
 			return err
 		})
 	}
-	get := func() *csr.Graph {
-		t.Helper()
-		var g *csr.Graph
-		if err := e.SnapshotView(func(tx *engine.Txn) error {
-			var err error
-			g, _, err = c.Get(tx, "g2", spec("g2"))
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-
 	seed("b")
-	g1 := get()
+	g1, _ := cacheWarm(t, e, c, "g2")
 	mustUpdate(t, e, func(tx *engine.Txn) error {
 		for _, ks := range []string{spec("g2").Vertex, spec("g2").Edge, spec("g2").Out, spec("g2").In} {
 			if err := tx.DropKeyspace(ks); err != nil {
@@ -377,7 +423,7 @@ func TestCacheDropRecreateEpoch(t *testing.T) {
 		return nil
 	})
 	seed("z")
-	g2 := get()
+	g2, _ := cacheWarm(t, e, c, "g2")
 	if g2 == g1 {
 		t.Fatal("drop+recreate served the stale CSR")
 	}
@@ -406,12 +452,7 @@ func TestCacheInvalidate(t *testing.T) {
 	e, s := setup(t)
 	seedSocial(t, e, s)
 	c := csr.NewCache()
-	if err := e.SnapshotView(func(tx *engine.Txn) error {
-		_, _, err := c.Get(tx, "soc", spec("soc"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
+	cacheWarm(t, e, c, "soc")
 	if st := c.Stats(); st.Graphs != 1 || st.Bytes <= 0 {
 		t.Fatalf("stats before invalidate = %+v", st)
 	}

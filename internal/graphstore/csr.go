@@ -30,8 +30,9 @@ func CSRDir(dir Direction) csr.Dir {
 
 // CSRFor returns the CSR adjacency snapshot of the graph as seen by tx's
 // snapshot, building or reusing the cached one as its version vector
-// dictates. ok is false when tx is a locked (DML) transaction, when the
-// CSR path is disabled, or when the build fails — callers fall back to
+// dictates. ok is false when tx is a locked transaction, when the CSR path
+// is disabled, when too few snapshot transactions have read this graph
+// state to pay for a build, or when the build fails — callers fall back to
 // per-edge probes, which are always correct.
 func (s *Store) CSRFor(tx engine.Tx, graph string) (*csr.Graph, bool) {
 	if s.csrOff.Load() {
@@ -51,10 +52,10 @@ func (s *Store) CSRStats() csr.Stats { return s.csr.Stats() }
 // uses per-edge probes (the correctness baseline).
 func (s *Store) SetCSREnabled(on bool) { s.csrOff.Store(!on) }
 
-// InvalidateCSR drops the cached CSR snapshot for one graph, forcing the
-// next snapshot traversal to rebuild (benchmarks use it to measure cold
-// builds; correctness never requires it — the version vector and drop
-// epoch already invalidate on any change).
+// InvalidateCSR drops the cached CSR snapshot for one graph, so the graph
+// is rebuilt from scratch once it is read often enough again (benchmarks
+// use it to measure cold builds; correctness never requires it — the
+// version vector and drop epoch already invalidate on any change).
 func (s *Store) InvalidateCSR(graph string) { s.csr.Invalidate(graph) }
 
 // vertexExists probes the vertex keyspace without decoding the document.

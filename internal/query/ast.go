@@ -250,6 +250,11 @@ type Pipeline struct {
 	// data-version vector.
 	readSet   []ReadRef
 	cacheable bool
+	// viewBacked is set by computeReadSet when the pipeline (or a nested
+	// subquery) may be answered from a commit-log-subscriber view — `@>`
+	// via the GIN, FTSEARCH via full-text — whose contents can run ahead of
+	// a snapshot. It implies !cacheable.
+	viewBacked bool
 	// vec is the compile-time vectorization plan (see the vectorizable
 	// analysis in compile.go and the runtime in vector.go): non-nil when the
 	// pipeline opens with a FOR over a named source whose fused filters are

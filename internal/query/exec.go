@@ -54,12 +54,11 @@ type Options struct {
 	// 0 means GOMAXPROCS. Values above 1 force the parallel path even on
 	// single-CPU hosts (used by tests to exercise it under -race).
 	MaxParallel int
-	// SnapshotReads asks the auto-transaction entry points (core.DB and
-	// unidb.Database) to run read-only pipelines on a lock-free MVCC
-	// snapshot transaction instead of the 2PL S-lock path. It has no effect
-	// on an Execute call with a caller-supplied transaction — the caller
-	// chose the transaction kind — and no effect on pipelines containing
-	// DML, which always need a read-write transaction.
+	// SnapshotReads is redundant and ignored: the auto-transaction entry
+	// points (core.DB and unidb.Database) already run every proven read-only
+	// pipeline on a lock-free MVCC snapshot. The field survives only because
+	// the benchmark ladder (bench/ladder.go) still sets it; a benchmark-only
+	// change drops that use, after which a product change deletes the field.
 	SnapshotReads bool
 	// NoResultCache opts this call out of core's cross-query result cache:
 	// the query executes even when a valid cached materialization exists,

@@ -189,9 +189,12 @@ func (c *execCtx) tryDocIndex(coll string, preds []predicate) ([]mmvalue.Value, 
 			return []mmvalue.Value{doc}, true, nil
 		}
 	}
-	// GIN containment.
+	// GIN containment. The GIN is maintained by a commit-log subscriber and
+	// reflects the latest commit, not a snapshot's cut: a document that
+	// matches in the snapshot may already be gone from it. A snapshot
+	// transaction therefore answers `@>` by scan and recheck.
 	for _, p := range preds {
-		if p.op == "@>" && c.src.GINLookup != nil {
+		if p.op == "@>" && c.src.GINLookup != nil && !c.tx.SnapshotRead() {
 			keys, ok := c.src.GINLookup(coll, p.value)
 			if !ok {
 				continue

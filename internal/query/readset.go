@@ -55,12 +55,20 @@ func (p *Pipeline) Cacheable() bool {
 	return p.analyzed && !p.hasMutation && p.cacheable
 }
 
-// computeReadSet derives p.readSet and p.cacheable. Called by analyze after
-// its clause walk, when every nested subquery pipeline is already analyzed
-// (so their read-sets union in directly). Deduplication is by linear scan —
-// read-sets are tiny, and this path must stay free of map iteration.
+// ViewBacked reports whether the pipeline may be answered from an auxiliary
+// view (the GIN behind `@>`, the full-text index behind FTSEARCH). Those
+// views are maintained by a commit-log subscriber, so they reflect the
+// latest commit rather than any particular snapshot; core keeps such
+// pipelines on the locked path while a view exists.
+func (p *Pipeline) ViewBacked() bool { return p.viewBacked }
+
+// computeReadSet derives p.readSet, p.cacheable and p.viewBacked. Called by
+// analyze after its clause walk, when every nested subquery pipeline is
+// already analyzed (so their read-sets union in directly). Deduplication is
+// by linear scan — read-sets are tiny, and this path must stay free of map
+// iteration.
 func (p *Pipeline) computeReadSet() {
-	cacheable := true
+	cacheable, viewBacked := true, false
 	var refs []ReadRef
 	add := func(kind ReadKind, name string) {
 		for _, r := range refs {
@@ -85,6 +93,7 @@ func (p *Pipeline) computeReadSet() {
 			walkExpr(e, func(x Expr) {
 				switch t := x.(type) {
 				case *SubqueryExpr:
+					viewBacked = viewBacked || t.Pipeline.viewBacked
 					if !t.Pipeline.cacheable || t.Pipeline.hasMutation {
 						cacheable = false
 						return
@@ -98,7 +107,7 @@ func (p *Pipeline) computeReadSet() {
 						// updated by a commit-log subscriber after the
 						// data-version bump — a result cached in that
 						// window would be stale forever.
-						cacheable = false
+						cacheable, viewBacked = false, true
 					}
 				case *FuncCall:
 					kind, reads := crossModelRead(t.Name)
@@ -108,7 +117,7 @@ func (p *Pipeline) computeReadSet() {
 					if t.Name == "FTSEARCH" {
 						// Full-text is served by a subscriber view; same
 						// lag hazard as GIN above.
-						cacheable = false
+						cacheable, viewBacked = false, true
 						return
 					}
 					name, lit := literalStringArg(t.Args, 0)
@@ -130,6 +139,7 @@ func (p *Pipeline) computeReadSet() {
 	}
 	p.readSet = refs
 	p.cacheable = cacheable
+	p.viewBacked = viewBacked
 }
 
 // crossModelRead maps a function name to the read-set kind of its first

@@ -62,6 +62,9 @@ func TestReadSetCollection(t *testing.T) {
 		if got := p.ReadSet(); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%q: ReadSet() = %v, want %v", tc.text, got, tc.want)
 		}
+		if p.ViewBacked() {
+			t.Errorf("%q: ViewBacked() = true, want false", tc.text)
+		}
 	}
 }
 
@@ -77,23 +80,30 @@ func TestReadSetTraversal(t *testing.T) {
 }
 
 func TestReadSetUncacheable(t *testing.T) {
-	cases := []string{
+	cases := []struct {
+		text       string
+		viewBacked bool
+	}{
 		// DML.
-		`INSERT {name: "x"} INTO users`,
-		`FOR u IN users UPDATE u._key WITH {seen: true} IN users`,
+		{`INSERT {name: "x"} INTO users`, false},
+		{`FOR u IN users UPDATE u._key WITH {seen: true} IN users`, false},
 		// Mutating subquery.
-		`FOR u IN users LET x = (FOR a IN audit INSERT {u: u._key} INTO audit) RETURN u`,
-		// View-backed operators: full-text and GIN containment.
-		`FOR id IN FTSEARCH("posts", "database") RETURN id`,
-		`FOR u IN users FILTER u.tags @> ["go"] RETURN u`,
+		{`FOR u IN users LET x = (FOR a IN audit INSERT {u: u._key} INTO audit) RETURN u`, false},
+		// View-backed operators: full-text and GIN containment, also nested.
+		{`FOR id IN FTSEARCH("posts", "database") RETURN id`, true},
+		{`FOR u IN users FILTER u.tags @> ["go"] RETURN u`, true},
+		{`FOR u IN users LET n = (FOR p IN posts FILTER p @> {by: u._key} RETURN p) RETURN n`, true},
 		// Dynamic store names.
-		`FOR u IN users RETURN DOCUMENT(u.coll, u._key)`,
-		`FOR u IN users RETURN KV(CONCAT("s", u._key), u._key)`,
+		{`FOR u IN users RETURN DOCUMENT(u.coll, u._key)`, false},
+		{`FOR u IN users RETURN KV(CONCAT("s", u._key), u._key)`, false},
 	}
-	for _, text := range cases {
-		p := mustMMQL(t, text)
+	for _, tc := range cases {
+		p := mustMMQL(t, tc.text)
 		if p.Cacheable() {
-			t.Errorf("%q: Cacheable() = true, want false", text)
+			t.Errorf("%q: Cacheable() = true, want false", tc.text)
+		}
+		if p.ViewBacked() != tc.viewBacked {
+			t.Errorf("%q: ViewBacked() = %v, want %v", tc.text, p.ViewBacked(), tc.viewBacked)
 		}
 	}
 }

@@ -65,12 +65,6 @@ type Options struct {
 	// to the durability guarantee — a commit is still never acknowledged
 	// before its bytes are fsynced.
 	GroupCommitWindow int
-	// SnapshotReads makes Query/SQL run statements the compiler proves
-	// read-only on a lock-free MVCC snapshot: zero lock-manager traffic, no
-	// deadlock exposure, and no blocking of (or by) concurrent writers.
-	// Mutating statements keep the locked read-write path either way. The
-	// same switch exists per call on QueryOptions.
-	SnapshotReads bool
 	// ResultCacheBytes enables the cross-query result cache with the given
 	// byte budget (0 disables it). Read-only queries whose read-set the
 	// compiler can resolve are materialized once and served from memory
@@ -103,10 +97,12 @@ type Options struct {
 	// overhead; the count is fixed at the first open of a directory.
 	Shards int
 	// DisableGraphCSR turns off the CSR adjacency-snapshot traversal path.
-	// By default, graph traversals and navigation functions in queries that
-	// run on an MVCC snapshot execute over a cached immutable CSR image of
-	// the graph (rebuilt only when the graph's keyspaces change) instead of
-	// per-edge B+tree probes. Results are byte-identical either way; this
+	// By default, graph traversals and navigation functions in read-only
+	// queries execute over a cached immutable CSR image of the graph instead
+	// of per-edge B+tree probes. The image is built once the same graph
+	// state has been read by a few snapshot transactions, so a graph written
+	// between every traversal keeps probing rather than rebuilding each
+	// time. Results are byte-identical either way; this
 	// switch is the ablation / escape hatch. The same opt-out exists per
 	// call as QueryOptions.NoCSR.
 	DisableGraphCSR bool
@@ -123,7 +119,6 @@ func Open(opts Options) (*Database, error) {
 		Dir:                opts.Dir,
 		Durability:         opts.Durability,
 		GroupCommitWindow:  opts.GroupCommitWindow,
-		SnapshotReads:      opts.SnapshotReads,
 		ResultCacheBytes:   opts.ResultCacheBytes,
 		MaxResultStaleness: opts.MaxResultStaleness,
 		Vectorized:         opts.Vectorized,
@@ -144,6 +139,9 @@ func (d *Database) Close() error { return d.db.Close() }
 func (d *Database) Checkpoint() error { return d.db.Checkpoint() }
 
 // Query runs an MMQL (AQL-flavored) query. Params bind @name parameters.
+// A statement the compiler proves read-only runs on a lock-free MVCC
+// snapshot: it takes no locks, so it neither waits for nor delays a
+// concurrent writer. DML runs in a locked transaction committed on success.
 func (d *Database) Query(mmql string, params map[string]Value) (*Result, error) {
 	return d.db.Query(mmql, params)
 }
@@ -338,8 +336,7 @@ func (d *Database) SnapshotView(fn func(*Txn) error) error {
 }
 
 // SnapshotReads reports how many lock-free snapshot transactions this
-// database has served (both SnapshotView calls and read-only queries routed
-// to snapshots by the SnapshotReads option).
+// database has served (SnapshotView calls and read-only queries).
 func (d *Database) SnapshotReads() uint64 { return d.db.EngineSnapshotReads() }
 
 // --- Model handles (usable standalone or inside a Txn) ---
