@@ -73,14 +73,41 @@ func Encode(v mmvalue.Value) []byte { return Append(nil, v) }
 
 // Decode decodes a single value from data, requiring exactly one value with
 // no trailing bytes.
-func Decode(data []byte) (mmvalue.Value, error) {
-	v, n, err := decodeOne(data)
+//
+// It runs in two passes and costs O(1) allocations per record, whatever
+// its size. Pass 1 (shape.check) validates every tag, varint and length and
+// counts the object fields and array elements; it allocates nothing, so a
+// corrupt count can cost no more than the bytes that back it. Pass 2
+// (builder.value) trusts pass 1 and builds the value from one string copy
+// of the record, taken only when it holds a string or a field name, and
+// one arena each of fields and elements. Names and strings are substrings
+// of that copy, so a retained string keeps its whole record alive. Every
+// object and array gets a capped arena sub-slice (a[i:j:j]), so appending
+// to one never writes into a neighbour. Bytes payloads are copied into
+// their own slices.
+func Decode(data []byte) (mmvalue.Value, error) { return decode(data, "") }
+
+// decode is Decode with str, when non-empty, already holding the bytes of
+// data: names and strings become substrings of str and no copy is made.
+func decode(data []byte, str string) (mmvalue.Value, error) {
+	var sh shape
+	n, err := sh.check(data, 0)
 	if err != nil {
 		return mmvalue.Null, err
 	}
 	if n != len(data) {
 		return mmvalue.Null, fmt.Errorf("binenc: %d trailing bytes", len(data)-n)
 	}
+	if sh.strs && str == "" {
+		str = string(data)
+	}
+	d := builder{
+		b:      data,
+		s:      str,
+		fields: make([]mmvalue.Field, sh.fields),
+		elems:  make([]mmvalue.Value, sh.elems),
+	}
+	v, _ := d.value(0)
 	return v, nil
 }
 
@@ -94,88 +121,153 @@ func MustDecode(data []byte) mmvalue.Value {
 	return v
 }
 
-func decodeOne(b []byte) (mmvalue.Value, int, error) {
-	if len(b) == 0 {
-		return mmvalue.Null, 0, fmt.Errorf("binenc: empty input")
+// shape is what pass 1 learns about a record: how many object fields and
+// array elements pass 2 places, and whether it holds a string or a name.
+type shape struct {
+	fields, elems int
+	strs          bool
+}
+
+// check validates the value starting at b[off] and returns the offset just
+// past it.
+func (sh *shape) check(b []byte, off int) (int, error) {
+	if off >= len(b) {
+		return 0, fmt.Errorf("binenc: empty input")
 	}
-	switch b[0] {
-	case tNull:
-		return mmvalue.Null, 1, nil
-	case tFalse:
-		return mmvalue.False, 1, nil
-	case tTrue:
-		return mmvalue.True, 1, nil
+	tag := b[off]
+	off++
+	switch tag {
+	case tNull, tFalse, tTrue:
+		return off, nil
 	case tInt:
-		i, n := binary.Varint(b[1:])
+		_, n := binary.Varint(b[off:])
 		if n <= 0 {
-			return mmvalue.Null, 0, fmt.Errorf("binenc: bad varint")
+			return 0, fmt.Errorf("binenc: bad varint")
 		}
-		return mmvalue.Int(i), 1 + n, nil
+		return off + n, nil
 	case tFloat:
-		if len(b) < 9 {
-			return mmvalue.Null, 0, fmt.Errorf("binenc: short float")
+		if len(b)-off < 8 {
+			return 0, fmt.Errorf("binenc: short float")
 		}
-		return mmvalue.Float(math.Float64frombits(binary.LittleEndian.Uint64(b[1:9]))), 9, nil
+		return off + 8, nil
 	case tString, tBytes:
-		ln, n := binary.Uvarint(b[1:])
-		if n <= 0 {
-			return mmvalue.Null, 0, fmt.Errorf("binenc: bad length")
-		}
-		start := 1 + n
-		end := start + int(ln)
-		if end > len(b) || end < start {
-			return mmvalue.Null, 0, fmt.Errorf("binenc: short payload")
-		}
-		if b[0] == tString {
-			return mmvalue.String(string(b[start:end])), end, nil
-		}
-		out := make([]byte, ln)
-		copy(out, b[start:end])
-		return mmvalue.Bytes(out), end, nil
+		sh.strs = sh.strs || tag == tString
+		return payload(b, off, "bad length", "short payload")
 	case tArray:
-		count, n := binary.Uvarint(b[1:])
+		count, n := binary.Uvarint(b[off:])
 		if n <= 0 {
-			return mmvalue.Null, 0, fmt.Errorf("binenc: bad count")
+			return 0, fmt.Errorf("binenc: bad count")
 		}
-		off := 1 + n
-		elems := make([]mmvalue.Value, 0, count)
+		off += n
 		for i := uint64(0); i < count; i++ {
-			v, m, err := decodeOne(b[off:])
-			if err != nil {
-				return mmvalue.Null, 0, err
+			var err error
+			if off, err = sh.check(b, off); err != nil {
+				return 0, err
 			}
-			elems = append(elems, v)
-			off += m
 		}
-		return mmvalue.ArrayOf(elems), off, nil
+		// Every element took at least one byte, so count fits in an int.
+		sh.elems += int(count)
+		return off, nil
 	case tObject:
-		count, n := binary.Uvarint(b[1:])
+		count, n := binary.Uvarint(b[off:])
 		if n <= 0 {
-			return mmvalue.Null, 0, fmt.Errorf("binenc: bad count")
+			return 0, fmt.Errorf("binenc: bad count")
 		}
-		off := 1 + n
-		fields := make([]mmvalue.Field, 0, count)
+		off += n
 		for i := uint64(0); i < count; i++ {
-			ln, m := binary.Uvarint(b[off:])
-			if m <= 0 {
-				return mmvalue.Null, 0, fmt.Errorf("binenc: bad name length")
+			var err error
+			if off, err = payload(b, off, "bad name length", "short name"); err != nil {
+				return 0, err
 			}
-			off += m
-			end := off + int(ln)
-			if end > len(b) || end < off {
-				return mmvalue.Null, 0, fmt.Errorf("binenc: short name")
+			sh.strs = true
+			if off, err = sh.check(b, off); err != nil {
+				return 0, err
 			}
-			name := string(b[off:end])
-			off = end
-			v, m2, err := decodeOne(b[off:])
-			if err != nil {
-				return mmvalue.Null, 0, err
-			}
-			fields = append(fields, mmvalue.F(name, v))
-			off += m2
 		}
-		return mmvalue.ObjectOf(fields), off, nil
+		sh.fields += int(count)
+		return off, nil
 	default:
-		return mmvalue.Null, 0, fmt.Errorf("binenc: unknown tag %#x", b[0])
+		return 0, fmt.Errorf("binenc: unknown tag %#x", tag)
 	}
+}
+
+// payload validates the varint-length-prefixed payload at b[off] and
+// returns the offset just past it.
+func payload(b []byte, off int, badLen, short string) (int, error) {
+	ln, n := binary.Uvarint(b[off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("binenc: %s", badLen)
+	}
+	start := off + n
+	end := start + int(ln)
+	if end > len(b) || end < start {
+		return 0, fmt.Errorf("binenc: %s", short)
+	}
+	return end, nil
+}
+
+// builder is pass 2: it reads the structure from b, takes names and strings
+// from s (the same bytes as a string) and cuts fields and elements from the
+// arenas pass 1 sized.
+type builder struct {
+	b      []byte
+	s      string
+	fields []mmvalue.Field
+	elems  []mmvalue.Value
+}
+
+// value builds the value starting at b[off] and returns the offset just
+// past it.
+func (d *builder) value(off int) (mmvalue.Value, int) {
+	tag := d.b[off]
+	off++
+	switch tag {
+	case tNull:
+		return mmvalue.Null, off
+	case tFalse:
+		return mmvalue.False, off
+	case tTrue:
+		return mmvalue.True, off
+	case tInt:
+		i, n := binary.Varint(d.b[off:])
+		return mmvalue.Int(i), off + n
+	case tFloat:
+		return mmvalue.Float(math.Float64frombits(binary.LittleEndian.Uint64(d.b[off:]))), off + 8
+	case tString:
+		start, end := d.payload(off)
+		return mmvalue.String(d.s[start:end]), end
+	case tBytes:
+		start, end := d.payload(off)
+		out := make([]byte, end-start)
+		copy(out, d.b[start:end])
+		return mmvalue.Bytes(out), end
+	case tArray:
+		count, n := binary.Uvarint(d.b[off:])
+		off += n
+		elems := d.elems[:count:count]
+		d.elems = d.elems[count:]
+		for i := range elems {
+			elems[i], off = d.value(off)
+		}
+		return mmvalue.ArrayOf(elems), off
+	case tObject:
+		count, n := binary.Uvarint(d.b[off:])
+		off += n
+		fields := d.fields[:count:count]
+		d.fields = d.fields[count:]
+		for i := range fields {
+			start, end := d.payload(off)
+			fields[i].Name = d.s[start:end]
+			fields[i].Value, off = d.value(end)
+		}
+		return mmvalue.ObjectOf(fields), off
+	}
+	panic(fmt.Sprintf("binenc: tag %#x passed validation", tag))
+}
+
+// payload returns the bounds of the length-prefixed payload at b[off].
+func (d *builder) payload(off int) (start, end int) {
+	ln, n := binary.Uvarint(d.b[off:])
+	start = off + n
+	return start, start + int(ln)
 }

@@ -1,6 +1,7 @@
 package binenc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -124,6 +125,83 @@ func TestDecodeErrors(t *testing.T) {
 		if _, err := Decode(b); err == nil {
 			t.Errorf("Decode(%x) should fail", b)
 		}
+	}
+}
+
+// TestDecodeCorruptCountIsAnError feeds 7-byte records that declare 2^38
+// fields or elements. A decoder that sizes its slices from the declared
+// count dies with an out-of-memory fatal error no recover() can catch;
+// Decode must count what is actually there and fail.
+func TestDecodeCorruptCountIsAnError(t *testing.T) {
+	for _, tag := range []byte{tObject, tArray} {
+		if _, err := Decode([]byte{tag, 0x80, 0x80, 0x80, 0x80, 0x80, 0x08}); err == nil {
+			t.Errorf("tag %#x with 2^38 declared members decoded without error", tag)
+		}
+	}
+}
+
+// TestDecodeAllocsIndependentOfSize is the guard on the record-decode
+// contract: one string copy and two arenas, however many fields and
+// elements the record holds.
+func TestDecodeAllocsIndependentOfSize(t *testing.T) {
+	object := func(n int) mmvalue.Value {
+		fields := make([]mmvalue.Field, n)
+		for i := range fields {
+			fields[i] = mmvalue.F(fmt.Sprintf("f%03d", i), mmvalue.Array(mmvalue.Int(int64(i)), mmvalue.String("x")))
+		}
+		return mmvalue.ObjectOf(fields)
+	}
+	array := func(n int) mmvalue.Value {
+		elems := make([]mmvalue.Value, n)
+		for i := range elems {
+			elems[i] = mmvalue.Object(mmvalue.F("i", mmvalue.Int(int64(i))))
+		}
+		return mmvalue.ArrayOf(elems)
+	}
+	allocs := func(v mmvalue.Value) float64 {
+		raw := Encode(v)
+		return testing.AllocsPerRun(100, func() {
+			if _, err := Decode(raw); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := allocs(object(3))
+	if small > 3 {
+		t.Errorf("a 3-field object costs %.0f allocations, want at most 3", small)
+	}
+	for name, v := range map[string]mmvalue.Value{"300-field object": object(300), "300-element array": array(300)} {
+		if got := allocs(v); got != small {
+			t.Errorf("a %s costs %.0f allocations, a 3-field object %.0f", name, got, small)
+		}
+	}
+}
+
+// TestDecodeArenaSubSlicesAreCapped appends to one decoded array and checks
+// that its neighbours, cut from the same arena, are untouched.
+func TestDecodeArenaSubSlicesAreCapped(t *testing.T) {
+	v, err := Decode(Encode(mmvalue.MustParseJSON(`{"a":[1,2],"b":[3],"c":{"d":4},"e":{"f":5}}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(v.GetOr("a").AsArray(), mmvalue.Int(99))
+	_ = append(v.GetOr("c").Fields(), mmvalue.F("z", mmvalue.Int(99)))
+	if want := mmvalue.MustParseJSON(`{"a":[1,2],"b":[3],"c":{"d":4},"e":{"f":5}}`); !mmvalue.Equal(v, want) {
+		t.Fatalf("appending to a decoded member changed its neighbour: %v", v)
+	}
+}
+
+// TestDecodeUnsortedObject decodes a record whose names are out of order
+// and duplicated, as no encoder writes them: it must come out as
+// mmvalue.ObjectOf would build it, sorted, keeping the last duplicate.
+func TestDecodeUnsortedObject(t *testing.T) {
+	raw := []byte{tObject, 3, 1, 'b', tInt, 2, 1, 'a', tTrue, 1, 'b', tInt, 4}
+	v, err := Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mmvalue.MustParseJSON(`{"a":true,"b":2}`); !mmvalue.Equal(v, want) {
+		t.Fatalf("got %v, want %v", v, want)
 	}
 }
 

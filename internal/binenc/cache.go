@@ -56,7 +56,10 @@ func (c *DecodeCache) Decode(raw []byte) (mmvalue.Value, error) {
 	if ok {
 		return val, nil
 	}
-	val, err := Decode(raw)
+	// The map key is the record's one copy: the decoded names and strings
+	// are substrings of it.
+	key := string(raw)
+	val, err := decode(raw, key)
 	if err != nil {
 		return mmvalue.Null, err
 	}
@@ -64,7 +67,7 @@ func (c *DecodeCache) Decode(raw []byte) (mmvalue.Value, error) {
 	if len(sh.m) >= sh.cap {
 		sh.m = map[string]mmvalue.Value{}
 	}
-	sh.m[string(raw)] = val
+	sh.m[key] = val
 	sh.mu.Unlock()
 	return val, nil
 }

@@ -3,6 +3,8 @@ package binenc
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,6 +43,29 @@ func TestDecodeCacheError(t *testing.T) {
 	dc := NewDecodeCache(64)
 	if _, err := dc.Decode([]byte{0xff, 0x01}); err == nil {
 		t.Fatal("corrupt input decoded without error")
+	}
+}
+
+// TestDecodeCacheMissCopiesOnce checks that a miss stores a record's bytes
+// once: the decoded strings share the map key's copy instead of taking a
+// second one.
+func TestDecodeCacheMissCopiesOnce(t *testing.T) {
+	const records, size = 64, 4096
+	raws := make([][]byte, records)
+	for i := range raws {
+		raws[i] = Encode(mmvalue.Object(mmvalue.F("s", mmvalue.String(strings.Repeat(string(rune('a'+i%26)), size)+fmt.Sprint(i)))))
+	}
+	dc := NewDecodeCache(4 * records)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, raw := range raws {
+		if _, err := dc.Decode(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perMiss := (after.TotalAlloc - before.TotalAlloc) / records; perMiss > size*3/2 {
+		t.Fatalf("a miss on a %d B record allocates %d B, want one copy", size, perMiss)
 	}
 }
 

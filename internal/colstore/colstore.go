@@ -101,8 +101,10 @@ func (s *Store) GetItemAppend(tx engine.Tx, table string, part, sort mmvalue.Val
 	hi := keyenc.AppendMax(append([]byte{}, prefix...))
 	buf = buf[:0]
 	var decErr error
+	var parts []mmvalue.Value // key scratch, reused row to row
 	err := tx.Scan(Keyspace(table), prefix, hi, func(k, v []byte) bool {
-		parts, err := keyenc.Decode(k)
+		var err error
+		parts, err = keyenc.DecodeAppend(parts[:0], k)
 		if err != nil || len(parts) != 3 {
 			decErr = fmt.Errorf("colstore: corrupt entry: %w", err)
 			return false
@@ -180,8 +182,10 @@ func (s *Store) QueryPartition(tx engine.Tx, table string, part mmvalue.Value) (
 	var items []Item
 	var cur *Item
 	var decErr error
+	var parts []mmvalue.Value // key scratch, reused row to row
 	err := tx.Scan(Keyspace(table), prefix, hi, func(k, v []byte) bool {
-		parts, err := keyenc.Decode(k)
+		var err error
+		parts, err = keyenc.DecodeAppend(parts[:0], k)
 		if err != nil || len(parts) != 3 {
 			decErr = fmt.Errorf("colstore: corrupt entry: %w", err)
 			return false
@@ -227,24 +231,41 @@ func (s *Store) QuerySortRange(tx engine.Tx, table string, part mmvalue.Value, l
 
 // ScanJSON reconstructs every item of the table as a document carrying
 // `_part` and `_sort` — the Cassandra `SELECT JSON * FROM t` of the paper,
-// and the shape the unified query layer iterates.
+// and the shape the unified query layer iterates. Each item is built once:
+// its attributes gather in a reused buffer, in name order (the key order),
+// and are merged with `_part` and `_sort` into one exactly sized field
+// slice, so mmvalue.ObjectOf takes it without sorting. An attribute named
+// like a key column lands just before it, and ObjectOf's keep-last rule
+// lets the key column win.
 func (s *Store) ScanJSON(tx engine.Tx, table string, fn func(doc mmvalue.Value) bool) error {
-	var cur mmvalue.Value
+	var attrs []mmvalue.Field // the current item's attributes, reused item to item
+	var parts []mmvalue.Value // key scratch, reused row to row
 	var curPart, curSort mmvalue.Value
 	started := false
 	flush := func() bool {
 		if !started {
 			return true
 		}
-		doc := cur.Set("_part", curPart).Set("_sort", curSort)
+		keys := [2]mmvalue.Field{mmvalue.F("_part", curPart), mmvalue.F("_sort", curSort)}
+		fields := make([]mmvalue.Field, 0, len(attrs)+len(keys))
+		k := 0
+		for _, a := range attrs {
+			for k < len(keys) && keys[k].Name < a.Name {
+				fields = append(fields, keys[k])
+				k++
+			}
+			fields = append(fields, a)
+		}
+		fields = append(fields, keys[k:]...)
 		// Cleared once fn stops the scan, so the closing flush does not hand
 		// it the same item again.
-		started = fn(doc)
+		started = fn(mmvalue.ObjectOf(fields))
 		return started
 	}
 	var decErr error
 	err := tx.Scan(Keyspace(table), nil, nil, func(k, v []byte) bool {
-		parts, err := keyenc.Decode(k)
+		var err error
+		parts, err = keyenc.DecodeAppend(parts[:0], k)
 		if err != nil || len(parts) != 3 {
 			decErr = fmt.Errorf("colstore: corrupt entry: %w", err)
 			return false
@@ -254,16 +275,16 @@ func (s *Store) ScanJSON(tx engine.Tx, table string, fn func(doc mmvalue.Value) 
 			decErr = err
 			return false
 		}
-		part, sort, attr := parts[0], parts[1], parts[2].AsString()
+		part, sort := parts[0], parts[1]
 		if !started || !mmvalue.Equal(part, curPart) || !mmvalue.Equal(sort, curSort) {
 			if !flush() {
 				return false
 			}
 			started = true
 			curPart, curSort = part, sort
-			cur = mmvalue.Object()
+			attrs = attrs[:0]
 		}
-		cur = cur.Set(attr, val)
+		attrs = append(attrs, mmvalue.F(parts[2].AsString(), val))
 		return true
 	})
 	if err != nil {

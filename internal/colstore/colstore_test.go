@@ -172,6 +172,27 @@ func TestScanJSON(t *testing.T) {
 	}
 }
 
+// TestScanJSONKeyColumnsWin stores attributes named like the key columns
+// and on both sides of them in name order: the scanned item carries the
+// key's `_part` and `_sort`, every other attribute, and nothing twice.
+func TestScanJSONKeyColumnsWin(t *testing.T) {
+	e, s := setup(t)
+	attrs := mmvalue.MustParseJSON(`{"A":1,"_part":"stored","_q":2,"_sort":"stored","a":3}`)
+	if err := e.Update(func(tx *engine.Txn) error {
+		return s.PutItem(tx, "t", str("p"), mmvalue.Int(7), attrs)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var got mmvalue.Value
+	e.View(func(tx *engine.Txn) error {
+		return s.ScanJSON(tx, "t", func(doc mmvalue.Value) bool { got = doc; return true })
+	})
+	want := mmvalue.MustParseJSON(`{"A":1,"_part":"p","_q":2,"_sort":7,"a":3}`)
+	if !mmvalue.Equal(got, want) || got.Len() != want.Len() {
+		t.Fatalf("ScanJSON = %v, want %v", got, want)
+	}
+}
+
 func TestPutItemValidation(t *testing.T) {
 	e, s := setup(t)
 	err := e.Update(func(tx *engine.Txn) error {

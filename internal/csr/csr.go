@@ -37,6 +37,7 @@ import (
 	"repro/internal/binenc"
 	"repro/internal/engine"
 	"repro/internal/keyenc"
+	"repro/internal/mmvalue"
 )
 
 // Reserved edge fields, mirroring the graph store's document layout.
@@ -145,8 +146,10 @@ func Build(tx engine.Tx, spec Spec) (*Graph, error) {
 	// order the edge-index scans group by, which is what lets pass 3 fill
 	// slots in one streaming append.
 	var decErr error
+	var parts []mmvalue.Value // key scratch, reused row to row and scan to scan
 	err := tx.Scan(spec.Vertex, nil, nil, func(k, _ []byte) bool {
-		parts, err := keyenc.Decode(k)
+		var err error
+		parts, err = keyenc.DecodeAppend(parts[:0], k)
 		if err != nil || len(parts) != 1 {
 			decErr = fmt.Errorf("csr: corrupt vertex key: %w", err)
 			return false
@@ -168,7 +171,8 @@ func Build(tx engine.Tx, spec Spec) (*Graph, error) {
 	// ids when the vertex is missing, labels intern into the dictionary.
 	info := map[string]edgeInfo{}
 	err = tx.Scan(spec.Edge, nil, nil, func(k, v []byte) bool {
-		parts, err := keyenc.Decode(k)
+		var err error
+		parts, err = keyenc.DecodeAppend(parts[:0], k)
 		if err != nil || len(parts) != 1 {
 			decErr = fmt.Errorf("csr: corrupt edge key: %w", err)
 			return false
@@ -248,8 +252,10 @@ func (g *Graph) buildHalf(tx engine.Tx, ks string, info map[string]edgeInfo, inb
 	}
 	cur := int32(0)
 	var decErr error
+	var parts []mmvalue.Value // key scratch, reused row to row
 	err := tx.Scan(ks, nil, nil, func(k, _ []byte) bool {
-		parts, err := keyenc.Decode(k)
+		var err error
+		parts, err = keyenc.DecodeAppend(parts[:0], k)
 		if err != nil || len(parts) != 2 {
 			decErr = fmt.Errorf("csr: corrupt edge index entry: %w", err)
 			return false

@@ -262,13 +262,14 @@ func (s *Store) Delete(tx engine.Tx, coll, key string) (bool, error) {
 // Scan iterates every document of a collection in key order.
 func (s *Store) Scan(tx engine.Tx, coll string, fn func(key string, doc mmvalue.Value) bool) error {
 	var decodeErr error
+	var parts []mmvalue.Value // key scratch, reused row to row
 	err := tx.Scan(Keyspace(coll), nil, nil, func(k, v []byte) bool {
 		doc, err := binenc.Decode(v)
 		if err != nil {
 			decodeErr = err
 			return false
 		}
-		parts, err := keyenc.Decode(k)
+		parts, err = keyenc.DecodeAppend(parts[:0], k)
 		if err != nil || len(parts) == 0 {
 			decodeErr = fmt.Errorf("docstore: corrupt primary key: %w", err)
 			return false
@@ -460,8 +461,10 @@ func (s *Store) LookupRange(tx engine.Tx, coll, idx string, lo, hi Bound) ([]str
 func (s *Store) lookupRangeRaw(tx engine.Tx, ks string, lo, hi []byte) ([]string, error) {
 	var keys []string
 	var decodeErr error
+	var parts []mmvalue.Value // key scratch, reused row to row
 	err := tx.Scan(ks, lo, hi, func(k, _ []byte) bool {
-		parts, err := keyenc.Decode(k)
+		var err error
+		parts, err = keyenc.DecodeAppend(parts[:0], k)
 		if err != nil || len(parts) < 2 {
 			decodeErr = fmt.Errorf("docstore: corrupt index entry: %w", err)
 			return false

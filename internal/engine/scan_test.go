@@ -2,14 +2,19 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/catalog"
+	"repro/internal/colstore"
+	"repro/internal/docstore"
 	"repro/internal/engine"
 	"repro/internal/engine/scantest"
 	"repro/internal/keyenc"
+	"repro/internal/mmvalue"
 )
 
 func openEphemeral(t *testing.T) *engine.Engine {
@@ -110,6 +115,93 @@ func TestScanAllocsIndependentOfKeyspaceSize(t *testing.T) {
 		}
 		if err := tx.Abort(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestStoreScanAllocsPerRowIndependentOfSize is the guard on the per-row
+// cost of the two store scans the query layer iterates: a document scan and
+// a wide-column item scan allocate the same per row, in count and in bytes,
+// over a thousand rows and over ten thousand, and each stays within a fixed
+// per-row allocation budget.
+func TestStoreScanAllocsPerRowIndependentOfSize(t *testing.T) {
+	e := openEphemeral(t)
+	docs := docstore.New(e, catalog.New(e))
+	cols := colstore.New(e)
+	load := func(name string, n int) {
+		err := e.Update(func(tx *engine.Txn) error {
+			if err := docs.CreateCollection(tx, name, catalog.Schemaless); err != nil {
+				return err
+			}
+			for i := 0; i < n; i++ {
+				key := fmt.Sprintf("o%06d", i)
+				doc := mmvalue.MustParseJSON(fmt.Sprintf(`{"Order_no":%q,"customer_id":%d,"total":%d,"rev":0,
+					"Orderlines":[{"Product_no":"p%d","Price":66,"Qty":1},{"Product_no":"p%d","Price":40,"Qty":2}]}`,
+					key, i%97, 106+i%13, i%31, i%37))
+				if err := docs.Put(tx, name, key, doc); err != nil {
+					return err
+				}
+				attrs := mmvalue.Object(mmvalue.F("v", mmvalue.Int(int64(i))), mmvalue.F("pos", mmvalue.Int(int64(i%1000))))
+				if err := cols.PutItem(tx, name, mmvalue.Int(int64(i%10)), mmvalue.Int(int64(i)), attrs); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	load("small", 1_000)
+	load("large", 10_000)
+	// perRow returns what one scan of the named table allocates per row, in
+	// count and in bytes.
+	perRow := func(scan func(tx engine.Tx, name string) (rows int, err error), name string) (allocs, bytes float64) {
+		err := e.SnapshotView(func(tx *engine.Txn) error {
+			rows := 0
+			run := func() {
+				var err error
+				if rows, err = scan(tx, name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs = testing.AllocsPerRun(5, run)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			allocs, bytes = allocs/float64(rows), float64(after.TotalAlloc-before.TotalAlloc)/float64(rows)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return allocs, bytes
+	}
+	for _, c := range []struct {
+		name      string
+		scan      func(tx engine.Tx, name string) (rows int, err error)
+		maxAllocs float64 // per row, plus a hundredth for the scan's fixed cost
+	}{
+		{"docstore.Scan", func(tx engine.Tx, name string) (rows int, err error) {
+			err = docs.Scan(tx, name, func(string, mmvalue.Value) bool { rows++; return true })
+			return rows, err
+		}, 4}, // 3 for the record, 1 for its key string
+		{"colstore.ScanJSON", func(tx engine.Tx, name string) (rows int, err error) {
+			err = cols.ScanJSON(tx, name, func(mmvalue.Value) bool { rows++; return true })
+			return rows, err
+		}, 2}, // the item's field slice and its one multi-byte attribute name
+	} {
+		smallAllocs, smallBytes := perRow(c.scan, "small")
+		largeAllocs, largeBytes := perRow(c.scan, "large")
+		t.Logf("%s per row: %.2f allocs / %.0f B over 1 000 rows, %.2f allocs / %.0f B over 10 000",
+			c.name, smallAllocs, smallBytes, largeAllocs, largeBytes)
+		if math.Abs(largeAllocs-smallAllocs) > smallAllocs/20 || math.Abs(largeBytes-smallBytes) > smallBytes/20 {
+			t.Errorf("%s costs %.2f allocs / %.0f B per row over 1 000 rows but %.2f / %.0f over 10 000",
+				c.name, smallAllocs, smallBytes, largeAllocs, largeBytes)
+		}
+		if largeAllocs > c.maxAllocs+0.01 {
+			t.Errorf("%s costs %.2f allocations per row, want %.0f", c.name, largeAllocs, c.maxAllocs)
 		}
 	}
 }

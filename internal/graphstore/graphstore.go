@@ -259,8 +259,10 @@ func (s *Store) incidentEdgeKeys(tx engine.Tx, graph, v string, dir Direction) (
 	hi := keyenc.AppendMax(keyenc.AppendString(nil, v))
 	var out []string
 	var decErr error
+	var parts []mmvalue.Value // key scratch, reused row to row
 	err := tx.Scan(ks, lo, hi, func(k, _ []byte) bool {
-		parts, err := keyenc.Decode(k)
+		var err error
+		parts, err = keyenc.DecodeAppend(parts[:0], k)
 		if err != nil || len(parts) != 2 {
 			decErr = fmt.Errorf("graphstore: corrupt edge index entry: %w", err)
 			return false
@@ -436,8 +438,10 @@ func (s *Store) Edges(tx engine.Tx, graph string, fn func(key string, doc mmvalu
 
 func (s *Store) scanDocs(tx engine.Tx, ks string, fn func(key string, doc mmvalue.Value) bool) error {
 	var decErr error
+	var parts []mmvalue.Value // key scratch, reused row to row
 	err := tx.Scan(ks, nil, nil, func(k, v []byte) bool {
-		parts, err := keyenc.Decode(k)
+		var err error
+		parts, err = keyenc.DecodeAppend(parts[:0], k)
 		if err != nil || len(parts) == 0 {
 			decErr = err
 			return false

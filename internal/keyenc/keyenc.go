@@ -205,14 +205,19 @@ func decodeOne(b []byte) (mmvalue.Value, int, error) {
 			return mmvalue.Null, 0, fmt.Errorf("keyenc: bad number disambiguator %#x", b[9])
 		}
 	case tagString, tagBytes:
-		payload, n, err := decodeEscaped(b[1:])
+		end, escapes, err := scanEscaped(b[1:])
 		if err != nil {
 			return mmvalue.Null, 0, err
 		}
-		if b[0] == tagString {
-			return mmvalue.String(string(payload)), 1 + n, nil
+		raw, n := b[1:1+end], 1+end+2 // tag, payload, terminator
+		if b[0] == tagString && escapes == 0 {
+			return mmvalue.String(string(raw)), n, nil
 		}
-		return mmvalue.Bytes(payload), 1 + n, nil
+		payload := unescape(raw, escapes)
+		if b[0] == tagString {
+			return mmvalue.String(string(payload)), n, nil
+		}
+		return mmvalue.Bytes(payload), n, nil
 	case tagArray:
 		var elems []mmvalue.Value
 		off := 1
@@ -262,27 +267,42 @@ func decodeMonotoneFloat(b []byte) float64 {
 	return math.Float64frombits(bits)
 }
 
-func decodeEscaped(b []byte) ([]byte, int, error) {
-	var payload []byte
-	i := 0
-	for i < len(b) {
-		if b[i] == terminator0 {
-			if i+1 >= len(b) {
-				return nil, 0, fmt.Errorf("keyenc: truncated escape")
-			}
-			switch b[i+1] {
-			case terminator1:
-				return payload, i + 2, nil
-			case escape:
-				payload = append(payload, terminator0)
-				i += 2
-			default:
-				return nil, 0, fmt.Errorf("keyenc: bad escape %#x", b[i+1])
-			}
+// scanEscaped finds the end of the escaped payload at the head of b: it
+// returns the payload's encoded length (the offset of its terminator) and
+// how many escaped 0x00 bytes it holds.
+func scanEscaped(b []byte) (end, escapes int, err error) {
+	for i := 0; i < len(b); i++ {
+		if b[i] != terminator0 {
 			continue
 		}
-		payload = append(payload, b[i])
-		i++
+		if i+1 >= len(b) {
+			return 0, 0, fmt.Errorf("keyenc: truncated escape")
+		}
+		switch b[i+1] {
+		case terminator1:
+			return i, escapes, nil
+		case escape:
+			escapes++
+			i++
+		default:
+			return 0, 0, fmt.Errorf("keyenc: bad escape %#x", b[i+1])
+		}
 	}
-	return nil, 0, fmt.Errorf("keyenc: unterminated string")
+	return 0, 0, fmt.Errorf("keyenc: unterminated string")
+}
+
+// unescape copies an escaped payload scanEscaped measured into one slice of
+// its decoded length (nil when empty).
+func unescape(raw []byte, escapes int) []byte {
+	if len(raw) == 0 {
+		return nil
+	}
+	out := make([]byte, 0, len(raw)-escapes)
+	for i := 0; i < len(raw); i++ {
+		out = append(out, raw[i])
+		if raw[i] == terminator0 {
+			i++ // skip the escape byte
+		}
+	}
+	return out
 }

@@ -9,6 +9,7 @@ package mmvalue
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -140,10 +141,15 @@ func Object(fields ...Field) Value {
 	return ObjectOf(fields)
 }
 
-// ObjectOf builds an object Value from a field slice. The slice is sorted in
-// place; duplicate names keep the last occurrence.
+// ObjectOf builds an object Value from a field slice. Input whose names
+// already strictly increase (every binenc record) is wrapped as-is; other
+// input is sorted stably in place and duplicate names keep the last
+// occurrence.
 func ObjectOf(fields []Field) Value {
-	sort.SliceStable(fields, func(i, j int) bool { return fields[i].Name < fields[j].Name })
+	if namesIncrease(fields) {
+		return Value{kind: KindObject, obj: fields}
+	}
+	slices.SortStableFunc(fields, func(a, b Field) int { return strings.Compare(a.Name, b.Name) })
 	// Deduplicate, keeping the last value for each name.
 	out := fields[:0]
 	for i := 0; i < len(fields); i++ {
@@ -153,6 +159,15 @@ func ObjectOf(fields []Field) Value {
 		out = append(out, fields[i])
 	}
 	return Value{kind: KindObject, obj: out}
+}
+
+func namesIncrease(fields []Field) bool {
+	for i := 1; i < len(fields); i++ {
+		if fields[i-1].Name >= fields[i].Name {
+			return false
+		}
+	}
+	return true
 }
 
 // F is shorthand for constructing a Field.

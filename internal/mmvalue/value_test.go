@@ -63,6 +63,19 @@ func TestObjectFieldsSortedAndDeduped(t *testing.T) {
 	}
 }
 
+// TestObjectOfSortedInputAllocatesNothing guards the fast path every
+// decoded record takes: names that already strictly increase are wrapped
+// as-is, without a sort.
+func TestObjectOfSortedInputAllocatesNothing(t *testing.T) {
+	fields := []Field{F("a", Int(1)), F("b", Int(2)), F("c", Int(3))}
+	if n := testing.AllocsPerRun(100, func() { ObjectOf(fields) }); n != 0 {
+		t.Fatalf("ObjectOf on sorted input allocates %.0f times", n)
+	}
+	if v := ObjectOf(fields); &v.Fields()[0] != &fields[0] || v.Len() != 3 {
+		t.Fatal("ObjectOf on sorted input must keep the slice")
+	}
+}
+
 func TestGetSetDelete(t *testing.T) {
 	v := Object(F("a", Int(1)), F("c", Int(3)))
 	v2 := v.Set("b", Int(2))

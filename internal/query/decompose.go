@@ -172,27 +172,17 @@ func aggArgPath(e Expr) (varName string, path []string, ok bool) {
 	}
 }
 
-// navElems yields the elements one member contributes to the navigated group
-// array, applying exactly navigateField's array rule per step: map the field
-// access over the working elements, drop nulls, flatten one array level.
-func navElems(member mmvalue.Value, path []string) []mmvalue.Value {
-	cur := []mmvalue.Value{member}
-	for _, name := range path {
-		next := make([]mmvalue.Value, 0, len(cur))
-		for _, el := range cur {
-			v := navigateField(el, name)
-			if v.IsNull() {
-				continue
-			}
-			if v.Kind() == mmvalue.KindArray {
-				next = append(next, v.AsArray()...)
-			} else {
-				next = append(next, v)
-			}
-		}
-		cur = next
+// navElems visits, depth first, the elements one member contributes to the
+// navigated group array, applying exactly navigateField's array rule per
+// step: map the field access over the working elements, drop nulls, flatten
+// one array level. Depth-first order is the level-by-level order: each
+// element's descendants stay contiguous and in element order.
+func navElems(member mmvalue.Value, path []string, visit func(mmvalue.Value)) {
+	if len(path) == 0 {
+		visit(member)
+		return
 	}
-	return cur
+	colElems(navigateField(member, path[0]), path[1:], visit)
 }
 
 // aggState is one group's running partial for one aggSpec. States accumulate
@@ -224,13 +214,7 @@ func newAggStates(n int) []aggState {
 
 // observeMember folds one member's contribution into the state.
 func (a *aggState) observeMember(sp aggSpec, member mmvalue.Value) {
-	if len(sp.path) == 0 {
-		a.observeOne(sp, member)
-		return
-	}
-	for _, el := range navElems(member, sp.path) {
-		a.observeOne(sp, el)
-	}
+	navElems(member, sp.path, func(el mmvalue.Value) { a.observeOne(sp, el) })
 }
 
 func (a *aggState) observeOne(sp aggSpec, el mmvalue.Value) {

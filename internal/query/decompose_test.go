@@ -218,7 +218,7 @@ func TestNavElemsMatchesArrayNavigation(t *testing.T) {
 	whole := navigateField(navigateField(mmvalue.ArrayOf(members), "s"), "qty")
 	var split []mmvalue.Value
 	for _, m := range members {
-		split = append(split, navElems(m, []string{"s", "qty"})...)
+		navElems(m, []string{"s", "qty"}, func(el mmvalue.Value) { split = append(split, el) })
 	}
 	if !mmvalue.Equal(whole, mmvalue.ArrayOf(split)) {
 		t.Fatalf("whole-array %v != concat of per-member %v", whole, mmvalue.ArrayOf(split))

@@ -537,36 +537,20 @@ func (ve *vecEval) scalarBin(t *vbin, i int) mmvalue.Value {
 	return mmvalue.Null
 }
 
-// colElems yields the aggregate elements one column value contributes,
-// replicating navElems from the point where the member's loopVar and
-// column steps are already taken: nulls drop, arrays flatten one level,
-// remaining path steps apply navigateField element-wise.
-func colElems(val mmvalue.Value, rest []string) []mmvalue.Value {
-	if val.IsNull() {
-		return nil
-	}
-	var cur []mmvalue.Value
-	if val.Kind() == mmvalue.KindArray {
-		cur = val.AsArray()
-	} else {
-		cur = []mmvalue.Value{val}
-	}
-	for _, name := range rest {
-		next := make([]mmvalue.Value, 0, len(cur))
-		for _, el := range cur {
-			v := navigateField(el, name)
-			if v.IsNull() {
-				continue
-			}
-			if v.Kind() == mmvalue.KindArray {
-				next = append(next, v.AsArray()...)
-			} else {
-				next = append(next, v)
-			}
+// colElems visits the aggregate elements one value contributes once a field
+// step produced it — a column value, whose member loopVar and column steps
+// are already taken, or navElems' value after its first step: nulls drop,
+// arrays flatten one level, the remaining path steps apply per element.
+func colElems(val mmvalue.Value, rest []string, visit func(mmvalue.Value)) {
+	switch {
+	case val.IsNull():
+	case val.Kind() == mmvalue.KindArray:
+		for _, el := range val.AsArray() {
+			navElems(el, rest, visit)
 		}
-		cur = next
+	default:
+		navElems(val, rest, visit)
 	}
-	return cur
 }
 
 // batchValue reads the raw column value for an aggregate path's column at
@@ -785,12 +769,12 @@ func (c *execCtx) vecAggBatch(v *vecPlan, preds []vnode, b *colstore.Batch) vecB
 		ssp := sp.stateSpec()
 		ve.perRow = true
 		sel.ForEach(func(i int) bool {
-			for _, el := range colElems(batchValue(b, sp.path[1], i), sp.path[2:]) {
+			colElems(batchValue(b, sp.path[1], i), sp.path[2:], func(el mmvalue.Value) {
 				st.observeOne(ssp, el)
 				if el.IsNumber() {
 					res.ns[si]++
 				}
-			}
+			})
 			return true
 		})
 	}
@@ -899,9 +883,7 @@ func (c *execCtx) execVecAgg(pipe *Pipeline) ([]mmvalue.Value, bool, error) {
 	refoldElems := func(sp vecAggSpec, visit func(el mmvalue.Value)) {
 		for bi, b := range batches {
 			results[bi].sel.ForEach(func(i int) bool {
-				for _, el := range colElems(batchValue(b, sp.path[1], i), sp.path[2:]) {
-					visit(el)
-				}
+				colElems(batchValue(b, sp.path[1], i), sp.path[2:], visit)
 				return true
 			})
 		}

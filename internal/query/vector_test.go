@@ -145,14 +145,18 @@ func TestCompileVecPreds(t *testing.T) {
 // nulls vanish, arrays flatten one level, deep paths navigate per element —
 // matching navElems from the column step onward.
 func TestColElems(t *testing.T) {
-	if got := colElems(mmvalue.Null, nil); len(got) != 0 {
+	colElemsOf := func(val mmvalue.Value, rest []string) (out []mmvalue.Value) {
+		colElems(val, rest, func(el mmvalue.Value) { out = append(out, el) })
+		return out
+	}
+	if got := colElemsOf(mmvalue.Null, nil); len(got) != 0 {
 		t.Fatalf("null -> %v", got)
 	}
-	if got := colElems(mmvalue.Int(4), nil); len(got) != 1 || got[0].AsInt() != 4 {
+	if got := colElemsOf(mmvalue.Int(4), nil); len(got) != 1 || got[0].AsInt() != 4 {
 		t.Fatalf("scalar -> %v", got)
 	}
 	arr := mmvalue.Array(mmvalue.Int(1), mmvalue.Null, mmvalue.Int(2))
-	if got := colElems(arr, nil); len(got) != 3 {
+	if got := colElemsOf(arr, nil); len(got) != 3 {
 		// The array itself contributes its elements verbatim (nulls included:
 		// navigation has already happened).
 		t.Fatalf("array -> %v", got)
@@ -160,7 +164,7 @@ func TestColElems(t *testing.T) {
 	obj := mmvalue.Object(mmvalue.F("x", mmvalue.Int(7)))
 	objNoX := mmvalue.Object(mmvalue.F("y", mmvalue.Int(1)))
 	nested := mmvalue.Array(obj, objNoX, obj)
-	got := colElems(nested, []string{"x"})
+	got := colElemsOf(nested, []string{"x"})
 	if len(got) != 2 || got[0].AsInt() != 7 || got[1].AsInt() != 7 {
 		t.Fatalf("nested path -> %v", got)
 	}

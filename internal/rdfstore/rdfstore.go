@@ -206,16 +206,22 @@ func (s *Store) Match(tx engine.Tx, g string, pat Pattern) ([]Triple, error) {
 		hi = keyenc.AppendMax(append([]byte{}, lo...))
 	}
 	var ids []Triple2
+	var vals []mmvalue.Value // key scratch, reused row to row
+	var decErr error
 	err = tx.Scan(permKeyspace(g, perm), lo, hi, func(k, _ []byte) bool {
-		vals, derr := keyenc.Decode(k)
-		if derr != nil || len(vals) != 3 {
-			err = fmt.Errorf("rdfstore: corrupt triple key")
+		var err error
+		vals, err = keyenc.DecodeAppend(vals[:0], k)
+		if err != nil || len(vals) != 3 {
+			decErr = fmt.Errorf("rdfstore: corrupt triple key")
 			return false
 		}
 		a, b, c := uint64(vals[0].AsInt()), uint64(vals[1].AsInt()), uint64(vals[2].AsInt())
 		ids = append(ids, permTriple(perm, a, b, c))
 		return true
 	})
+	if err == nil {
+		err = decErr
+	}
 	if err != nil {
 		return nil, err
 	}

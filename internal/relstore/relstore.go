@@ -525,10 +525,12 @@ func (s *Store) lookupRange(tx engine.Tx, table, idx string, lo, hi []byte) ([]m
 	// Collect row keys from the index, then fetch rows.
 	var rowKeys [][]byte
 	var scanErr error
+	var parts []mmvalue.Value // key scratch, reused row to row
 	if err := tx.Scan(IndexKeyspace(table, idx), lo, hi, func(k, _ []byte) bool {
 		// Entry = keyenc(value) ++ pk bytes; decode the first element to
 		// find where the pk starts.
-		parts, err := keyenc.Decode(k)
+		var err error
+		parts, err = keyenc.DecodeAppend(parts[:0], k)
 		if err != nil || len(parts) < 2 {
 			scanErr = fmt.Errorf("relstore: corrupt index entry: %w", err)
 			return false

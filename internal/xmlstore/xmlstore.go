@@ -468,9 +468,11 @@ func (s *Store) PathRange(tx engine.Tx, name, path string, lo, hi mmvalue.Value)
 	hiKey := keyenc.AppendMax(keyenc.Append(keyenc.AppendString(nil, path), hi))
 	var out []ordpath.Label
 	var decErr error
+	var parts []mmvalue.Value // key scratch, reused row to row
 	err := tx.Scan(PathKeyspace(name), loKey, hiKey, func(k, _ []byte) bool {
 		// Strip the (path, value) prefix by decoding two values.
-		parts, err := keyenc.Decode(k)
+		var err error
+		parts, err = keyenc.DecodeAppend(parts[:0], k)
 		if err != nil || len(parts) < 3 {
 			decErr = fmt.Errorf("xmlstore: corrupt path index entry: %w", err)
 			return false

@@ -45,8 +45,9 @@ go test -run '^$' -bench . -benchtime 1x ./internal/...
 echo "== go test (bench/, the nested module tier-1 skips)"
 (cd bench && go test ./...)
 
-echo "== fuzz smoke (parsers)"
+echo "== fuzz smoke (parsers, record decoder)"
 go test -run=^$ -fuzz=FuzzParseMMQL -fuzztime=5s ./internal/query
 go test -run=^$ -fuzz=FuzzParseMSQL -fuzztime=5s ./internal/query
+go test -run=^$ -fuzz=FuzzDecode -fuzztime=5s ./internal/binenc
 
 echo "verify: OK"
