@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -174,6 +175,36 @@ func TestDecodeAllocsIndependentOfSize(t *testing.T) {
 		if got := allocs(v); got != small {
 			t.Errorf("a %s costs %.0f allocations, a 3-field object %.0f", name, got, small)
 		}
+	}
+}
+
+// TestDecodeBytesIndependentOfSize bounds the bytes a decode allocates: a
+// 300-field object costs its field arena (300 Fields of 40 bytes), one copy
+// of the record's bytes for names and strings, and size-class rounding.
+func TestDecodeBytesIndependentOfSize(t *testing.T) {
+	fields := make([]mmvalue.Field, 300)
+	for i := range fields {
+		v := mmvalue.Int(int64(i))
+		if i%2 == 1 {
+			v = mmvalue.String("x")
+		}
+		fields[i] = mmvalue.F(fmt.Sprintf("f%03d", i), v)
+	}
+	raw := Encode(mmvalue.ObjectOf(fields))
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Decode(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(300*40 + len(raw) + 1024); got > limit {
+		t.Errorf("decoding a 300-field object (%d-byte record) allocates %d bytes, want at most %d",
+			len(raw), got, limit)
 	}
 }
 

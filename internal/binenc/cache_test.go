@@ -1,8 +1,8 @@
 package binenc
 
 import (
+	"bytes"
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -23,8 +23,11 @@ func TestDecodeCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(first, v) || !reflect.DeepEqual(second, v) {
+	if !mmvalue.Equal(first, v) || !mmvalue.Equal(second, v) {
 		t.Fatalf("decode mismatch: %v / %v vs %v", first, second, v)
+	}
+	if !bytes.Equal(Encode(first), raw) || !bytes.Equal(Encode(second), raw) {
+		t.Fatal("cached decode does not re-encode to the stored bytes")
 	}
 }
 

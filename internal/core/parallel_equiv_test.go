@@ -317,3 +317,31 @@ func TestParallelIndexRangeEquivalence(t *testing.T) {
 		t.Fatalf("serial/parallel index-range results differ (lens %d vs %d)", len(ser.Values), len(par.Values))
 	}
 }
+
+// TestCollectKeysMatchByEqual groups on mmvalue.Equal, on the serial and
+// the parallel path alike: SUBSTRING slices bytes, so "é" and "à" yield two
+// strings that differ only in an invalid UTF-8 byte and share one JSON
+// text, yet they are two groups, as they are two DISTINCT values; 1 and
+// 1.0 are one group, "1" another.
+func TestCollectKeysMatchByEqual(t *testing.T) {
+	db := openDB(t)
+	for _, opts := range []query.Options{serialOpts, parallelOpts} {
+		res := runCorpusQuery(t, db, "mmql",
+			`FOR n IN ["é", "à", "é"] COLLECT k = SUBSTRING(n, 1, 1) INTO g RETURN [k, LENGTH(g)]`, nil, opts)
+		if got, want := fmt.Sprint(res.Values), `[["\ufffd",2] ["\ufffd",1]]`; got != want ||
+			res.Values[0].AsArray()[0].AsString() != "\xa9" || res.Values[1].AsArray()[0].AsString() != "\xa0" {
+			t.Errorf("MaxParallel %d: groups = %s, want %s keyed \\xa9 and \\xa0", opts.MaxParallel, got, want)
+		}
+		if opts.MaxParallel > 1 && res.Stats.ParallelCollects == 0 {
+			t.Errorf("parallel run grouped serially: %+v", res.Stats)
+		}
+		res = runCorpusQuery(t, db, "mmql", `FOR n IN [1, 1.0, "1"] COLLECT k = n RETURN k`, nil, opts)
+		if got := fmt.Sprint(res.Values); got != `[1 "1"]` {
+			t.Errorf("MaxParallel %d: numeric groups = %s, want [1 \"1\"]", opts.MaxParallel, got)
+		}
+	}
+	res := runCorpusQuery(t, db, "mmql", `FOR n IN ["é", "à", "é"] RETURN DISTINCT SUBSTRING(n, 1, 1)`, nil, serialOpts)
+	if len(res.Values) != 2 {
+		t.Errorf("DISTINCT keys = %v, want 2 values", res.Values)
+	}
+}

@@ -183,30 +183,32 @@ func MustFromGo(x any) Value {
 // ToGo converts a Value back into plain Go data (nil, bool, int64, float64,
 // string, []byte, []any, map[string]any).
 func (v Value) ToGo() any {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return nil
 	case KindBool:
-		return v.b
+		return v.AsBool()
 	case KindInt:
-		return v.i
+		return v.i64()
 	case KindFloat:
-		return v.f
+		return v.f64()
 	case KindString:
-		return v.s
+		return v.str()
 	case KindBytes:
-		out := make([]byte, len(v.by))
-		copy(out, v.by)
+		out := make([]byte, v.n)
+		copy(out, v.bytes())
 		return out
 	case KindArray:
-		out := make([]any, len(v.arr))
-		for i, e := range v.arr {
+		arr := v.arr()
+		out := make([]any, len(arr))
+		for i, e := range arr {
 			out[i] = e.ToGo()
 		}
 		return out
 	case KindObject:
-		out := make(map[string]any, len(v.obj))
-		for _, f := range v.obj {
+		obj := v.obj()
+		out := make(map[string]any, len(obj))
+		for _, f := range obj {
 			out[f.Name] = f.Value.ToGo()
 		}
 		return out
@@ -216,11 +218,12 @@ func (v Value) ToGo() any {
 
 // Keys returns the sorted top-level field names of an object, or nil.
 func (v Value) Keys() []string {
-	if v.kind != KindObject {
+	if v.Kind() != KindObject {
 		return nil
 	}
-	keys := make([]string, len(v.obj))
-	for i, f := range v.obj {
+	obj := v.obj()
+	keys := make([]string, len(obj))
+	for i, f := range obj {
 		keys[i] = f.Name
 	}
 	return keys

@@ -118,3 +118,33 @@ func TestKeys(t *testing.T) {
 		t.Fatal("Keys on scalar should be nil")
 	}
 }
+
+// TestStringEscapesAreJSON pins the four escapes strconv.Quote writes that
+// JSON does not accept, and one escape of each form that it does.
+func TestStringEscapesAreJSON(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"a\ab", `"a\u0007b"`},
+		{"\v", `"\u000b"`},
+		{"\x01\x1f", `"\u0001\u001f"`},
+		{"\x7f", `"\u007f"`},
+		{"a\xffb", `"a\ufffdb"`},
+		{"\U000E0001", `"\udb40\udc01"`},
+		// Unchanged from strconv.Quote:
+		{"\b\f\n\r\t", `"\b\f\n\r\t"`},
+		{`"\`, `"\"\\"`},
+		{"\u0085\ufeff", `"\u0085\ufeff"`},
+		{"h\u00e9llo \U0001F600 \ufffd", "\"h\u00e9llo \U0001F600 \ufffd\""},
+	}
+	for _, tc := range cases {
+		got := String(tc.in).String()
+		if got != tc.want {
+			t.Errorf("String(%q).String() = %s, want %s", tc.in, got, tc.want)
+		}
+		if !json.Valid([]byte(got)) {
+			t.Errorf("String(%q).String() = %s is not valid JSON", tc.in, got)
+		}
+		if obj := Object(F(tc.in, Null)).String(); obj != "{"+tc.want+":null}" {
+			t.Errorf("field name %q renders as %s", tc.in, obj)
+		}
+	}
+}

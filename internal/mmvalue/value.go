@@ -7,12 +7,17 @@
 package mmvalue
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
+	"unsafe"
 )
 
 // Kind enumerates the runtime type of a Value.
@@ -79,19 +84,43 @@ func typeRank(k Kind) int {
 	}
 }
 
-// Value is an immutable-by-convention tagged union. The zero Value is null.
-// Callers must not mutate the Arr or Obj fields of a Value after handing it
-// to a store; stores defensively copy only at persistence boundaries.
+// Value is an immutable tagged union. The zero Value is null.
+//
+// A Value is 24 bytes, the layout log/slog.Value uses: one machine word n
+// and one interface word any whose dynamic type carries the kind. Null
+// is the nil interface. Booleans (0 or 1), integers and floats (their
+// IEEE bits) live in n, with their Kind in any. A non-empty string, byte
+// slice, array or object is a typed pointer to its first byte, element or
+// field in any and its length in n; an empty string and a nil byte slice,
+// array or object are their Kind, and an empty non-nil one points at a
+// shared zero element. The payload a Value points at is shared by every
+// copy of it, so neither the caller that built a Value nor one that reads
+// a slice back may mutate it afterwards; Clone makes an unshared copy.
+// Values are not comparable with ==: use Equal. reflect.DeepEqual follows
+// only the first byte, element or field of a payload, so it reports every
+// pair of Equal Values of the same kind equal but can also report unequal
+// ones equal.
 type Value struct {
-	kind Kind
-	b    bool
-	i    int64
-	f    float64
-	s    string
-	by   []byte
-	arr  []Value
-	obj  []Field
+	_   [0]func() // makes == a compile error; compare with Equal
+	n   uint64
+	any any
 }
+
+// The payload pointer types, one per kind that points at data.
+type (
+	stringptr *byte
+	bytesptr  *byte
+	arrayptr  *Value
+	objectptr *Field
+)
+
+// The shared zero element an empty non-nil payload points at. A slice of
+// length and capacity 0 over it never writes to it.
+var (
+	zeroByte  byte
+	zeroValue Value
+	zeroField Field
+)
 
 // Field is one key/value entry of an object. Object fields are kept sorted
 // by Name so that equality, hashing, and binary encoding are canonical.
@@ -101,12 +130,12 @@ type Field struct {
 }
 
 // Null is the null Value.
-var Null = Value{kind: KindNull}
+var Null = Value{}
 
 // True and False are the boolean Values.
 var (
-	True  = Value{kind: KindBool, b: true}
-	False = Value{kind: KindBool, b: false}
+	True  = Value{any: KindBool, n: 1}
+	False = Value{any: KindBool}
 )
 
 // Bool returns a boolean Value.
@@ -118,22 +147,56 @@ func Bool(b bool) Value {
 }
 
 // Int returns an integer Value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{any: KindInt, n: uint64(i)} }
 
 // Float returns a floating-point Value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{any: KindFloat, n: math.Float64bits(f)} }
 
 // String returns a string Value.
-func String(s string) Value { return Value{kind: KindString, s: s} }
+func String(s string) Value {
+	if len(s) == 0 {
+		return Value{any: KindString}
+	}
+	return Value{any: stringptr(unsafe.StringData(s)), n: uint64(len(s))}
+}
 
-// Bytes returns a byte-slice Value. The slice is not copied.
-func Bytes(b []byte) Value { return Value{kind: KindBytes, by: b} }
+// Bytes returns a byte-slice Value. The slice is not copied; a nil slice
+// reads back as nil and an empty one as empty.
+func Bytes(b []byte) Value {
+	switch {
+	case b == nil:
+		return Value{any: KindBytes}
+	case len(b) == 0:
+		return Value{any: bytesptr(&zeroByte)}
+	}
+	return Value{any: bytesptr(unsafe.SliceData(b)), n: uint64(len(b))}
+}
 
 // Array returns an array Value. The slice is not copied.
-func Array(vs ...Value) Value { return Value{kind: KindArray, arr: vs} }
+func Array(vs ...Value) Value { return ArrayOf(vs) }
 
-// ArrayOf wraps an existing slice without copying.
-func ArrayOf(vs []Value) Value { return Value{kind: KindArray, arr: vs} }
+// ArrayOf wraps an existing slice without copying; a nil slice reads back
+// as nil and an empty one as empty.
+func ArrayOf(vs []Value) Value {
+	switch {
+	case vs == nil:
+		return Value{any: KindArray}
+	case len(vs) == 0:
+		return Value{any: arrayptr(&zeroValue)}
+	}
+	return Value{any: arrayptr(unsafe.SliceData(vs)), n: uint64(len(vs))}
+}
+
+// objectOf wraps fields that are already sorted and unique.
+func objectOf(fields []Field) Value {
+	switch {
+	case fields == nil:
+		return Value{any: KindObject}
+	case len(fields) == 0:
+		return Value{any: objectptr(&zeroField)}
+	}
+	return Value{any: objectptr(unsafe.SliceData(fields)), n: uint64(len(fields))}
+}
 
 // Object builds an object Value from fields, sorting them by name and
 // keeping the last value for any duplicated name.
@@ -147,7 +210,7 @@ func Object(fields ...Field) Value {
 // occurrence.
 func ObjectOf(fields []Field) Value {
 	if namesIncrease(fields) {
-		return Value{kind: KindObject, obj: fields}
+		return objectOf(fields)
 	}
 	slices.SortStableFunc(fields, func(a, b Field) int { return strings.Compare(a.Name, b.Name) })
 	// Deduplicate, keeping the last value for each name.
@@ -158,7 +221,7 @@ func ObjectOf(fields []Field) Value {
 		}
 		out = append(out, fields[i])
 	}
-	return Value{kind: KindObject, obj: out}
+	return objectOf(out)
 }
 
 func namesIncrease(fields []Field) bool {
@@ -173,72 +236,124 @@ func namesIncrease(fields []Field) bool {
 // F is shorthand for constructing a Field.
 func F(name string, v Value) Field { return Field{Name: name, Value: v} }
 
+// The payload views below return the zero of their type (nil for slices)
+// when v holds another kind or no payload, so the exported accessors are
+// these views.
+
+func (v Value) str() string {
+	if p, ok := v.any.(stringptr); ok {
+		return unsafe.String(p, v.n)
+	}
+	return ""
+}
+
+func (v Value) bytes() []byte {
+	if p, ok := v.any.(bytesptr); ok {
+		return unsafe.Slice((*byte)(p), v.n)
+	}
+	return nil
+}
+
+func (v Value) arr() []Value {
+	if p, ok := v.any.(arrayptr); ok {
+		return unsafe.Slice((*Value)(p), v.n)
+	}
+	return nil
+}
+
+func (v Value) obj() []Field {
+	if p, ok := v.any.(objectptr); ok {
+		return unsafe.Slice((*Field)(p), v.n)
+	}
+	return nil
+}
+
+func (v Value) i64() int64   { return int64(v.n) }
+func (v Value) f64() float64 { return math.Float64frombits(v.n) }
+
 // Kind reports the runtime type of v.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	switch x := v.any.(type) {
+	case Kind:
+		return x
+	case stringptr:
+		return KindString
+	case bytesptr:
+		return KindBytes
+	case arrayptr:
+		return KindArray
+	case objectptr:
+		return KindObject
+	}
+	return KindNull
+}
 
 // IsNull reports whether v is null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.any == nil }
 
-// AsBool returns the boolean payload; it is only meaningful for KindBool.
-func (v Value) AsBool() bool { return v.b }
+// AsBool returns the boolean payload; false for any other kind.
+func (v Value) AsBool() bool { return v.any == KindBool && v.n != 0 }
 
-// AsInt returns the integer payload, converting from float if needed.
+// AsInt returns the integer payload, converting from float if needed; 0
+// for non-numbers.
 func (v Value) AsInt() int64 {
-	if v.kind == KindFloat {
-		return int64(v.f)
-	}
-	return v.i
-}
-
-// AsFloat returns the numeric payload as float64, converting from int.
-func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
-	}
-	return v.f
-}
-
-// AsString returns the string payload; only meaningful for KindString.
-func (v Value) AsString() string { return v.s }
-
-// AsBytes returns the bytes payload; only meaningful for KindBytes.
-func (v Value) AsBytes() []byte { return v.by }
-
-// AsArray returns the element slice; only meaningful for KindArray.
-func (v Value) AsArray() []Value { return v.arr }
-
-// Fields returns the sorted field slice; only meaningful for KindObject.
-func (v Value) Fields() []Field { return v.obj }
-
-// IsNumber reports whether v is an int or float.
-func (v Value) IsNumber() bool { return v.kind == KindInt || v.kind == KindFloat }
-
-// Len returns the number of elements (array), fields (object), bytes
-// (bytes), or UTF-8 bytes (string); 0 for scalars.
-func (v Value) Len() int {
-	switch v.kind {
-	case KindArray:
-		return len(v.arr)
-	case KindObject:
-		return len(v.obj)
-	case KindString:
-		return len(v.s)
-	case KindBytes:
-		return len(v.by)
+	switch v.any {
+	case KindInt:
+		return v.i64()
+	case KindFloat:
+		return int64(v.f64())
 	default:
 		return 0
 	}
 }
 
+// AsFloat returns the numeric payload as float64, converting from int; 0
+// for non-numbers.
+func (v Value) AsFloat() float64 {
+	switch v.any {
+	case KindFloat:
+		return v.f64()
+	case KindInt:
+		return float64(v.i64())
+	default:
+		return 0
+	}
+}
+
+// AsString returns the string payload; "" for any other kind.
+func (v Value) AsString() string { return v.str() }
+
+// AsBytes returns the bytes payload with cap == len; nil for any other
+// kind.
+func (v Value) AsBytes() []byte { return v.bytes() }
+
+// AsArray returns the element slice with cap == len, so an append to it
+// reallocates; nil for any other kind.
+func (v Value) AsArray() []Value { return v.arr() }
+
+// Fields returns the sorted field slice with cap == len; nil for any
+// other kind.
+func (v Value) Fields() []Field { return v.obj() }
+
+// IsNumber reports whether v is an int or float.
+func (v Value) IsNumber() bool { return v.any == KindInt || v.any == KindFloat }
+
+// Len returns the number of elements (array), fields (object), bytes
+// (bytes), or UTF-8 bytes (string); 0 for scalars.
+func (v Value) Len() int {
+	if _, scalar := v.any.(Kind); scalar {
+		return 0
+	}
+	return int(v.n)
+}
+
 // Get returns the value of the named field of an object, or (Null, false)
 // when v is not an object or has no such field.
 func (v Value) Get(name string) (Value, bool) {
-	if v.kind != KindObject {
-		return Null, false
-	}
-	i := sort.Search(len(v.obj), func(i int) bool { return v.obj[i].Name >= name })
-	if i < len(v.obj) && v.obj[i].Name == name {
-		return v.obj[i].Value, true
+	obj := v.obj()
+	i := sort.Search(len(obj), func(i int) bool { return obj[i].Name >= name })
+	if i < len(obj) && obj[i].Name == name {
+		return obj[i].Value, true
 	}
 	return Null, false
 }
@@ -252,27 +367,26 @@ func (v Value) GetOr(name string) Value {
 // Index returns element i of an array. Negative indexes count from the end
 // (AQL semantics). Out-of-range access returns (Null, false).
 func (v Value) Index(i int) (Value, bool) {
-	if v.kind != KindArray {
-		return Null, false
-	}
+	arr := v.arr()
 	if i < 0 {
-		i += len(v.arr)
+		i += len(arr)
 	}
-	if i < 0 || i >= len(v.arr) {
+	if i < 0 || i >= len(arr) {
 		return Null, false
 	}
-	return v.arr[i], true
+	return arr[i], true
 }
 
 // Set returns a copy of the object v with field name set to val. If v is not
 // an object, a fresh single-field object is returned.
 func (v Value) Set(name string, val Value) Value {
-	if v.kind != KindObject {
+	if v.Kind() != KindObject {
 		return Object(F(name, val))
 	}
-	out := make([]Field, 0, len(v.obj)+1)
+	obj := v.obj()
+	out := make([]Field, 0, len(obj)+1)
 	inserted := false
-	for _, f := range v.obj {
+	for _, f := range obj {
 		switch {
 		case f.Name == name:
 			out = append(out, F(name, val))
@@ -287,31 +401,32 @@ func (v Value) Set(name string, val Value) Value {
 	if !inserted {
 		out = append(out, F(name, val))
 	}
-	return Value{kind: KindObject, obj: out}
+	return objectOf(out)
 }
 
 // Delete returns a copy of the object v without the named field.
 func (v Value) Delete(name string) Value {
-	if v.kind != KindObject {
+	if v.Kind() != KindObject {
 		return v
 	}
-	out := make([]Field, 0, len(v.obj))
-	for _, f := range v.obj {
+	obj := v.obj()
+	out := make([]Field, 0, len(obj))
+	for _, f := range obj {
 		if f.Name != name {
 			out = append(out, f)
 		}
 	}
-	return Value{kind: KindObject, obj: out}
+	return objectOf(out)
 }
 
 // Merge returns v with all fields of other set on top (shallow merge,
 // PostgreSQL jsonb || semantics).
 func (v Value) Merge(other Value) Value {
-	if v.kind != KindObject || other.kind != KindObject {
+	if v.Kind() != KindObject || other.Kind() != KindObject {
 		return other
 	}
 	out := v
-	for _, f := range other.obj {
+	for _, f := range other.obj() {
 		out = out.Set(f.Name, f.Value)
 	}
 	return out
@@ -321,25 +436,10 @@ func (v Value) Merge(other Value) Value {
 // null→false, bool→itself, numbers→non-zero, string/bytes/array/object→
 // non-empty.
 func (v Value) Truthy() bool {
-	switch v.kind {
-	case KindNull:
-		return false
-	case KindBool:
-		return v.b
-	case KindInt:
-		return v.i != 0
-	case KindFloat:
-		return v.f != 0
-	case KindString:
-		return v.s != ""
-	case KindBytes:
-		return len(v.by) > 0
-	case KindArray:
-		return len(v.arr) > 0
-	case KindObject:
-		return len(v.obj) > 0
+	if v.any == KindFloat {
+		return v.f64() != 0
 	}
-	return false
+	return v.n != 0 // a bool, an int, or a length
 }
 
 // Compare defines a total order over all Values: by type rank first
@@ -347,62 +447,51 @@ func (v Value) Truthy() bool {
 // Int and float compare numerically with each other. Arrays compare
 // lexicographically; objects compare by their sorted field lists.
 func Compare(a, b Value) int {
-	ra, rb := typeRank(a.kind), typeRank(b.kind)
+	ka, kb := a.Kind(), b.Kind()
+	ra, rb := typeRank(ka), typeRank(kb)
 	if ra != rb {
 		if ra < rb {
 			return -1
 		}
 		return 1
 	}
-	switch a.kind {
+	switch ka {
 	case KindNull:
 		return 0
 	case KindBool:
-		switch {
-		case a.b == b.b:
-			return 0
-		case !a.b:
-			return -1
-		default:
-			return 1
-		}
+		return cmp.Compare(a.n, b.n)
 	case KindInt, KindFloat:
 		return compareNumeric(a, b)
 	case KindString:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.str(), b.str())
 	case KindBytes:
-		return compareBytes(a.by, b.by)
+		return bytes.Compare(a.bytes(), b.bytes())
 	case KindArray:
-		for i := 0; i < len(a.arr) && i < len(b.arr); i++ {
-			if c := Compare(a.arr[i], b.arr[i]); c != 0 {
+		aa, ba := a.arr(), b.arr()
+		for i := 0; i < len(aa) && i < len(ba); i++ {
+			if c := Compare(aa[i], ba[i]); c != 0 {
 				return c
 			}
 		}
-		return len(a.arr) - len(b.arr)
+		return len(aa) - len(ba)
 	case KindObject:
-		for i := 0; i < len(a.obj) && i < len(b.obj); i++ {
-			if c := strings.Compare(a.obj[i].Name, b.obj[i].Name); c != 0 {
+		ao, bo := a.obj(), b.obj()
+		for i := 0; i < len(ao) && i < len(bo); i++ {
+			if c := strings.Compare(ao[i].Name, bo[i].Name); c != 0 {
 				return c
 			}
-			if c := Compare(a.obj[i].Value, b.obj[i].Value); c != 0 {
+			if c := Compare(ao[i].Value, bo[i].Value); c != 0 {
 				return c
 			}
 		}
-		return len(a.obj) - len(b.obj)
+		return len(ao) - len(bo)
 	}
 	return 0
 }
 
 func compareNumeric(a, b Value) int {
-	if a.kind == KindInt && b.kind == KindInt {
-		switch {
-		case a.i < b.i:
-			return -1
-		case a.i > b.i:
-			return 1
-		default:
-			return 0
-		}
+	if a.any == KindInt && b.any == KindInt {
+		return cmp.Compare(a.i64(), b.i64())
 	}
 	af, bf := a.AsFloat(), b.AsFloat()
 	switch {
@@ -419,18 +508,6 @@ func compareNumeric(a, b Value) int {
 	}
 }
 
-func compareBytes(a, b []byte) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
-}
-
 // Equal reports deep equality under the Compare order.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
@@ -445,12 +522,12 @@ func Contains(a, b Value) bool {
 }
 
 func contains(a, b Value, top bool) bool {
-	switch b.kind {
+	switch b.Kind() {
 	case KindObject:
-		if a.kind != KindObject {
+		if a.Kind() != KindObject {
 			return false
 		}
-		for _, f := range b.obj {
+		for _, f := range b.obj() {
 			av, ok := a.Get(f.Name)
 			if !ok || !contains(av, f.Value, false) {
 				return false
@@ -458,12 +535,12 @@ func contains(a, b Value, top bool) bool {
 		}
 		return true
 	case KindArray:
-		if a.kind != KindArray {
+		if a.Kind() != KindArray {
 			return false
 		}
-		for _, be := range b.arr {
+		for _, be := range b.arr() {
 			found := false
-			for _, ae := range a.arr {
+			for _, ae := range a.arr() {
 				if contains(ae, be, false) {
 					found = true
 					break
@@ -475,8 +552,8 @@ func contains(a, b Value, top bool) bool {
 		}
 		return true
 	default:
-		if a.kind == KindArray && top {
-			for _, ae := range a.arr {
+		if a.Kind() == KindArray && top {
+			for _, ae := range a.arr() {
 				if Equal(ae, b) {
 					return true
 				}
@@ -491,19 +568,19 @@ func numericAwareEqual(a, b Value) bool {
 	if a.IsNumber() && b.IsNumber() {
 		return compareNumeric(a, b) == 0
 	}
-	return a.kind == b.kind && Compare(a, b) == 0
+	return a.Kind() == b.Kind() && Compare(a, b) == 0
 }
 
 // HasKey implements the jsonb ? operator: top-level key existence for
 // objects, element (string) existence for arrays.
 func HasKey(v Value, key string) bool {
-	switch v.kind {
+	switch v.Kind() {
 	case KindObject:
 		_, ok := v.Get(key)
 		return ok
 	case KindArray:
-		for _, e := range v.arr {
-			if e.kind == KindString && e.s == key {
+		for _, e := range v.arr() {
+			if e.Kind() == KindString && e.str() == key {
 				return true
 			}
 		}
@@ -514,7 +591,8 @@ func HasKey(v Value, key string) bool {
 }
 
 // String renders the Value as compact JSON (bytes render as a quoted
-// hex-prefixed string). It implements fmt.Stringer.
+// hex-prefixed string). Strings are escaped per RFC 8259, so the output is
+// always valid JSON. It implements fmt.Stringer.
 func (v Value) String() string {
 	var sb strings.Builder
 	v.appendJSON(&sb)
@@ -522,26 +600,32 @@ func (v Value) String() string {
 }
 
 func (v Value) appendJSON(sb *strings.Builder) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		sb.WriteString("null")
 	case KindBool:
-		sb.WriteString(strconv.FormatBool(v.b))
+		sb.WriteString(strconv.FormatBool(v.n != 0))
 	case KindInt:
-		sb.WriteString(strconv.FormatInt(v.i, 10))
+		sb.WriteString(strconv.FormatInt(v.i64(), 10))
 	case KindFloat:
-		if math.IsInf(v.f, 0) || math.IsNaN(v.f) {
+		f := v.f64()
+		if math.IsInf(f, 0) || math.IsNaN(f) {
 			sb.WriteString("null") // JSON has no Inf/NaN
 			return
 		}
-		sb.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
+		sb.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
 	case KindString:
-		sb.WriteString(strconv.Quote(v.s))
+		appendQuoted(sb, v.str())
 	case KindBytes:
-		sb.WriteString(strconv.Quote("0x" + hexEncode(v.by)))
+		sb.WriteString(`"0x`)
+		for _, c := range v.bytes() {
+			sb.WriteByte(hexDigits[c>>4])
+			sb.WriteByte(hexDigits[c&0x0f])
+		}
+		sb.WriteByte('"')
 	case KindArray:
 		sb.WriteByte('[')
-		for i, e := range v.arr {
+		for i, e := range v.arr() {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -550,11 +634,11 @@ func (v Value) appendJSON(sb *strings.Builder) {
 		sb.WriteByte(']')
 	case KindObject:
 		sb.WriteByte('{')
-		for i, f := range v.obj {
+		for i, f := range v.obj() {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
-			sb.WriteString(strconv.Quote(f.Name))
+			appendQuoted(sb, f.Name)
 			sb.WriteByte(':')
 			f.Value.appendJSON(sb)
 		}
@@ -564,13 +648,64 @@ func (v Value) appendJSON(sb *strings.Builder) {
 
 const hexDigits = "0123456789abcdef"
 
-func hexEncode(b []byte) string {
-	out := make([]byte, 2*len(b))
-	for i, c := range b {
-		out[2*i] = hexDigits[c>>4]
-		out[2*i+1] = hexDigits[c&0x0f]
+// appendQuoted writes s as a JSON string literal. It follows strconv.Quote
+// (printable runes verbatim; \b \f \n \r \t; other runes below U+10000
+// as \uXXXX), so output that was already valid JSON stays byte-identical,
+// but it never emits strconv's non-JSON forms: \a, \v, \x7f and other
+// control bytes become \u00XX, an invalid UTF-8 byte becomes \ufffd, and a
+// non-printable rune above U+FFFF becomes a UTF-16 surrogate pair.
+func appendQuoted(sb *strings.Builder, s string) {
+	sb.WriteByte('"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= 0x20 && c < 0x7f && c != '"' && c != '\\' {
+			j := i + 1
+			for j < len(s) && s[j] >= 0x20 && s[j] < 0x7f && s[j] != '"' && s[j] != '\\' {
+				j++
+			}
+			sb.WriteString(s[i:j])
+			i = j
+			continue
+		}
+		r, width := rune(c), 1
+		if c >= utf8.RuneSelf {
+			r, width = utf8.DecodeRuneInString(s[i:])
+		}
+		i += width
+		switch {
+		case r == '"' || r == '\\':
+			sb.WriteByte('\\')
+			sb.WriteByte(byte(r))
+		case width == 1 && r == utf8.RuneError:
+			sb.WriteString(`\ufffd`)
+		case strconv.IsPrint(r):
+			sb.WriteString(s[i-width : i])
+		case r == '\b':
+			sb.WriteString(`\b`)
+		case r == '\f':
+			sb.WriteString(`\f`)
+		case r == '\n':
+			sb.WriteString(`\n`)
+		case r == '\r':
+			sb.WriteString(`\r`)
+		case r == '\t':
+			sb.WriteString(`\t`)
+		case r < 0x10000:
+			appendUnicodeEscape(sb, r)
+		default:
+			r1, r2 := utf16.EncodeRune(r)
+			appendUnicodeEscape(sb, r1)
+			appendUnicodeEscape(sb, r2)
+		}
 	}
-	return string(out)
+	sb.WriteByte('"')
+}
+
+func appendUnicodeEscape(sb *strings.Builder, r rune) {
+	sb.WriteString(`\u`)
+	for shift := 12; shift >= 0; shift -= 4 {
+		sb.WriteByte(hexDigits[r>>shift&0xf])
+	}
 }
 
 // Hash returns a 64-bit FNV-1a structural hash consistent with Equal for
@@ -589,23 +724,19 @@ func (v Value) Hash() uint64 {
 	}
 	var walk func(v Value)
 	walk = func(v Value) {
-		switch v.kind {
+		switch v.Kind() {
 		case KindNull:
 			mix(0)
 		case KindBool:
 			mix(1)
-			if v.b {
-				mix(1)
-			} else {
-				mix(0)
-			}
+			mix(byte(v.n))
 		case KindInt, KindFloat:
 			mix(2)
 			// Hash integral floats identically to ints so that
 			// Int(3) and Float(3.0), which compare equal, also
 			// hash equal.
 			f := v.AsFloat()
-			if v.kind == KindInt || (f == math.Trunc(f) && !math.IsInf(f, 0)) {
+			if v.any == KindInt || (f == math.Trunc(f) && !math.IsInf(f, 0)) {
 				mix(0)
 				mix64(uint64(v.AsInt()))
 			} else {
@@ -614,22 +745,23 @@ func (v Value) Hash() uint64 {
 			}
 		case KindString:
 			mix(3)
-			for i := 0; i < len(v.s); i++ {
-				mix(v.s[i])
+			s := v.str()
+			for i := 0; i < len(s); i++ {
+				mix(s[i])
 			}
 		case KindBytes:
 			mix(4)
-			for _, b := range v.by {
+			for _, b := range v.bytes() {
 				mix(b)
 			}
 		case KindArray:
 			mix(5)
-			for _, e := range v.arr {
+			for _, e := range v.arr() {
 				walk(e)
 			}
 		case KindObject:
 			mix(6)
-			for _, f := range v.obj {
+			for _, f := range v.obj() {
 				for i := 0; i < len(f.Name); i++ {
 					mix(f.Name[i])
 				}
@@ -645,23 +777,29 @@ func (v Value) Hash() uint64 {
 // Clone returns a deep copy of v whose arrays, objects, and byte slices do
 // not share memory with v.
 func (v Value) Clone() Value {
-	switch v.kind {
+	switch v.Kind() {
 	case KindBytes:
-		b := make([]byte, len(v.by))
-		copy(b, v.by)
-		return Bytes(b)
+		return Bytes(bytes.Clone(v.bytes()))
 	case KindArray:
-		arr := make([]Value, len(v.arr))
-		for i, e := range v.arr {
+		src := v.arr()
+		if src == nil {
+			return v
+		}
+		arr := make([]Value, len(src))
+		for i, e := range src {
 			arr[i] = e.Clone()
 		}
 		return ArrayOf(arr)
 	case KindObject:
-		obj := make([]Field, len(v.obj))
-		for i, f := range v.obj {
+		src := v.obj()
+		if src == nil {
+			return v
+		}
+		obj := make([]Field, len(src))
+		for i, f := range src {
 			obj[i] = F(f.Name, f.Value.Clone())
 		}
-		return Value{kind: KindObject, obj: obj}
+		return objectOf(obj)
 	default:
 		return v
 	}

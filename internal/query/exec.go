@@ -584,25 +584,17 @@ func (c *execCtx) execCollect(cl *CollectClause, rows []*env) ([]*env, error) {
 		}
 		out = grouped
 	} else {
-		var order []string
-		groups := map[string]*collectGroup{}
+		groups := newGroupTable()
 		for _, r := range rows {
 			keyVals := make([]mmvalue.Value, len(cl.Keys))
-			var keyID string
 			for i, k := range cl.Keys {
 				v, err := c.eval(k, r)
 				if err != nil {
 					return nil, err
 				}
 				keyVals[i] = v
-				keyID += v.String() + "\x00"
 			}
-			g := groups[keyID]
-			if g == nil {
-				g = &collectGroup{keyVals: keyVals}
-				groups[keyID] = g
-				order = append(order, keyID)
-			}
+			g := groups.group(keyVals)
 			g.members = append(g.members, r)
 			if cl.Into != "" {
 				obj := mmvalue.ObjectOf(r.allVars())
@@ -610,7 +602,7 @@ func (c *execCtx) execCollect(cl *CollectClause, rows []*env) ([]*env, error) {
 				g.observeAggs(cl, obj)
 			}
 		}
-		out = c.buildCollectRows(cl, order, groups)
+		out = c.buildCollectRows(cl, groups.order)
 	}
 	// A keyless COLLECT over zero rows still yields one (empty) group so
 	// aggregates like COUNT(*) return 0.

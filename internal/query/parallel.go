@@ -311,6 +311,7 @@ func (c *execCtx) execReturnParallel(cl *ReturnClause, rows []*env) ([]mmvalue.V
 // aggregate state per compiled aggSpec.
 type collectGroup struct {
 	keyVals    []mmvalue.Value
+	hash       uint64 // of mmvalue.ArrayOf(keyVals)
 	members    []*env
 	memberObjs []mmvalue.Value
 	partials   []aggState
@@ -331,40 +332,64 @@ func (g *collectGroup) observeAggs(cl *CollectClause, obj mmvalue.Value) {
 	}
 }
 
-// collectPartial is one chunk's group table: first-seen key order within the
-// chunk plus the per-key partial groups.
-type collectPartial struct {
-	order  []string
-	groups map[string]*collectGroup
+// groupTable holds COLLECT groups in first-seen key order. Keys match
+// under mmvalue.Equal, bucketed by Hash, as DISTINCT's do.
+type groupTable struct {
+	order  []*collectGroup
+	byHash map[uint64][]*collectGroup
 }
 
-// execCollectParallel builds per-chunk partial group tables on the pool and
-// merges them in chunk order. Global group order is first-seen order (the
-// lowest chunk that saw a key determines its position), and member lists
+func newGroupTable() *groupTable {
+	return &groupTable{byHash: make(map[uint64][]*collectGroup)}
+}
+
+// lookup returns the group whose key equals keyVals, or nil.
+func (t *groupTable) lookup(h uint64, keyVals []mmvalue.Value) *collectGroup {
+	for _, g := range t.byHash[h] {
+		if mmvalue.Equal(mmvalue.ArrayOf(g.keyVals), mmvalue.ArrayOf(keyVals)) {
+			return g
+		}
+	}
+	return nil
+}
+
+func (t *groupTable) insert(g *collectGroup) {
+	t.byHash[g.hash] = append(t.byHash[g.hash], g)
+	t.order = append(t.order, g)
+}
+
+// group returns the group of keyVals, adding an empty one after the groups
+// already seen when the key is new.
+func (t *groupTable) group(keyVals []mmvalue.Value) *collectGroup {
+	h := mmvalue.ArrayOf(keyVals).Hash()
+	if g := t.lookup(h, keyVals); g != nil {
+		return g
+	}
+	g := &collectGroup{keyVals: keyVals, hash: h}
+	t.insert(g)
+	return g
+}
+
+// execCollectParallel builds per-chunk group tables on the pool and merges
+// them in chunk order. Global group order is first-seen order (the lowest
+// chunk that saw a key determines its position), and member lists
 // concatenate in chunk order — both identical to the serial pass, because
 // chunks are contiguous row ranges processed in order.
 func (c *execCtx) execCollectParallel(cl *CollectClause, rows []*env) ([]*env, error) {
 	chunks := c.splitChunks(len(rows))
-	partials := make([]*collectPartial, len(chunks))
+	partials := make([]*groupTable, len(chunks))
 	err := runChunks(chunks, func(ci int, ch chunkRange) error {
-		p := &collectPartial{groups: make(map[string]*collectGroup)}
+		t := newGroupTable()
 		for _, r := range rows[ch.lo:ch.hi] {
 			keyVals := make([]mmvalue.Value, len(cl.Keys))
-			var keyID string
 			for i, k := range cl.Keys {
 				v, err := c.eval(k, r)
 				if err != nil {
 					return err
 				}
 				keyVals[i] = v
-				keyID += v.String() + "\x00"
 			}
-			g := p.groups[keyID]
-			if g == nil {
-				g = &collectGroup{keyVals: keyVals}
-				p.groups[keyID] = g
-				p.order = append(p.order, keyID)
-			}
+			g := t.group(keyVals)
 			g.members = append(g.members, r)
 			if cl.Into != "" {
 				obj := mmvalue.ObjectOf(r.allVars())
@@ -372,14 +397,13 @@ func (c *execCtx) execCollectParallel(cl *CollectClause, rows []*env) ([]*env, e
 				g.observeAggs(cl, obj)
 			}
 		}
-		partials[ci] = p
+		partials[ci] = t
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	order, groups := mergeCollectPartials(cl, partials)
-	return c.buildCollectRows(cl, order, groups), nil
+	return c.buildCollectRows(cl, mergeCollectPartials(cl, partials)), nil
 }
 
 // mergeCollectPartials merges per-chunk group tables in ascending chunk
@@ -387,16 +411,13 @@ func (c *execCtx) execCollectParallel(cl *CollectClause, rows []*env) ([]*env, e
 // and per-spec aggregate states merge pairwise (chunk order is serial fold
 // order, so the merged state matches what one left-to-right accumulation
 // would have produced).
-func mergeCollectPartials(cl *CollectClause, partials []*collectPartial) ([]string, map[string]*collectGroup) {
-	var order []string
-	groups := make(map[string]*collectGroup)
+func mergeCollectPartials(cl *CollectClause, partials []*groupTable) []*collectGroup {
+	merged := newGroupTable()
 	for _, p := range partials {
-		for _, id := range p.order {
-			pg := p.groups[id]
-			g := groups[id]
+		for _, pg := range p.order {
+			g := merged.lookup(pg.hash, pg.keyVals)
 			if g == nil {
-				groups[id] = pg
-				order = append(order, id)
+				merged.insert(pg)
 				continue
 			}
 			g.members = append(g.members, pg.members...)
@@ -408,16 +429,15 @@ func mergeCollectPartials(cl *CollectClause, partials []*collectPartial) ([]stri
 			}
 		}
 	}
-	return order, groups
+	return merged.order
 }
 
 // buildCollectRows produces the output rows of a COLLECT from the merged
 // group table, mirroring the serial pass: loose-grouping base bindings from
 // the group's first member, key variables, then the INTO array.
-func (c *execCtx) buildCollectRows(cl *CollectClause, order []string, groups map[string]*collectGroup) []*env {
-	out := make([]*env, 0, len(order))
-	for _, id := range order {
-		g := groups[id]
+func (c *execCtx) buildCollectRows(cl *CollectClause, groups []*collectGroup) []*env {
+	out := make([]*env, 0, len(groups))
+	for _, g := range groups {
 		base := g.members[0]
 		for i, v := range g.keyVals {
 			if i < len(cl.Vars) {

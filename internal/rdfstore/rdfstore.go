@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/engine"
 	"repro/internal/keyenc"
@@ -438,10 +439,21 @@ func (s *Store) All(tx engine.Tx, g string) ([]Triple, error) {
 // becomes subject —path→ value).
 func (s *Store) FromValue(tx engine.Tx, g, subject string, v mmvalue.Value) error {
 	for _, entry := range mmvalue.FlattenPaths(v) {
-		t := Triple{S: subject, P: entry.Path, O: entry.Leaf.String()}
+		t := Triple{S: subject, P: entry.Path, O: objectTerm(entry.Leaf)}
 		if err := s.Insert(tx, g, t); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// objectTerm renders a leaf as an object term. A string is quoted by
+// strconv.Quote, which maps distinct strings to distinct terms; the JSON
+// rendering of Value.String cannot, as it writes every invalid UTF-8 byte
+// as \ufffd. Other leaves (scalars and empty containers) render as JSON.
+func objectTerm(leaf mmvalue.Value) string {
+	if leaf.Kind() == mmvalue.KindString {
+		return strconv.Quote(leaf.AsString())
+	}
+	return leaf.String()
 }

@@ -247,6 +247,34 @@ func TestFromValue(t *testing.T) {
 	})
 }
 
+// TestFromValueStringTerms checks that string leaves keep their
+// strconv.Quote terms, so distinct strings stay distinct objects: two
+// strings that differ only in an invalid UTF-8 byte render to one JSON
+// text, but must not collapse into one term.
+func TestFromValueStringTerms(t *testing.T) {
+	e, s := setup(t)
+	doc := mmvalue.Object(mmvalue.F("a", mmvalue.String("\xa9")), mmvalue.F("b", mmvalue.String("\xa0")),
+		mmvalue.F("c", mmvalue.String("x\ay")))
+	if err := e.Update(func(tx *engine.Txn) error { return s.FromValue(tx, "g", "<s>", doc) }); err != nil {
+		t.Fatal(err)
+	}
+	e.View(func(tx *engine.Txn) error {
+		got, err := s.Match(tx, "g", Pattern{S: "<s>"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var objs []string
+		for _, tr := range got {
+			objs = append(objs, tr.O)
+		}
+		sort.Strings(objs)
+		if want := []string{`"\xa0"`, `"\xa9"`, `"x\ay"`}; !reflect.DeepEqual(objs, want) {
+			t.Fatalf("object terms = %q, want %q", objs, want)
+		}
+		return nil
+	})
+}
+
 func TestGraphIsolation(t *testing.T) {
 	e, s := setup(t)
 	e.Update(func(tx *engine.Txn) error {

@@ -211,10 +211,18 @@ func splitTwo(path, prefix string) (string, string, bool) {
 	return rest[:i], rest[i+1:], true
 }
 
+// writeJSON answers code with v as one line of JSON. It encodes before it
+// writes the header, so a value that fails to encode answers 500 with an
+// error body rather than an empty 200.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: "encode response: " + err.Error()}) //nolint:errcheck — a string field always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck — best effort on the wire
+	w.Write(append(body, '\n')) //nolint:errcheck — best effort on the wire
 }
 
 // queryResult is the query-layer result type.

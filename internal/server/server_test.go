@@ -186,3 +186,45 @@ func TestPutInvalidDocument(t *testing.T) {
 		t.Fatalf("unregistered coll = %d", code)
 	}
 }
+
+// TestControlCharactersRoundTrip stores a string holding a control
+// character and reads it back through both the point route and /query: each
+// answer must be valid JSON that decodes to the stored string.
+func TestControlCharactersRoundTrip(t *testing.T) {
+	_, ts := newServer(t)
+	const stored = "a\u0007b\u000bc\u007fd\U000E0001"
+	body, err := json.Marshal(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, resp := do(t, "PUT", ts.URL+"/kv/b/k", string(body)); code != 200 {
+		t.Fatalf("PUT kv = %d %s", code, resp)
+	}
+	code, resp := do(t, "GET", ts.URL+"/kv/b/k", "")
+	var got string
+	if code != 200 || json.Unmarshal([]byte(resp), &got) != nil || got != stored {
+		t.Fatalf("GET kv = %d %q, want %q", code, resp, body)
+	}
+	code, resp = do(t, "POST", ts.URL+"/query", `{"query": "RETURN KV('b','k')"}`)
+	var out struct {
+		Results []string `json:"results"`
+	}
+	if code != 200 || json.Unmarshal([]byte(resp), &out) != nil ||
+		len(out.Results) != 1 || out.Results[0] != stored {
+		t.Fatalf("query = %d %q", code, resp)
+	}
+}
+
+type badJSON struct{}
+
+func (badJSON) MarshalJSON() ([]byte, error) { return []byte(`"\a"`), nil }
+
+func TestWriteJSONEncodeFailureIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, badJSON{})
+	var resp errorResponse
+	if rec.Code != http.StatusInternalServerError ||
+		json.Unmarshal(rec.Body.Bytes(), &resp) != nil || resp.Error == "" {
+		t.Fatalf("writeJSON of unencodable value = %d %q", rec.Code, rec.Body.String())
+	}
+}
