@@ -1,5 +1,5 @@
 // Batch reading: the columnar half of the vectorized execution path. A
-// Batch is ~1k items of one wide-column table materialized column-wise —
+// Batch is up to ~1k items of one wide-column table materialized column-wise —
 // one value vector plus a presence bitmap per attribute — decoded straight
 // off the engine snapshot in a single ordered scan. The vectorized
 // evaluator in internal/query works on these vectors (and on per-column
@@ -72,7 +72,8 @@ type Batch struct {
 	colIdx map[string]int // name -> index in Cols; lookups only
 
 	projected bool // built with a projection; Doc is unavailable
-	capHint   int  // expected row count; presizes column vectors
+	capHint   int  // expected row count; sizes the vectors (see put)
+	values    int  // present values across all columns
 }
 
 // Len returns the number of items in the batch.
@@ -127,16 +128,12 @@ func (b *Batch) addValue(row int, attr string, val mmvalue.Value) {
 		b.colIdx[attr] = ci
 		b.Cols = append(b.Cols, Column{
 			Name:    attr,
-			Vals:    make([]mmvalue.Value, 0, b.capHint),
 			Present: bitmapidx.NewBitset(),
 			AllInt:  true,
 		})
 	}
 	c := &b.Cols[ci]
-	for len(c.Vals) < row {
-		c.Vals = append(c.Vals, mmvalue.Null)
-	}
-	c.Vals = append(c.Vals, val)
+	c.Vals = put(c.Vals, row, val, b.capHint)
 	c.Present.Set(row)
 
 	switch val.Kind() {
@@ -159,15 +156,36 @@ func (b *Batch) addValue(row int, attr string, val mmvalue.Value) {
 	}
 	if c.NPresent == 0 {
 		c.MinVal, c.MaxVal = val, val
-	} else {
-		if mmvalue.Compare(val, c.MinVal) < 0 {
-			c.MinVal = val
-		}
-		if mmvalue.Compare(val, c.MaxVal) > 0 {
-			c.MaxVal = val
-		}
+	} else if mmvalue.Compare(val, c.MinVal) < 0 {
+		c.MinVal = val
+	} else if mmvalue.Compare(val, c.MaxVal) > 0 {
+		c.MaxVal = val
 	}
 	c.NPresent++
+	b.values++
+}
+
+// firstCap caps the first allocation of a batch vector (see put).
+const firstCap = 64
+
+// put stores x at v[i], padding v with Null up to i. A vector's first
+// allocation holds min(capHint, firstCap) cells and its second jumps to
+// capHint, so a dense batch allocates each vector twice while a short
+// sparse batch never reserves capHint cells for each of its columns.
+func put(v []mmvalue.Value, i int, x mmvalue.Value, capHint int) []mmvalue.Value {
+	if i >= cap(v) {
+		n := min(capHint, firstCap)
+		if cap(v) > 0 {
+			n = max(capHint, 2*cap(v))
+		}
+		grown := make([]mmvalue.Value, len(v), max(n, i+1))
+		copy(grown, v)
+		v = grown
+	}
+	for len(v) < i {
+		v = append(v, mmvalue.Null)
+	}
+	return append(v, x)
 }
 
 // seal pads every column vector to the batch's row count.
@@ -180,12 +198,43 @@ func (b *Batch) seal() {
 	}
 }
 
-// ReadBatches materializes the whole table as column-wise batches of
-// ~batchSize items (<= 0 means DefaultBatchSize) in one ordered scan of
-// the engine snapshot — items are never split across batches. A non-nil
-// project keeps only the named attributes' values (keys are still decoded
-// for item boundaries); projected batches cannot reconstruct documents.
+// denseCells bounds a batch's padding: its column vectors may hold at most
+// this many cells per stored value or row (see Dense).
+const denseCells = 4
+
+// Dense reports whether the batch's column vectors hold at most denseCells
+// cells per stored value or row. A dense batch costs a constant factor over
+// the values it holds; a sparse one — a wide table whose items each carry a
+// few of many attributes — spends most of its vectors on Null padding, and
+// Doc walks every column for every row.
+func (b *Batch) Dense() bool {
+	return b.rows*len(b.Cols) <= denseCells*(b.values+b.rows)
+}
+
+// ReadBatches materializes the whole table as column-wise batches; see
+// EachBatch for how the table is cut.
 func (s *Store) ReadBatches(tx engine.Tx, table string, batchSize int, project []string) ([]*Batch, error) {
+	var batches []*Batch
+	err := s.EachBatch(tx, table, batchSize, project, func(b *Batch) bool {
+		batches = append(batches, b)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return batches, nil
+}
+
+// EachBatch reads the table as column-wise batches of up to batchSize items
+// (<= 0 means DefaultBatchSize) in one ordered scan of the engine snapshot,
+// handing each batch to fn as soon as it is complete; fn returns false to
+// stop the scan. Items are never split across batches, and a batch also ends
+// at the first item boundary where it is no longer Dense, so padding stays
+// within a constant factor of the values read (only the item that tipped a
+// batch over can exceed it). A non-nil project keeps only the named
+// attributes' values (keys are still decoded for item boundaries);
+// projected batches cannot reconstruct documents.
+func (s *Store) EachBatch(tx engine.Tx, table string, batchSize int, project []string, fn func(*Batch) bool) error {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
@@ -197,10 +246,12 @@ func (s *Store) ReadBatches(tx engine.Tx, table string, batchSize int, project [
 		}
 	}
 
-	var batches []*Batch
 	var cur *Batch
 	var curPart, curSort mmvalue.Value
-	started := false
+	// capHint sizes a batch's vectors (see put): batchSize for the first
+	// batch, then the length of the one before.
+	capHint := batchSize
+	started, stopped := false, false
 	row := -1
 	var decErr error
 	scratch := make([]mmvalue.Value, 0, 4) // reused per entry; copied out below
@@ -215,25 +266,26 @@ func (s *Store) ReadBatches(tx engine.Tx, table string, batchSize int, project [
 		if !started || !mmvalue.Equal(part, curPart) || !mmvalue.Equal(sort, curSort) {
 			started = true
 			curPart, curSort = part, sort
-			if cur != nil && cur.rows >= batchSize {
+			if cur != nil && (cur.rows >= batchSize || !cur.Dense()) {
 				cur.seal()
-				cur = nil
+				if !fn(cur) {
+					stopped = true
+					return false
+				}
+				capHint, cur = cur.rows, nil
 			}
 			if cur == nil {
 				cur = &Batch{
 					colIdx:    map[string]int{},
 					projected: keep != nil,
-					capHint:   batchSize,
-					Parts:     make([]mmvalue.Value, 0, batchSize),
-					Sorts:     make([]mmvalue.Value, 0, batchSize),
+					capHint:   capHint,
 				}
-				batches = append(batches, cur)
 				row = -1
 			}
 			row++
 			cur.rows = row + 1
-			cur.Parts = append(cur.Parts, part)
-			cur.Sorts = append(cur.Sorts, sort)
+			cur.Parts = put(cur.Parts, row, part, capHint)
+			cur.Sorts = put(cur.Sorts, row, sort, capHint)
 		}
 		if keep != nil && !keep[attr] {
 			return true
@@ -247,13 +299,14 @@ func (s *Store) ReadBatches(tx engine.Tx, table string, batchSize int, project [
 		return true
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if decErr != nil {
-		return nil, decErr
+		return decErr
 	}
-	if cur != nil {
+	if cur != nil && !stopped {
 		cur.seal()
+		fn(cur)
 	}
-	return batches, nil
+	return nil
 }

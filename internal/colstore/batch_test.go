@@ -82,6 +82,60 @@ func TestReadBatchesMatchesScanJSON(t *testing.T) {
 	}
 }
 
+// TestReadBatchesCutsSparseTables: on a table whose items each carry an
+// attribute no other item has, a batch ends at the first item boundary where
+// it is no longer Dense, so no batch holds more than one item past the
+// bound; the documents still match ScanJSON, and EachBatch stops when fn
+// returns false.
+func TestReadBatchesCutsSparseTables(t *testing.T) {
+	e, s := setup(t)
+	err := e.Update(func(tx *engine.Txn) error {
+		for i := 0; i < 100; i++ {
+			attrs := mmvalue.Object(mmvalue.F("v", mmvalue.Int(int64(i))), mmvalue.F(fmt.Sprintf("a%03d", i), mmvalue.Int(1)))
+			if err := s.PutItem(tx, "sparse", str("p"), mmvalue.Int(int64(i)), attrs); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.View(func(tx *engine.Txn) error {
+		var want []string
+		s.ScanJSON(tx, "sparse", func(doc mmvalue.Value) bool {
+			want = append(want, doc.String())
+			return true
+		})
+		batches, err := s.ReadBatches(tx, "sparse", 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for bi, b := range batches {
+			// Without its last item the batch was still Dense: r-1 rows of
+			// v plus one attribute each.
+			if r := b.Len(); (r-1)*r > denseCells*(2*(r-1)+(r-1)) {
+				t.Fatalf("batch %d holds %d items over %d columns", bi, r, len(b.Cols))
+			}
+			if bi < len(batches)-1 && b.Dense() {
+				t.Fatalf("batch %d was cut while still Dense", bi)
+			}
+			for i := 0; i < b.Len(); i++ {
+				got = append(got, b.Doc(i).String())
+			}
+		}
+		if len(batches) < 5 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%d batches; docs match ScanJSON: %v", len(batches), fmt.Sprint(got) == fmt.Sprint(want))
+		}
+		calls := 0
+		if err := s.EachBatch(tx, "sparse", 0, nil, func(*Batch) bool { calls++; return false }); err != nil || calls != 1 {
+			t.Fatalf("EachBatch after fn returned false: %d calls, %v", calls, err)
+		}
+		return nil
+	})
+}
+
 func TestBatchColumnStats(t *testing.T) {
 	e, s := setup(t)
 	seedWide(t, e, s, 30)

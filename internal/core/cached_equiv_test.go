@@ -9,22 +9,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mmvalue"
-	"repro/internal/query"
 )
 
 // The cached ≡ uncached equivalence corpus: every read-only query must
 // produce byte-identical JSON whether it executes the pipeline or is served
-// from the result cache, and whether the executing run was serial or
-// parallel. MaxParallel is forced to 4 on every run precisely because the
-// cache key excludes parallelism options — the executor's byte-identity
-// guarantee is what makes that exclusion sound, so this corpus pins both
-// claims at once.
+// from the result cache. Every run uses the stress mask (parallel from one
+// element on four workers) precisely because the cache key excludes every
+// ablation bit but NoIndexes — the executor's byte-identity guarantee is
+// what makes that exclusion sound, so this corpus pins both claims at once.
 
 func assertCachedUncachedEqual(t *testing.T, cached, uncached *core.DB, dialect, q string, params map[string]mmvalue.Value) {
 	t.Helper()
-	opts := query.Options{ParallelThreshold: 1, MaxParallel: 4}
-	run := func(db *core.DB) string { return mustJSON(t, runCorpusQuery(t, db, dialect, q, params, opts).Values) }
-	base := mustJSON(t, runLockedQuery(t, uncached, dialect, q, params, opts).Values)
+	run := func(db *core.DB) string {
+		return mustJSON(t, runCorpusQuery(t, db, dialect, q, params, stressOpts).Values)
+	}
+	base := mustJSON(t, runLockedQuery(t, uncached, dialect, q, params, serialOpts).Values)
 	if snap := run(uncached); snap != base {
 		t.Fatalf("snapshot differs from locked for %q\nsnapshot: %s\n  locked: %s", q, snap, base)
 	}

@@ -51,11 +51,6 @@ type Options struct {
 	// default) disables stale serving — any version mismatch recomputes in
 	// the foreground.
 	MaxResultStaleness time.Duration
-	// Vectorized makes the auto-transaction query entry points run eligible
-	// scan→filter→aggregate pipelines over column tables batch-at-a-time
-	// (see internal/query's vector.go). Results are byte-identical to the
-	// row path; per-call query.Options can still opt in explicitly.
-	Vectorized bool
 	// Shards hash-partitions every keyspace across this many in-process
 	// engine shards (internal/shard): point operations route by key hash,
 	// scans fan out and merge, and transactions spanning shards commit via
@@ -63,11 +58,6 @@ type Options struct {
 	// single-engine path with zero added overhead. The count is fixed at
 	// first open of a directory.
 	Shards int
-	// DisableGraphCSR turns off the CSR adjacency-snapshot traversal path:
-	// every graph traversal runs per-edge B+tree probes, as before PR 10.
-	// Results are byte-identical either way; the switch exists for
-	// ablation and as an escape hatch.
-	DisableGraphCSR bool
 }
 
 // DB is a multi-model database instance.
@@ -111,11 +101,6 @@ type DB struct {
 	refreshWG sync.WaitGroup
 
 	sources *query.Sources
-
-	// vectorized is the Options.Vectorized default applied by the
-	// auto-transaction query entry points (per-call query.Options can still
-	// opt in explicitly).
-	vectorized bool
 }
 
 // Open creates or recovers a database.
@@ -158,14 +143,10 @@ func Open(opts Options) (*DB, error) {
 		fts:    map[string]*inverted.FullText{},
 		plans:  newPlanCache(defaultPlanCacheCap),
 
-		vectorized: opts.Vectorized,
-		maxStale:   opts.MaxResultStaleness,
+		maxStale: opts.MaxResultStaleness,
 	}
 	if opts.ResultCacheBytes > 0 {
 		db.results = newResultCache(opts.ResultCacheBytes)
-	}
-	if opts.DisableGraphCSR {
-		db.Graphs.SetCSREnabled(false)
 	}
 	db.sources = &query.Sources{
 		Cols:   db.Cols,
@@ -526,15 +507,7 @@ func (db *DB) queryAuto(dialect, text string, params map[string]mmvalue.Value,
 // could miss rows it should see; on a snapshot `@>` falls back to scan and
 // recheck, but FTSEARCH has no scan form.
 func (db *DB) execPipeline(dialect, text string, pipe *query.Pipeline, opts query.Options) (*query.Result, error) {
-	// Apply the database-level vectorization default before either execution
-	// path (cached or not) so both observe the same options. Like the
-	// parallelism knobs, Vectorized is excluded from resultKey: the
-	// vectorized executor is byte-identical to the row path, so cached and
-	// recomputed results agree regardless of the flag.
-	if db.vectorized {
-		opts.Vectorized = true
-	}
-	if db.results != nil && !opts.NoResultCache && pipe.Cacheable() {
+	if db.results != nil && pipe.Cacheable() {
 		res, handled, err := db.execCached(dialect, text, pipe, opts)
 		if handled {
 			return res, err
@@ -562,7 +535,7 @@ func (db *DB) execPipeline(dialect, text string, pipe *query.Pipeline, opts quer
 // is false when the read-set could not be resolved against the catalog (the
 // caller then executes uncached); otherwise the result/error pair is final.
 func (db *DB) execCached(dialect, text string, pipe *query.Pipeline, opts query.Options) (res *query.Result, handled bool, err error) {
-	key := resultKey(dialect, text, opts.DisableIndexes, opts.Params)
+	key := resultKey(dialect, text, opts.Ablate&query.NoIndexes, opts.Params)
 	// Captured before the version check: the entry's provable fresh instant
 	// is at or after this, so staleness computed from it is conservative.
 	now := time.Now()

@@ -65,7 +65,7 @@ func assertCSRProbeEqual(t *testing.T, db *core.DB, dialect, q string) {
 	for i := 0; i < 5 && (csrRun == nil || csrRun.Stats.CSRTraversals == 0); i++ {
 		csrRun = runCorpusQuery(t, db, dialect, q, nil, query.Options{})
 	}
-	probeSnap := runCorpusQuery(t, db, dialect, q, nil, query.Options{NoCSR: true})
+	probeSnap := runCorpusQuery(t, db, dialect, q, nil, query.Options{Ablate: query.NoCSR})
 	probeLocked := runLockedQuery(t, db, dialect, q, nil, query.Options{})
 	if csrRun.Stats.CSRTraversals == 0 {
 		t.Fatalf("snapshot run did not use the CSR path for %q (stats %+v)", q, csrRun.Stats)

@@ -13,7 +13,18 @@ import (
 
 func catalogSchemaless() catalog.Schema { return catalog.Schemaless }
 
-func queryOptsNoIndex() query.Options { return query.Options{DisableIndexes: true} }
+func queryOptsNoIndex() query.Options { return query.Options{Ablate: query.NoIndexes} }
+
+var (
+	// serialOpts is the equivalence corpora's reference arm: the serial row
+	// path, with the parallel and vectorized executors ablated.
+	serialOpts = query.Options{Ablate: query.NoParallel | query.NoVector}
+	// stressOpts runs every strategy the plan makes eligible, with the
+	// parallel executor forced from one element on four workers (even on a
+	// one-CPU host) and 7-row column batches, so chunk merges and batch
+	// boundaries are exercised on small fixtures.
+	stressOpts = query.Options{Ablate: query.Stress}
+)
 
 func tripleOf(s, p, o string) rdfstore.Triple { return rdfstore.Triple{S: s, P: p, O: o} }
 

@@ -3,6 +3,7 @@ package core_test
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -10,13 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mmvalue"
 	"repro/internal/query"
-)
-
-var (
-	serialOpts = query.Options{ParallelThreshold: -1}
-	// MaxParallel > 1 forces the parallel executor even on a single-CPU
-	// host; threshold 1 makes any non-empty scan eligible.
-	parallelOpts = query.Options{ParallelThreshold: 1, MaxParallel: 4}
 )
 
 // mustJSON renders a result's values as one JSON document so runs can be
@@ -35,7 +29,7 @@ func mustJSON(t *testing.T, vals []mmvalue.Value) string {
 func assertSerialParallelEqual(t *testing.T, db *core.DB, dialect, q string, params map[string]mmvalue.Value, wantParallel bool) {
 	t.Helper()
 	ser := runLockedQuery(t, db, dialect, q, params, serialOpts)
-	par := runCorpusQuery(t, db, dialect, q, params, parallelOpts)
+	par := runCorpusQuery(t, db, dialect, q, params, stressOpts)
 	if ser.Stats.ParallelScans != 0 {
 		t.Fatalf("serial run used the parallel executor: %+v", ser.Stats)
 	}
@@ -155,7 +149,7 @@ func TestDecomposedAggEquivalence(t *testing.T) {
 	}
 
 	// The integer query must actually report decomposed aggregate specs.
-	res, err := db.QueryOpts(cases[0], nil, parallelOpts)
+	res, err := db.QueryOpts(cases[0], nil, stressOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,26 +176,25 @@ func TestParallelEquivalenceE1(t *testing.T) {
 	assertSerialParallelEqual(t, db, "msql", recommendationMSQL, nil, true)
 }
 
-// TestParallelEquivalenceLargeScan crosses the default threshold with a
-// realistic document count and checks equivalence plus chunk-order merging
-// (no SORT clause: output must follow source order exactly).
+// TestParallelEquivalenceLargeScan checks equivalence plus chunk-order
+// merging (no SORT clause: output must follow source order exactly) on a
+// realistic document count, under the stress mask and under the default,
+// which crosses the real threshold wherever there are two CPUs.
 func TestParallelEquivalenceLargeScan(t *testing.T) {
 	db := openDB(t)
 	seedEvents(t, db, 5000)
 
 	q := `FOR e IN events FILTER e.v % 7 == 3 FILTER e.tag != 't5' RETURN e._key`
 	ser := runLockedQuery(t, db, "mmql", q, nil, serialOpts)
-	// Default threshold (1024) with forced workers: n=5000 qualifies.
-	par, err := db.QueryOpts(q, nil, query.Options{MaxParallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Stats.ParallelScans == 0 {
-		t.Fatal("large scan did not take the parallel path")
-	}
-	sj, pj := mustJSON(t, ser.Values), mustJSON(t, par.Values)
-	if sj != pj {
-		t.Fatalf("serial/parallel results differ on large scan (lens %d vs %d)", len(ser.Values), len(par.Values))
+	for _, opts := range []query.Options{stressOpts, {}} {
+		par := runCorpusQuery(t, db, "mmql", q, nil, opts)
+		if par.Stats.ParallelScans == 0 && (opts.Ablate&query.Stress != 0 || runtime.GOMAXPROCS(0) > 1) {
+			t.Fatalf("Ablate %b: large scan did not take the parallel path", opts.Ablate)
+		}
+		sj, pj := mustJSON(t, ser.Values), mustJSON(t, par.Values)
+		if sj != pj {
+			t.Fatalf("Ablate %b: serial/parallel results differ on large scan (lens %d vs %d)", opts.Ablate, len(ser.Values), len(par.Values))
+		}
 	}
 }
 
@@ -226,7 +219,7 @@ func seedEvents(t testing.TB, db *core.DB, n int) {
 	}
 }
 
-// TestParallelEquivalenceLargeAggSort crosses the default threshold on the
+// TestParallelEquivalenceLargeAggSort forces the parallel executor on the
 // pipeline tail: COLLECT with INTO aggregates and a tie-heavy two-key SORT
 // over 5000 documents, byte-compared against the serial executor.
 func TestParallelEquivalenceLargeAggSort(t *testing.T) {
@@ -242,7 +235,7 @@ func TestParallelEquivalenceLargeAggSort(t *testing.T) {
 		`FOR e IN events SORT e.tag DESC RETURN e.v`,
 	} {
 		ser := runLockedQuery(t, db, "mmql", q, nil, serialOpts)
-		par := runCorpusQuery(t, db, "mmql", q, nil, query.Options{MaxParallel: 4})
+		par := runCorpusQuery(t, db, "mmql", q, nil, stressOpts)
 		if par.Stats.ParallelCollects == 0 && par.Stats.ParallelSorts == 0 {
 			t.Fatalf("%q: no parallel tail stage engaged: %+v", q, par.Stats)
 		}
@@ -263,7 +256,7 @@ func TestParallelTailStats(t *testing.T) {
 	        LET total = SUM(g[*].s.qty)
 	        SORT total DESC, region
 	        RETURN {region: region, total: total, n: LENGTH(g)}`
-	res, err := db.QueryOpts(q, nil, parallelOpts)
+	res, err := db.QueryOpts(q, nil, stressOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +302,7 @@ func TestParallelIndexRangeEquivalence(t *testing.T) {
 	if ser.Stats.IndexScans == 0 {
 		t.Fatalf("range query did not use the index: %+v", ser.Stats)
 	}
-	par := runCorpusQuery(t, db, "mmql", q, nil, parallelOpts)
+	par := runCorpusQuery(t, db, "mmql", q, nil, stressOpts)
 	if par.Stats.IndexScans == 0 || par.Stats.ParallelIndexFetches == 0 {
 		t.Fatalf("parallel run did not materialize the index range on the pool: %+v", par.Stats)
 	}
@@ -325,19 +318,19 @@ func TestParallelIndexRangeEquivalence(t *testing.T) {
 // 1.0 are one group, "1" another.
 func TestCollectKeysMatchByEqual(t *testing.T) {
 	db := openDB(t)
-	for _, opts := range []query.Options{serialOpts, parallelOpts} {
+	for _, opts := range []query.Options{serialOpts, stressOpts} {
 		res := runCorpusQuery(t, db, "mmql",
 			`FOR n IN ["é", "à", "é"] COLLECT k = SUBSTRING(n, 1, 1) INTO g RETURN [k, LENGTH(g)]`, nil, opts)
 		if got, want := fmt.Sprint(res.Values), `[["\ufffd",2] ["\ufffd",1]]`; got != want ||
 			res.Values[0].AsArray()[0].AsString() != "\xa9" || res.Values[1].AsArray()[0].AsString() != "\xa0" {
-			t.Errorf("MaxParallel %d: groups = %s, want %s keyed \\xa9 and \\xa0", opts.MaxParallel, got, want)
+			t.Errorf("Ablate %b: groups = %s, want %s keyed \\xa9 and \\xa0", opts.Ablate, got, want)
 		}
-		if opts.MaxParallel > 1 && res.Stats.ParallelCollects == 0 {
+		if opts.Ablate&query.Stress != 0 && res.Stats.ParallelCollects == 0 {
 			t.Errorf("parallel run grouped serially: %+v", res.Stats)
 		}
 		res = runCorpusQuery(t, db, "mmql", `FOR n IN [1, 1.0, "1"] COLLECT k = n RETURN k`, nil, opts)
 		if got := fmt.Sprint(res.Values); got != `[1 "1"]` {
-			t.Errorf("MaxParallel %d: numeric groups = %s, want [1 \"1\"]", opts.MaxParallel, got)
+			t.Errorf("Ablate %b: numeric groups = %s, want [1 \"1\"]", opts.Ablate, got)
 		}
 	}
 	res := runCorpusQuery(t, db, "mmql", `FOR n IN ["é", "à", "é"] RETURN DISTINCT SUBSTRING(n, 1, 1)`, nil, serialOpts)

@@ -55,7 +55,7 @@ func TestFilterLimitEarlyStopEquivalence(t *testing.T) {
 		want = want[min(tc.offset, len(want)):]
 		want = want[:min(tc.count, len(want))]
 		q := tc.body + " " + tc.limit + " " + tc.tail
-		for _, opts := range []query.Options{{}, serialOpts, parallelOpts, {DisableIndexes: true}} {
+		for _, opts := range []query.Options{{}, serialOpts, stressOpts, {Ablate: query.NoIndexes}} {
 			for _, got := range []*query.Result{
 				runLockedQuery(t, db, tc.dialect, q, tc.params, opts),
 				runCorpusQuery(t, db, tc.dialect, q, tc.params, opts),
@@ -83,7 +83,7 @@ func TestFilterLimitEarlyStopEquivalence(t *testing.T) {
 }
 
 // TestPrimaryKeyRangeEquivalence checks the PK-range access path against the
-// DisableIndexes full scan, bound shapes and residual filters included.
+// NoIndexes full scan, bound shapes and residual filters included.
 func TestPrimaryKeyRangeEquivalence(t *testing.T) {
 	db := openDB(t)
 	seedPaperExample(t, db)
@@ -121,7 +121,7 @@ func TestPrimaryKeyRangeEquivalence(t *testing.T) {
 		{"mmql", `FOR c IN customers FOR s IN sales FILTER s.id > c.id AND s.id <= c.id + 1 RETURN [c.id, s.id]`, nil, 3 + 2 + 2 + 2},
 	}
 	for _, tc := range cases {
-		want := runLockedQuery(t, db, tc.dialect, tc.q, tc.params, query.Options{DisableIndexes: true})
+		want := runLockedQuery(t, db, tc.dialect, tc.q, tc.params, query.Options{Ablate: query.NoIndexes})
 		got := runCorpusQuery(t, db, tc.dialect, tc.q, tc.params, query.Options{})
 		if g, w := mustJSON(t, got.Values), mustJSON(t, want.Values); g != w {
 			t.Errorf("%s\n got %s\nwant %s", tc.q, g, w)
@@ -175,7 +175,7 @@ func TestRelIndexChoiceIsDeterministic(t *testing.T) {
 		{`FOR r IN t FILTER r.c >= 1 AND r.b >= 4 SORT r.a RETURN r.a`, "by_c"},
 		{`FOR r IN t FILTER r.b >= 4 AND r.c >= 1 SORT r.a RETURN r.a`, "by_b"},
 	} {
-		want := runCorpusQuery(t, db, "mmql", tc.q, nil, query.Options{DisableIndexes: true})
+		want := runCorpusQuery(t, db, "mmql", tc.q, nil, query.Options{Ablate: query.NoIndexes})
 		for run := 0; run < 20; run++ {
 			got := runCorpusQuery(t, db, "mmql", tc.q, nil, query.Options{})
 			if used := fmt.Sprint(got.Stats.IndexUsed); used != fmt.Sprintf("[rel:t idx %s (range)]", tc.idx) {

@@ -206,25 +206,18 @@ func (rc *resultCache) statsSnapshot() ResultCacheStats {
 	}
 }
 
-// resultKey builds the cache key: dialect, query text, the one executor
-// option that changes result order (DisableIndexes — index-range order vs
-// scan order), and every bound parameter in sorted name order with its
-// canonical binary encoding. Parallelism options are deliberately excluded:
-// the executor guarantees byte-identical results at any MaxParallel. The
-// Vectorized/VectorBatchSize options are excluded for the same reason: the
-// batch-at-a-time columnar executor is byte-identical to the row path, so a
-// cached row-path result may serve a vectorized call and vice versa.
-func resultKey(dialect, text string, disableIndexes bool, params map[string]mmvalue.Value) string {
+// resultKey builds the cache key: dialect, query text, the one ablation bit
+// that can change result order (query.NoIndexes — index-range order vs scan
+// order), and every bound parameter in sorted name order with its canonical
+// binary encoding. Every other strategy is byte-identical to the serial row
+// path, so a result computed under one mask may serve a call under another.
+func resultKey(dialect, text string, noIndexes query.Ablate, params map[string]mmvalue.Value) string {
 	var sb strings.Builder
 	sb.WriteString(dialect)
 	sb.WriteByte(0)
 	sb.WriteString(text)
 	sb.WriteByte(0)
-	if disableIndexes {
-		sb.WriteByte(1)
-	} else {
-		sb.WriteByte(0)
-	}
+	sb.WriteByte(byte(noIndexes))
 	for _, name := range sortedParamNames(params) {
 		sb.WriteByte(0)
 		sb.WriteString(name)

@@ -274,22 +274,6 @@ func TestResultCacheByteBudgetEvicts(t *testing.T) {
 	}
 }
 
-func TestResultCacheNoResultCacheOptsOut(t *testing.T) {
-	db := openCachedDB(t, 1<<20, 0)
-	seedStore(t, db)
-	opts := query.Options{NoResultCache: true}
-	if _, err := db.QueryOpts(cachedProductsQuery, nil, opts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.QueryOpts(cachedProductsQuery, nil, opts); err != nil {
-		t.Fatal(err)
-	}
-	st := db.ResultCacheStats()
-	if st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("NoResultCache still touched the cache: %+v", st)
-	}
-}
-
 func TestResultCacheDisableIndexesKeysSeparately(t *testing.T) {
 	db := openCachedDB(t, 1<<20, 0)
 	seedStore(t, db)
@@ -300,7 +284,7 @@ func TestResultCacheDisableIndexesKeysSeparately(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := db.ResultCacheStats(); st.Hits != 0 || st.Misses != 2 {
-		t.Fatalf("DisableIndexes shared a cache entry: %+v", st)
+		t.Fatalf("NoIndexes shared a cache entry: %+v", st)
 	}
 }
 

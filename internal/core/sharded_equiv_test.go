@@ -60,7 +60,7 @@ func TestShardedEquivalenceCorpus(t *testing.T) {
 		{"msql", `SELECT COUNT(*) AS n, SUM(qty) AS total, AVG(qty) AS mean FROM sales`, nil},
 	}
 	for _, tc := range cases {
-		want := mustJSON(t, runLockedQuery(t, single, tc.dialect, tc.q, tc.params, query.Options{}).Values)
+		want := mustJSON(t, runLockedQuery(t, single, tc.dialect, tc.q, tc.params, serialOpts).Values)
 		for _, run := range []struct {
 			name string
 			res  *query.Result
@@ -76,6 +76,36 @@ func TestShardedEquivalenceCorpus(t *testing.T) {
 	}
 	if sharded.ShardStats().ShardFanouts == 0 {
 		t.Fatal("corpus never fanned a scan across shards")
+	}
+}
+
+// TestShardedVectorizedEquivalence runs the vectorized corpus over column
+// tables on a 4-shard fleet: batches are read from the shards' merged scan,
+// so the default mask there, locked and on a snapshot, must match the
+// row path (NoVector) on one engine byte for byte.
+func TestShardedVectorizedEquivalence(t *testing.T) {
+	single := openDB(t)
+	seedMetrics(t, single, 900)
+	sharded := openShardedDB(t)
+	seedMetrics(t, sharded, 900)
+
+	for _, tc := range vectorCorpus {
+		want := mustJSON(t, runCorpusQuery(t, single, tc.dialect, tc.q, tc.params, query.Options{Ablate: query.NoVector}).Values)
+		for _, run := range []struct {
+			name string
+			res  *query.Result
+		}{
+			{"sharded/locked", runLockedQuery(t, sharded, tc.dialect, tc.q, tc.params, query.Options{})},
+			{"sharded/snapshot", runCorpusQuery(t, sharded, tc.dialect, tc.q, tc.params, query.Options{})},
+			{"sharded/stress", runCorpusQuery(t, sharded, tc.dialect, tc.q, tc.params, stressOpts)},
+		} {
+			if tc.wantVec && run.res.Stats.VectorizedBatches == 0 {
+				t.Errorf("%s fell back to the row path for %q: %+v", run.name, tc.q, run.res.Stats)
+			}
+			if got := mustJSON(t, run.res.Values); got != want {
+				t.Errorf("%s result differs for %q\nsingle/NoVector: %s\n%s: %s", run.name, tc.q, want, run.name, got)
+			}
+		}
 	}
 }
 

@@ -30,14 +30,11 @@ func CSRDir(dir Direction) csr.Dir {
 
 // CSRFor returns the CSR adjacency snapshot of the graph as seen by tx's
 // snapshot, building or reusing the cached one as its version vector
-// dictates. ok is false when tx is a locked transaction, when the CSR path
-// is disabled, when too few snapshot transactions have read this graph
-// state to pay for a build, or when the build fails — callers fall back to
-// per-edge probes, which are always correct.
+// dictates. ok is false when tx is a locked transaction, when too few
+// snapshot transactions have read this graph state to pay for a build, or
+// when the build fails — callers fall back to per-edge probes, which are
+// always correct.
 func (s *Store) CSRFor(tx engine.Tx, graph string) (*csr.Graph, bool) {
-	if s.csrOff.Load() {
-		return nil, false
-	}
 	g, ok, err := s.csr.Get(tx, graph, CSRSpec(graph))
 	if err != nil || !ok {
 		return nil, false
@@ -47,10 +44,6 @@ func (s *Store) CSRFor(tx engine.Tx, graph string) (*csr.Graph, bool) {
 
 // CSRStats reports CSR cache effectiveness counters.
 func (s *Store) CSRStats() csr.Stats { return s.csr.Stats() }
-
-// SetCSREnabled toggles the CSR traversal path; disabled, every traversal
-// uses per-edge probes (the correctness baseline).
-func (s *Store) SetCSREnabled(on bool) { s.csrOff.Store(!on) }
 
 // InvalidateCSR drops the cached CSR snapshot for one graph, so the graph
 // is rebuilt from scratch once it is read often enough again (benchmarks

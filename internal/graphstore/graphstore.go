@@ -73,9 +73,8 @@ type Store struct {
 	// against the raw bytes each read returns.
 	dc *binenc.DecodeCache
 	// csr caches one immutable CSR adjacency snapshot per graph for the
-	// lock-free traversal path; csrOff falls everything back to probes.
-	csr    *csr.Cache
-	csrOff atomic.Bool
+	// lock-free traversal path.
+	csr *csr.Cache
 }
 
 // New returns a graph store over the engine.

@@ -258,7 +258,7 @@ type Pipeline struct {
 	// vec is the compile-time vectorization plan (see the vectorizable
 	// analysis in compile.go and the runtime in vector.go): non-nil when the
 	// pipeline opens with a FOR over a named source whose fused filters are
-	// expressible over column vectors. Execution still requires
-	// Options.Vectorized and a column-backed ("coltable") source.
+	// expressible over column vectors. Execution still requires a
+	// column-backed ("coltable") source and no NoVector bit in Options.Ablate.
 	vec *vecPlan
 }

@@ -17,7 +17,7 @@ import (
 // csrFor resolves the CSR snapshot for graph, honoring the per-query
 // opt-out.
 func (c *execCtx) csrFor(graph string) (*csr.Graph, bool) {
-	if c.opts.NoCSR || c.src.Graphs == nil {
+	if c.opts.Ablate&NoCSR != 0 || c.src.Graphs == nil {
 		return nil, false
 	}
 	g, ok := c.src.Graphs.CSRFor(c.tx, graph)

@@ -43,45 +43,39 @@ type Sources struct {
 type Options struct {
 	// Params binds @name parameters.
 	Params map[string]mmvalue.Value
-	// DisableIndexes forces full scans (the ablation switch for E2–E6).
-	DisableIndexes bool
-	// ParallelThreshold is the minimum number of scanned elements a FOR
-	// must produce before the parallel scan+filter executor engages.
-	// 0 means DefaultParallelThreshold; a negative value disables
-	// parallel execution entirely (the ablation switch for E18).
-	ParallelThreshold int
-	// MaxParallel caps the worker goroutines of the parallel executor.
-	// 0 means GOMAXPROCS. Values above 1 force the parallel path even on
-	// single-CPU hosts (used by tests to exercise it under -race).
-	MaxParallel int
 	// SnapshotReads is redundant and ignored: the auto-transaction entry
 	// points (core.DB and unidb.Database) already run every proven read-only
 	// pipeline on a lock-free MVCC snapshot. The field survives only because
 	// the benchmark ladder (bench/ladder.go) still sets it; a benchmark-only
 	// change drops that use, after which a product change deletes the field.
 	SnapshotReads bool
-	// NoResultCache opts this call out of core's cross-query result cache:
-	// the query executes even when a valid cached materialization exists,
-	// and its result is not stored. Execute itself never consults the cache;
-	// the flag is honored by the auto-transaction entry points.
-	NoResultCache bool
-	// Vectorized enables the batch-at-a-time executor (vector.go) for
-	// pipelines whose compiled plan carries a vectorization plan and whose
-	// source is column-backed. Results are byte-identical to the row path —
-	// like the parallelism options, this is an execution strategy, not a
-	// semantic switch — so core's result-cache key ignores it.
-	Vectorized bool
-	// VectorBatchSize caps the rows per column batch on the vectorized
-	// path. 0 means colstore.DefaultBatchSize; tests force small odd sizes
-	// to exercise batch boundaries.
-	VectorBatchSize int
-	// NoCSR opts this execution out of the CSR traversal path: graph
-	// traversals and navigation functions run per-edge B+tree probes even
-	// on a snapshot transaction. Results are byte-identical either way —
-	// an execution strategy, not a semantic switch — so core's result-cache
-	// key ignores it (the ablation switch for E25).
-	NoCSR bool
+	// Ablate switches execution strategies off. The zero value runs every
+	// strategy the compiled plan makes eligible; see Ablate.
+	Ablate Ablate
 }
+
+// Ablate is a set of execution strategies to switch off, for tests and
+// experiments. Every strategy is byte-identical to the serial row path by
+// contract, so no bit changes a result except NoIndexes, which can change
+// the order of an unsorted result (index-range order vs scan order).
+type Ablate uint8
+
+const (
+	// NoIndexes forces full scans (the ablation for E2–E6).
+	NoIndexes Ablate = 1 << iota
+	// NoParallel keeps every stage on the calling goroutine (E18).
+	NoParallel
+	// NoVector runs column-table scans row at a time instead of on the
+	// batch-at-a-time executor in vector.go (E23).
+	NoVector
+	// NoCSR answers graph traversals and navigation functions by per-edge
+	// B+tree probes even on a snapshot transaction (E25).
+	NoCSR
+	// Stress is the test bit: parallel stages engage from one element on
+	// four workers, even on a one-CPU host, and column batches hold 7 rows,
+	// so chunk merges and batch boundaries are exercised on small inputs.
+	Stress
+)
 
 // Stats reports what the optimizer did — benches assert on these.
 type Stats struct {
@@ -160,7 +154,7 @@ func (c *execCtx) runPipeline(pipe *Pipeline, start *env) ([]mmvalue.Value, erro
 	// per-batch column partials without materializing a single row. Only
 	// from an empty starting environment — a subquery run per outer row has
 	// outer bindings its expressions may reference.
-	if c.opts.Vectorized && pipe.vec != nil && pipe.vec.agg != nil && start == nil {
+	if c.opts.Ablate&NoVector == 0 && pipe.vec != nil && pipe.vec.agg != nil && start == nil {
 		vals, ok, err := c.execVecAgg(pipe)
 		if err != nil {
 			return nil, err
@@ -635,9 +629,11 @@ type forPart struct {
 func (c *execCtx) execFor(cl *ForClause, filters []*FilterClause, rows []*env, need int) ([]*env, error) {
 	// Vectorized scan+filter: the opening FOR of the current pipeline, run
 	// from the empty starting environment, with a compiled vectorization
-	// plan. execVecScan declines (ok=false) for non-column sources and
-	// non-vectorizable bindings, falling through to the row path below.
-	if c.opts.Vectorized && c.curPipe != nil && c.curPipe.vec != nil &&
+	// plan and no LIMIT bounding it (the row path below stops at the need-th
+	// survivor; a batch read materializes the whole table). execVecScan
+	// declines (ok=false) where batches cannot win or cannot match, falling
+	// through to the row path below.
+	if c.opts.Ablate&NoVector == 0 && need <= 0 && c.curPipe != nil && c.curPipe.vec != nil &&
 		c.curPipe.vec.forCl == cl && len(rows) == 1 && rows[0] == nil {
 		out, ok, err := c.execVecScan(cl, filters, rows)
 		if err != nil {
@@ -797,7 +793,7 @@ func (c *execCtx) scanNamed(loopVar, name string, filters []*FilterClause, r *en
 	if kind == "" {
 		return fmt.Errorf("query: unknown source %q", name)
 	}
-	if !c.opts.DisableIndexes {
+	if c.opts.Ablate&NoIndexes == 0 {
 		if vals, ok, err := c.tryIndexAccess(loopVar, name, kind, filters, r); err != nil {
 			return err
 		} else if ok {

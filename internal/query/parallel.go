@@ -39,11 +39,11 @@ package query
 //   - DISTINCT stays serial: first-occurrence semantics need global order,
 //     and hashing is cheap relative to expression evaluation.
 //
-// The serial path is kept for: small inputs (below Options.ParallelThreshold,
-// default DefaultParallelThreshold — goroutine fan-out costs more than it
-// saves), pipelines containing mutation clauses, stages whose expressions
-// contain subqueries (they run whole pipelines against shared executor
-// state), and unanalyzed hand-built pipelines.
+// The serial path is kept for: small inputs (below parallelThreshold —
+// goroutine fan-out costs more than it saves), pipelines containing mutation
+// clauses, stages whose expressions contain subqueries (they run whole
+// pipelines against shared executor state), and unanalyzed hand-built
+// pipelines.
 //
 // Thread-safety: workers share the execCtx strictly read-only. Expression
 // evaluation reaches the engine only through Txn.Get/Scan and the store read
@@ -59,40 +59,52 @@ import (
 	"repro/internal/mmvalue"
 )
 
-// DefaultParallelThreshold is the minimum number of elements (FOR-source
+// parallelThreshold is the minimum number of elements (FOR-source
 // rows, COLLECT/SORT input rows, or index-range keys) before a parallel
-// stage engages when Options.ParallelThreshold is 0. Below roughly this size
-// the fan-out overhead exceeds the win.
-const DefaultParallelThreshold = 1024
+// stage engages. Below roughly this size the fan-out overhead exceeds the
+// win. Options.Ablate's Stress bit lowers it to 1.
+const parallelThreshold = 1024
+
+// Under Options.Ablate's Stress bit: the worker count, whatever the host's
+// CPUs, and the rows per column batch on the vectorized path.
+const (
+	stressWorkers   = 4
+	stressBatchSize = 7
+)
 
 // maxWorkers resolves the worker pool size for this execution.
 func (c *execCtx) maxWorkers() int {
-	if c.opts.MaxParallel > 0 {
-		return c.opts.MaxParallel
+	switch {
+	case c.opts.Ablate&NoParallel != 0:
+		return 1
+	case c.opts.Ablate&Stress != 0:
+		return stressWorkers
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
+// batchSize resolves the rows per column batch (0 means
+// colstore.DefaultBatchSize).
+func (c *execCtx) batchSize() int {
+	if c.opts.Ablate&Stress != 0 {
+		return stressBatchSize
+	}
+	return 0
+}
+
 // pipelineParallelOK reports whether the currently-running pipeline may use
-// the parallel executor at all: parallelism enabled, at least two workers,
-// and a compile-analyzed read-only plan (hand-built pipelines stay serial).
+// the parallel executor at all: at least two workers and a compile-analyzed
+// read-only plan (hand-built pipelines stay serial).
 func (c *execCtx) pipelineParallelOK() bool {
-	if c.opts.ParallelThreshold < 0 {
-		return false
-	}
-	if c.maxWorkers() < 2 {
-		return false
-	}
-	return c.curPipe != nil && c.curPipe.analyzed && !c.curPipe.hasMutation
+	return c.maxWorkers() >= 2 && c.curPipe != nil && c.curPipe.analyzed && !c.curPipe.hasMutation
 }
 
 // aboveThreshold reports whether n elements justify goroutine fan-out.
 func (c *execCtx) aboveThreshold(n int) bool {
-	thr := c.opts.ParallelThreshold
-	if thr == 0 {
-		thr = DefaultParallelThreshold
+	if c.opts.Ablate&Stress != 0 {
+		return n >= 1
 	}
-	return n >= thr
+	return n >= parallelThreshold
 }
 
 // parallelEligible decides serial vs parallel for one FOR expansion.

@@ -184,3 +184,18 @@ func TestParseMSQLAnalyzed(t *testing.T) {
 		t.Fatal("read-only MSQL query marked as mutating")
 	}
 }
+
+// TestAboveThresholdDefaultMask pins parallelThreshold under the default
+// mask on any host: 1023 elements stay serial and 1024 fan out, while the
+// Stress bit fans out from one.
+func TestAboveThresholdDefaultMask(t *testing.T) {
+	def := &execCtx{}
+	if def.aboveThreshold(1023) || !def.aboveThreshold(1024) {
+		t.Fatalf("default mask: aboveThreshold(1023) = %v, aboveThreshold(1024) = %v, want false, true",
+			def.aboveThreshold(1023), def.aboveThreshold(1024))
+	}
+	stress := &execCtx{opts: Options{Ablate: Stress}}
+	if stress.aboveThreshold(0) || !stress.aboveThreshold(1) {
+		t.Fatal("Stress mask: want parallel from one element")
+	}
+}

@@ -571,29 +571,39 @@ func batchValue(b *colstore.Batch, attr string, i int) mmvalue.Value {
 // --- vectorized scan (FOR + fused filters) --------------------------------
 
 // execVecScan runs the FOR expansion batch-at-a-time. It returns ok=false
-// to hand the clause back to the row path (non-coltable source, unbound
-// parameter, or a strict column absent somewhere). Residual filters — the
-// non-vectorizable suffix — evaluate per surviving row on reconstructed
+// to hand the clause back to the row path when batches cannot win or cannot
+// match it: no vectorizable filter (every row would be rebuilt from its
+// columns for nothing), a non-coltable source, an unbound parameter, a
+// strict column absent somewhere, or a sparse batch (colstore.Batch.Dense:
+// rebuilding a row would walk far more columns than the item holds). The
+// last two stop the read at the batch that shows them. Residual filters —
+// the non-vectorizable suffix — evaluate per surviving row on reconstructed
 // documents, which is the mid-pipeline fallback.
 func (c *execCtx) execVecScan(cl *ForClause, filters []*FilterClause, rows []*env) ([]*env, bool, error) {
 	v := c.curPipe.vec
-	if c.resolveName(v.source) != "coltable" {
+	if len(v.filters) == 0 || c.resolveName(v.source) != "coltable" {
 		return nil, false, nil
 	}
 	preds, strict, ok := compileVecPreds(v.filters, v.loopVar, c.opts.Params)
 	if !ok {
 		return nil, false, nil
 	}
-	batches, err := c.src.Cols.ReadBatches(c.tx, v.source, c.opts.VectorBatchSize, nil)
+	var batches []*colstore.Batch
+	total, declined := 0, false
+	err := c.src.Cols.EachBatch(c.tx, v.source, c.batchSize(), nil, func(b *colstore.Batch) bool {
+		if !strictColsOK(b, strict) || !b.Dense() {
+			declined = true
+			return false
+		}
+		batches = append(batches, b)
+		total += b.Len()
+		return true
+	})
 	if err != nil {
 		return nil, true, err
 	}
-	total := 0
-	for _, b := range batches {
-		if !strictColsOK(b, strict) {
-			return nil, false, nil
-		}
-		total += b.Len()
+	if declined {
+		return nil, false, nil
 	}
 	c.stats.FullScans++
 	c.stats.RowsRead += total
@@ -829,7 +839,7 @@ func (c *execCtx) execVecAgg(pipe *Pipeline) ([]mmvalue.Value, bool, error) {
 			project = append(project, sp.path[1])
 		}
 	}
-	batches, err := c.src.Cols.ReadBatches(c.tx, v.source, c.opts.VectorBatchSize, project)
+	batches, err := c.src.Cols.ReadBatches(c.tx, v.source, c.batchSize(), project)
 	if err != nil {
 		return nil, true, err
 	}

@@ -170,19 +170,26 @@ func TestColElems(t *testing.T) {
 	}
 }
 
-// TestVecPlanRowPathUnchanged: pipelines carrying a vec plan still execute
-// identically on the row path when Options.Vectorized is off — the plan is
-// annotation only. (Cross-path equivalence over real column tables lives in
-// internal/core's vector_equiv_test.go.)
+// TestVecPlanRowPathUnchanged: a pipeline carrying a vec plan fails on an
+// unknown source with the same error under the default mask and with the
+// vectorized executor ablated — the intercept declines non-column sources.
+// (Cross-path equivalence over real column tables lives in internal/core's
+// vector_equiv_test.go.)
 func TestVecPlanRowPathUnchanged(t *testing.T) {
 	p := mustMSQL(t, `SELECT COUNT(*) AS n FROM missing WHERE v > 1`)
 	if p.vec == nil || p.vec.agg == nil {
 		t.Fatal("no plan")
 	}
-	// Executing without sources errors on the unknown name exactly as
-	// before; the vectorized intercept must not fire with Vectorized off.
-	c := &execCtx{src: &Sources{}, opts: Options{}}
-	if _, err := c.runPipeline(p, newEnv()); err == nil {
-		t.Fatal("expected unknown-source error")
+	var errs []string
+	for _, opts := range []Options{{}, {Ablate: NoVector | NoParallel}} {
+		c := &execCtx{src: &Sources{}, opts: opts}
+		_, err := c.runPipeline(p, newEnv())
+		if err == nil {
+			t.Fatalf("Ablate %b: expected unknown-source error", opts.Ablate)
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] {
+		t.Fatalf("default and row path disagree: %q vs %q", errs[0], errs[1])
 	}
 }

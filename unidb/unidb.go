@@ -80,13 +80,6 @@ type Options struct {
 	// default) keeps strict freshness — version mismatches recompute in the
 	// foreground. Only meaningful with ResultCacheBytes > 0.
 	MaxResultStaleness time.Duration
-	// Vectorized makes Query/SQL run eligible scan→filter→aggregate
-	// statements over column tables batch-at-a-time: column vectors with
-	// presence bitmaps per ~1k-row batch, predicates as bitset algebra with
-	// zone/bitslice pruning, and aggregates finished from per-batch
-	// partials. Results are byte-identical to row-at-a-time execution. The
-	// same switch exists per call on QueryOptions.
-	Vectorized bool
 	// Shards hash-partitions every keyspace across this many in-process
 	// engine shards, each with its own WAL and lock-free snapshot trees.
 	// Point reads and writes route to one shard; scans fan out across all
@@ -96,16 +89,6 @@ type Options struct {
 	// group-commit WALs. 0 or 1 keeps the single-engine path with zero
 	// overhead; the count is fixed at the first open of a directory.
 	Shards int
-	// DisableGraphCSR turns off the CSR adjacency-snapshot traversal path.
-	// By default, graph traversals and navigation functions in read-only
-	// queries execute over a cached immutable CSR image of the graph instead
-	// of per-edge B+tree probes. The image is built once the same graph
-	// state has been read by a few snapshot transactions, so a graph written
-	// between every traversal keeps probing rather than rebuilding each
-	// time. Results are byte-identical either way; this
-	// switch is the ablation / escape hatch. The same opt-out exists per
-	// call as QueryOptions.NoCSR.
-	DisableGraphCSR bool
 }
 
 // Database is a multi-model database handle.
@@ -121,9 +104,7 @@ func Open(opts Options) (*Database, error) {
 		GroupCommitWindow:  opts.GroupCommitWindow,
 		ResultCacheBytes:   opts.ResultCacheBytes,
 		MaxResultStaleness: opts.MaxResultStaleness,
-		Vectorized:         opts.Vectorized,
 		Shards:             opts.Shards,
-		DisableGraphCSR:    opts.DisableGraphCSR,
 	})
 	if err != nil {
 		return nil, err
@@ -157,15 +138,16 @@ func (d *Database) SQL(msql string, params map[string]Value) (*Result, error) {
 	return d.db.SQL(msql, params)
 }
 
-// QueryOptions tunes one execution: parameter bindings, the index ablation
-// switch, and the parallel executor knobs. ParallelThreshold is the minimum
-// number of elements (scanned rows, COLLECT/SORT input rows, or index-range
-// keys) before a pipeline stage moves to the worker pool — 0 means the
-// default (1024), negative disables parallel execution entirely. MaxParallel
-// caps the worker goroutines (0 means GOMAXPROCS). Parallel and serial
-// execution produce byte-identical results; the knobs trade fan-out overhead
-// against multi-core scaling. Vectorized (with VectorBatchSize) opts one call
-// into the batch-at-a-time columnar executor — also byte-identical.
+// QueryOptions tunes one execution: Params binds @name parameters and
+// Ablate switches execution strategies off. The zero value runs every
+// strategy the compiled plan makes eligible: index access paths, the
+// parallel executor (for stages of 1024 elements or more, on GOMAXPROCS
+// workers), batch-at-a-time execution of column-table scans, and CSR
+// traversal on snapshots. Every strategy returns the same bytes as the
+// serial row path, so Ablate exists for tests and experiments only: the
+// bits are query.NoIndexes (full scans; the one bit that can reorder an
+// unsorted result), query.NoParallel, query.NoVector, query.NoCSR, and the
+// test bit query.Stress. SnapshotReads is ignored.
 type QueryOptions = query.Options
 
 // QueryOpts runs MMQL with explicit execution options.
