@@ -134,6 +134,23 @@ func TestCSREquivalenceCorpus(t *testing.T) {
 // TestCSRZeroRebuildsOnUnchangedGraph pins the cache's design invariant:
 // repeated snapshot traversals of an unchanged graph build the CSR exactly
 // once — the first few probe, then one build, then everything reuses.
+// TestCSRCountedFromParallelStages runs a graph function in a projection
+// that splits into chunks: every row's OUT() counts one CSR traversal,
+// counted without a data race between chunks (run under -race).
+func TestCSRCountedFromParallelStages(t *testing.T) {
+	db := openDB(t)
+	seedGraphDB(t, db)
+	q := `SELECT v._key AS k, OUT('net', 'x', v._key)[*]._key AS hop FROM net v ORDER BY v._key`
+	want := len(runCorpusQuery(t, db, "msql", q, nil, serialOpts).Values)
+	var res *query.Result
+	for i := 0; i < 5 && (res == nil || res.Stats.CSRTraversals == 0); i++ {
+		res = runCorpusQuery(t, db, "msql", q, nil, stressOpts)
+	}
+	if res.Stats.ParallelEvals == 0 || res.Stats.CSRTraversals != want {
+		t.Fatalf("stats = %+v, want a parallel projection counting %d CSR traversals", res.Stats, want)
+	}
+}
+
 func TestCSRZeroRebuildsOnUnchangedGraph(t *testing.T) {
 	db := openDB(t)
 	seedGraphDB(t, db)

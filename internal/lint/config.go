@@ -16,8 +16,8 @@ package lint
 //	               the lint passes.
 //	determinism  — query executor merge/exec paths: the parallel executor
 //	               must stay byte-identical to the serial one.
-//	parallel-merge — the parallel executor's partial-result merge paths must
-//	               iterate recorded chunk/group order, never a map range.
+//	parallel-merge — the query stages' chunk bodies and chunk-result merges
+//	               must iterate recorded chunk/group order, never a map range.
 //	txnend       — core and query: a Begin without Commit/Abort wedges 2PL.
 //	syncbarrier  — the WAL group-commit window: no path may acknowledge a
 //	               committer (finishWindow, close of a done channel) before
@@ -60,7 +60,11 @@ func DefaultAnalyzers() []Analyzer {
 			{Pkg: "repro/internal/csr"},
 		}},
 		ParallelMerge{Scope: []ScopeRef{
-			{Pkg: "repro/internal/query", Files: []string{"parallel.go"}},
+			// The chunk bodies live with their stages, the merges in
+			// parallel.go.
+			{Pkg: "repro/internal/query", Files: []string{
+				"parallel.go", "exec.go", "optimize.go", "vector.go",
+			}},
 		}},
 		TxnEnd{
 			Packages:   []string{"repro/internal/core", "repro/internal/query"},

@@ -125,8 +125,8 @@ type LetClause struct {
 	Expr Expr
 
 	// parallelSafe is set by Pipeline.analyze when Expr contains no
-	// subqueries, so the binding may be evaluated for many rows
-	// concurrently by the parallel executor.
+	// subqueries, so the stage may split into chunks that evaluate the
+	// binding for many rows concurrently.
 	parallelSafe bool
 }
 
@@ -135,9 +135,9 @@ type FilterClause struct {
 	Expr Expr
 
 	// parallelSafe is set by Pipeline.analyze when Expr contains no
-	// subqueries, so it may be evaluated concurrently by the parallel
-	// scan+filter executor (subqueries run whole pipelines and mutate
-	// shared executor state).
+	// subqueries, so its stage may split into chunks that evaluate it
+	// concurrently (subqueries run whole pipelines and mutate shared
+	// executor state).
 	parallelSafe bool
 }
 
@@ -152,8 +152,8 @@ type SortClause struct {
 	Keys []SortKey
 
 	// parallelSafe is set by Pipeline.analyze when no key expression
-	// contains a subquery, so key evaluation and the chunked merge sort may
-	// run on the worker pool.
+	// contains a subquery, so key evaluation and the stable sort may split
+	// into chunks whose sorted runs merge.
 	parallelSafe bool
 }
 
@@ -169,13 +169,13 @@ type CollectClause struct {
 	Into string // optional group variable
 
 	// parallelSafe is set by Pipeline.analyze when no key expression
-	// contains a subquery, so per-chunk partial grouping (and INTO member
-	// materialization) may run on the worker pool.
+	// contains a subquery, so grouping (and INTO member materialization)
+	// may split into chunks whose group tables merge.
 	parallelSafe bool
 	// aggSpecs lists the decomposable aggregates downstream clauses compute
-	// over the Into array (see decompose.go): both COLLECT paths accumulate
-	// a per-group partial state per spec and bind the finished value under
-	// the spec's hidden name.
+	// over the Into array (see decompose.go): every COLLECT chunk accumulates
+	// a per-group partial state per spec, and the merged state's value is
+	// bound under the spec's hidden name.
 	aggSpecs []aggSpec
 }
 

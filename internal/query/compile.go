@@ -5,10 +5,10 @@ package query
 // annotations instead of re-deriving them on every call:
 //
 //   - hasMutation: whether the pipeline (or any nested subquery pipeline)
-//     contains a DML clause — such pipelines always execute serially.
+//     contains a DML clause — every stage of such a pipeline is one chunk.
 //   - parallelSafe on FilterClause, LetClause, SortClause, CollectClause,
 //     and ReturnClause: whether the stage's expressions may be evaluated
-//     concurrently by the parallel executor (no subqueries — they run whole
+//     concurrently, split into chunks (no subqueries — they run whole
 //     pipelines against shared executor state).
 //   - readSet / cacheable: which stores the pipeline can read and whether a
 //     materialized result may be reused across queries (readset.go).

@@ -33,7 +33,7 @@ func (c *execCtx) csrFor(graph string) (*csr.Graph, bool) {
 func (c *execCtx) graphTraverse(graph, start string, min, max int, dir graphstore.Direction, label string) ([]string, error) {
 	if min >= 0 && max >= min {
 		if g, ok := c.csrFor(graph); ok {
-			c.stats.CSRTraversals++
+			c.csrTraversals.Add(1)
 			return g.Traverse(start, min, max, graphstore.CSRDir(dir), label, c.maxWorkers())
 		}
 	}
@@ -44,7 +44,7 @@ func (c *execCtx) graphTraverse(graph, start string, min, max int, dir graphstor
 // signal an absent path with an error the caller maps to an empty array.
 func (c *execCtx) graphShortestPath(graph, start, goal string, dir graphstore.Direction, label string) ([]string, error) {
 	if g, ok := c.csrFor(graph); ok {
-		c.stats.CSRTraversals++
+		c.csrTraversals.Add(1)
 		return g.ShortestPath(start, goal, graphstore.CSRDir(dir), label)
 	}
 	return c.src.Graphs.ShortestPath(c.tx, graph, start, goal, dir, label)
@@ -54,7 +54,7 @@ func (c *execCtx) graphShortestPath(graph, start, goal string, dir graphstore.Di
 // vertex keys in incident-edge order.
 func (c *execCtx) graphNeighborKeys(graph, v string, dir graphstore.Direction, label string) ([]string, error) {
 	if g, ok := c.csrFor(graph); ok {
-		c.stats.CSRTraversals++
+		c.csrTraversals.Add(1)
 		return g.NeighborKeys(v, graphstore.CSRDir(dir), label), nil
 	}
 	ns, err := c.src.Graphs.Neighbors(c.tx, graph, v, dir, label)

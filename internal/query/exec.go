@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/colstore"
 	"repro/internal/docstore"
@@ -83,12 +84,12 @@ type Stats struct {
 	IndexScans    int      // sources served by an index
 	IndexUsed     []string // descriptions of index accesses
 	RowsRead      int      // rows pulled from sources before filtering
-	ParallelScans int      // FOR clauses executed by the parallel executor
-	// Parallel pipeline-tail counters (see parallel.go).
+	ParallelScans int      // FOR clauses and column scans split into chunks
+	// Counters of the other stages split into chunks (see parallel.go).
 	ParallelCollects     int // COLLECT stages grouped via per-chunk partials
 	ParallelSorts        int // SORT stages run as chunked stable merge sorts
-	ParallelEvals        int // standalone FILTER/LET/RETURN stages on the pool
-	ParallelIndexFetches int // index-range key lists materialized in parallel
+	ParallelEvals        int // standalone FILTER/LET/RETURN stages
+	ParallelIndexFetches int // index-range key lists fetched in chunks
 	// DecomposedAggs counts aggregate specs served from per-group partial
 	// states accumulated during COLLECT (see decompose.go) instead of folded
 	// over the INTO array at projection time.
@@ -122,8 +123,11 @@ type execCtx struct {
 	opts  Options
 	stats Stats
 	// curPipe is the pipeline currently being run (subqueries swap it in
-	// and out); its compiled annotations gate the parallel executor.
+	// and out); its compiled annotations gate split's fan-out.
 	curPipe *Pipeline
+	// csrTraversals becomes Stats.CSRTraversals. Graph functions count into
+	// it from chunk bodies, several of which may run at once.
+	csrTraversals atomic.Int64
 	// resolved memoizes source-name classification for this execution.
 	// Queries cannot run DDL, so a name's kind cannot change mid-query;
 	// this spares nested FOR clauses a catalog lookup per outer row.
@@ -140,6 +144,7 @@ func Execute(tx engine.Tx, src *Sources, pipe *Pipeline, opts Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
+	c.stats.CSRTraversals = int(c.csrTraversals.Load())
 	return &Result{Values: vals, Stats: c.stats}, nil
 }
 
@@ -333,20 +338,23 @@ func (c *execCtx) execRemove(cl *RemoveClause, rows []*env) ([]mmvalue.Value, er
 	return out, nil
 }
 
-// execLet binds a LET variable on every row, on the worker pool when the
-// row count and the clause's compiled annotations allow it.
+// execLet binds a LET variable on every row. The stage is 1:1, so each
+// chunk writes its own slots of the output and no merge is needed.
 func (c *execCtx) execLet(cl *LetClause, rows []*env) ([]*env, error) {
-	if c.stageEligible(len(rows), cl.parallelSafe) {
-		c.stats.ParallelEvals++
-		return c.execLetParallel(cl, rows)
-	}
 	next := make([]*env, len(rows))
-	for ri, r := range rows {
-		v, err := c.eval(cl.Expr, r)
-		if err != nil {
-			return nil, err
+	p := c.split(len(rows), len(rows), cl.parallelSafe, &c.stats.ParallelEvals)
+	err := runChunks(p, func(_, lo, hi int) error {
+		for ri := lo; ri < hi; ri++ {
+			v, err := c.eval(cl.Expr, rows[ri])
+			if err != nil {
+				return err
+			}
+			next[ri] = rows[ri].bind(cl.Var, v)
 		}
-		next[ri] = r.bind(cl.Var, v)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return next, nil
 }
@@ -354,51 +362,37 @@ func (c *execCtx) execLet(cl *LetClause, rows []*env) ([]*env, error) {
 // execFilter runs a standalone FILTER stage (one not fused into a preceding
 // FOR — e.g. after COLLECT or LET), keeping rows whose predicate is truthy.
 func (c *execCtx) execFilter(cl *FilterClause, rows []*env) ([]*env, error) {
-	if c.stageEligible(len(rows), cl.parallelSafe) {
-		c.stats.ParallelEvals++
-		return c.execFilterParallel(cl, rows)
-	}
-	var next []*env
-	for _, r := range rows {
-		v, err := c.eval(cl.Expr, r)
-		if err != nil {
-			return nil, err
+	p := c.split(len(rows), len(rows), cl.parallelSafe, &c.stats.ParallelEvals)
+	per := make([][]*env, p.k)
+	err := runChunks(p, func(ci, lo, hi int) error {
+		var next []*env
+		for _, r := range rows[lo:hi] {
+			v, err := c.eval(cl.Expr, r)
+			if err != nil {
+				return err
+			}
+			if v.Truthy() {
+				next = append(next, r)
+			}
 		}
-		if v.Truthy() {
-			next = append(next, r)
-		}
+		per[ci] = next
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return next, nil
+	return concatChunks(per), nil
 }
 
-// execSort orders rows by the clause's keys. The serial pass evaluates every
-// key vector then runs one stable sort; the parallel pass (large inputs,
-// subquery-free keys) evaluates keys per chunk and merge-sorts the chunks,
-// producing the identical stable order (see parallel.go).
+// execSort orders rows by the clause's keys. Each chunk evaluates its rows'
+// key vectors and stable-sorts its own index range; the sorted runs then
+// merge into the unique stable order — rows ordered by (key vector, original
+// index) — which is what one sort.SliceStable over all rows produces.
 func (c *execCtx) execSort(cl *SortClause, rows []*env) ([]*env, error) {
-	if c.stageEligible(len(rows), cl.parallelSafe) {
-		c.stats.ParallelSorts++
-		return c.execSortParallel(cl, rows)
-	}
 	keys := make([][]mmvalue.Value, len(rows))
-	for ri, r := range rows {
-		ks := make([]mmvalue.Value, len(cl.Keys))
-		for ki, k := range cl.Keys {
-			v, err := c.eval(k.Expr, r)
-			if err != nil {
-				return nil, err
-			}
-			ks[ki] = v
-		}
-		keys[ri] = ks
-	}
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
+	less := func(a, b int) bool {
 		for ki := range cl.Keys {
-			cmp := mmvalue.Compare(keys[idx[a]][ki], keys[idx[b]][ki])
+			cmp := mmvalue.Compare(keys[a][ki], keys[b][ki])
 			if cl.Keys[ki].Desc {
 				cmp = -cmp
 			}
@@ -407,9 +401,34 @@ func (c *execCtx) execSort(cl *SortClause, rows []*env) ([]*env, error) {
 			}
 		}
 		return false
+	}
+	p := c.split(len(rows), len(rows), cl.parallelSafe, &c.stats.ParallelSorts)
+	runs := make([][]int, p.k)
+	err := runChunks(p, func(ci, lo, hi int) error {
+		for ri := lo; ri < hi; ri++ {
+			ks := make([]mmvalue.Value, len(cl.Keys))
+			for ki, k := range cl.Keys {
+				v, err := c.eval(k.Expr, rows[ri])
+				if err != nil {
+					return err
+				}
+				ks[ki] = v
+			}
+			keys[ri] = ks
+		}
+		idx := make([]int, hi-lo)
+		for i := range idx {
+			idx[i] = lo + i
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
+		runs[ci] = idx
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	next := make([]*env, len(rows))
-	for i, j := range idx {
+	for i, j := range mergeSortedRuns(runs, less) {
 		next[i] = rows[j]
 	}
 	return next, nil
@@ -510,24 +529,20 @@ func (c *execCtx) execDistinctRows(cl *distinctRowsClause, rows []*env) ([]*env,
 	return next, nil
 }
 
-// execReturn materializes results, handling DISTINCT and EXPAND. Large
-// projections with subquery-free expressions evaluate on the worker pool —
-// per-group aggregate folds after a COLLECT run here, concurrently across
-// groups — while DISTINCT dedup stays a serial pass over the merged output.
+// execReturn materializes results, handling DISTINCT and EXPAND. This is
+// where aggregate folds over COLLECT groups (SUM(g[*].x), LENGTH(g), ...)
+// run, so chunks spread groups across workers while each group's fold stays
+// serial within one chunk. EXPAND may change cardinality, so chunks collect
+// their own values; DISTINCT dedup is a serial pass over the merged output.
 func (c *execCtx) execReturn(cl *ReturnClause, rows []*env) ([]mmvalue.Value, error) {
-	var out []mmvalue.Value
-	if c.stageEligible(len(rows), cl.parallelSafe) {
-		c.stats.ParallelEvals++
-		vals, err := c.execReturnParallel(cl, rows)
-		if err != nil {
-			return nil, err
-		}
-		out = vals
-	} else {
-		for _, r := range rows {
+	p := c.split(len(rows), len(rows), cl.parallelSafe, &c.stats.ParallelEvals)
+	per := make([][]mmvalue.Value, p.k)
+	err := runChunks(p, func(ci, lo, hi int) error {
+		var out []mmvalue.Value
+		for _, r := range rows[lo:hi] {
 			v, err := c.eval(cl.Expr, r)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if cl.expand {
 				if v.Kind() == mmvalue.KindArray {
@@ -539,7 +554,13 @@ func (c *execCtx) execReturn(cl *ReturnClause, rows []*env) ([]mmvalue.Value, er
 			}
 			out = append(out, v)
 		}
+		per[ci] = out
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	out := concatChunks(per)
 	if cl.Distinct {
 		var uniq []mmvalue.Value
 		seen := map[uint64][]mmvalue.Value{}
@@ -565,26 +586,20 @@ func (c *execCtx) execReturn(cl *ReturnClause, rows []*env) ([]mmvalue.Value, er
 // execCollect groups rows by key expressions. Output rows bind the key
 // variables, the Into variable (array of row-binding objects), and — for
 // MSQL's loose-grouping convenience — the bindings of the group's first row.
-// Large inputs with subquery-free keys group via per-chunk partial tables on
-// the worker pool (see parallel.go); both paths share buildCollectRows.
+// Each chunk groups its rows into its own table; the tables merge in chunk
+// order (see parallel.go).
 func (c *execCtx) execCollect(cl *CollectClause, rows []*env) ([]*env, error) {
 	c.stats.DecomposedAggs += len(cl.aggSpecs)
-	var out []*env
-	if c.stageEligible(len(rows), cl.parallelSafe) {
-		c.stats.ParallelCollects++
-		grouped, err := c.execCollectParallel(cl, rows)
-		if err != nil {
-			return nil, err
-		}
-		out = grouped
-	} else {
+	p := c.split(len(rows), len(rows), cl.parallelSafe, &c.stats.ParallelCollects)
+	partials := make([]*groupTable, p.k)
+	err := runChunks(p, func(ci, lo, hi int) error {
 		groups := newGroupTable()
-		for _, r := range rows {
+		for _, r := range rows[lo:hi] {
 			keyVals := make([]mmvalue.Value, len(cl.Keys))
 			for i, k := range cl.Keys {
 				v, err := c.eval(k, r)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				keyVals[i] = v
 			}
@@ -596,8 +611,13 @@ func (c *execCtx) execCollect(cl *CollectClause, rows []*env) ([]*env, error) {
 				g.observeAggs(cl, obj)
 			}
 		}
-		out = c.buildCollectRows(cl, groups.order)
+		partials[ci] = groups
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	out := c.buildCollectRows(cl, mergeCollectPartials(cl, partials))
 	// A keyless COLLECT over zero rows still yields one (empty) group so
 	// aggregates like COUNT(*) return 0.
 	if len(out) == 0 && len(cl.Keys) == 0 {
@@ -619,9 +639,9 @@ type forPart struct {
 
 // execFor expands each input row by the source's elements, using an index
 // when the immediately-following filters allow it, then applies those
-// filters (fused with the bind, so large scans can be filtered in parallel).
-// Scanning itself stays serial — sources are read through the transaction —
-// but the per-element bind + residual filter evaluation is the hot loop.
+// filters fused with the bind. Reading the source is one pass through the
+// transaction; the bind + filter loop over the flat (outer row × element)
+// index is the stage's chunk body.
 //
 // need > 0 says a LIMIT directly follows and keeps at most need rows: a named
 // source is then bound and filtered inside its scan, which stops at the
@@ -671,39 +691,52 @@ func (c *execCtx) execFor(cl *ForClause, filters []*FilterClause, rows []*env, n
 		}
 		return out, nil
 	}
-	parts := make([]forPart, 0, len(rows))
+	parts := make([]forPart, len(rows))
 	total := 0
-	for _, r := range rows {
+	for ri, r := range rows {
 		elems, err := c.sourceElems(cl, filters, r)
 		if err != nil {
 			return nil, err
 		}
-		parts = append(parts, forPart{r: r, elems: elems})
+		parts[ri] = forPart{r: r, elems: elems}
 		total += len(elems)
 	}
-	if c.parallelEligible(total, filters) {
-		c.stats.ParallelScans++
-		return c.execForParallel(cl.Var, filters, parts, total)
-	}
-	var out []*env
-	for _, p := range parts {
-		for _, el := range p.elems {
-			en := p.r.bindSource(cl.Var, el)
-			keep, err := c.applyFilters(filters, en)
-			if err != nil {
-				return nil, err
+	p := c.split(total, total, filtersSafe(filters), &c.stats.ParallelScans)
+	per := make([][]*env, p.k)
+	err := runChunks(p, func(ci, lo, hi int) error {
+		var out []*env
+		base := 0 // flat index of part's first element
+		for _, part := range parts {
+			if base >= hi {
+				break
 			}
-			if keep {
-				out = append(out, en)
+			n := len(part.elems)
+			if base+n > lo {
+				for _, el := range part.elems[max(lo-base, 0):min(hi-base, n)] {
+					en := part.r.bindSource(cl.Var, el)
+					keep, err := c.applyFilters(filters, en)
+					if err != nil {
+						return err
+					}
+					if keep {
+						out = append(out, en)
+					}
+				}
 			}
+			base += n
 		}
+		per[ci] = out
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return concatChunks(per), nil
 }
 
 // applyFilters evaluates the residual filters against one row, reporting
-// whether every filter is truthy. It is called concurrently by the parallel
-// executor, so it must stay free of writes to shared executor state.
+// whether every filter is truthy. It runs in chunk bodies, possibly several
+// at once, so it must stay free of writes to shared executor state.
 func (c *execCtx) applyFilters(filters []*FilterClause, en *env) (bool, error) {
 	for _, f := range filters {
 		v, err := c.eval(f.Expr, en)

@@ -275,30 +275,32 @@ func pathMatchesIndex(predPath, idxPath string) bool {
 	return predPath == stripped
 }
 
-// fetchDocs materializes an index access's candidate key list. Large key
-// lists (GIN candidate sets, wide B+tree ranges) are partitioned across the
-// worker pool like full scans are; results concatenate in key order either
-// way, so downstream recheck filters see the identical row sequence.
+// fetchDocs materializes an index access's candidate key list (missing
+// keys are skipped). Large key lists (GIN candidate sets, wide B+tree
+// ranges) split into key chunks like any stage, Txn.Get being safe for
+// concurrent use on one transaction; results concatenate in key order, so
+// downstream recheck filters see the identical row sequence.
 func (c *execCtx) fetchDocs(coll string, keys []string) ([]mmvalue.Value, error) {
-	if c.pipelineParallelOK() && c.aboveThreshold(len(keys)) {
-		c.stats.ParallelIndexFetches++
-		out, err := c.fetchDocsParallel(coll, keys)
-		if err != nil {
-			return nil, err
+	p := c.split(len(keys), len(keys), true, &c.stats.ParallelIndexFetches)
+	per := make([][]mmvalue.Value, p.k)
+	err := runChunks(p, func(ci, lo, hi int) error {
+		var out []mmvalue.Value
+		for _, k := range keys[lo:hi] {
+			doc, ok, err := c.src.Docs.Get(c.tx, coll, k)
+			if err != nil {
+				return err
+			}
+			if ok {
+				out = append(out, doc)
+			}
 		}
-		c.stats.RowsRead += len(out)
-		return out, nil
+		per[ci] = out
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var out []mmvalue.Value
-	for _, k := range keys {
-		doc, ok, err := c.src.Docs.Get(c.tx, coll, k)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, doc)
-		}
-	}
+	out := concatChunks(per)
 	c.stats.RowsRead += len(out)
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"errors"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -187,7 +189,8 @@ func TestParseMSQLAnalyzed(t *testing.T) {
 
 // TestAboveThresholdDefaultMask pins parallelThreshold under the default
 // mask on any host: 1023 elements stay serial and 1024 fan out, while the
-// Stress bit fans out from one.
+// Stress bit fans out from one. It also pins split, the one place that
+// chooses between one chunk and several.
 func TestAboveThresholdDefaultMask(t *testing.T) {
 	def := &execCtx{}
 	if def.aboveThreshold(1023) || !def.aboveThreshold(1024) {
@@ -197,5 +200,86 @@ func TestAboveThresholdDefaultMask(t *testing.T) {
 	stress := &execCtx{opts: Options{Ablate: Stress}}
 	if stress.aboveThreshold(0) || !stress.aboveThreshold(1) {
 		t.Fatal("Stress mask: want parallel from one element")
+	}
+
+	// Two workers under the default mask, whatever the host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	readOnly := &Pipeline{analyzed: true}
+	ctx := func(ablate Ablate, pipe *Pipeline) *execCtx {
+		return &execCtx{opts: Options{Ablate: ablate}, curPipe: pipe}
+	}
+	cases := []struct {
+		name    string
+		c       *execCtx
+		n, work int
+		safe    bool
+		want    int // chunks
+	}{
+		{"below threshold", ctx(0, readOnly), 1023, 1023, true, 1},
+		{"at threshold", ctx(0, readOnly), 1024, 1024, true, 2},
+		{"unsafe stage", ctx(0, readOnly), 1024, 1024, false, 1},
+		{"mutating pipeline", ctx(0, &Pipeline{analyzed: true, hasMutation: true}), 1024, 1024, true, 1},
+		{"unanalyzed pipeline", ctx(0, &Pipeline{}), 1024, 1024, true, 1},
+		{"no pipeline", ctx(0, nil), 1024, 1024, true, 1},
+		{"NoParallel", ctx(NoParallel, readOnly), 1 << 20, 1 << 20, true, 1},
+		{"NoParallel under Stress", ctx(NoParallel|Stress, readOnly), 100, 100, true, 1},
+		{"Stress, one element of work", ctx(Stress, readOnly), 2, 1, true, 2},
+		{"Stress, more items than workers", ctx(Stress, readOnly), 9, 9, true, stressWorkers},
+		{"Stress, one item", ctx(Stress, readOnly), 1, 1, true, 1},
+		{"empty input", ctx(Stress, readOnly), 0, 0, true, 1},
+		// Vectorized: n counts column batches, work counts their rows.
+		{"batches, rows at threshold", ctx(0, readOnly), 2, 1024, true, 2},
+		{"one batch, rows at threshold", ctx(0, readOnly), 1, 5000, true, 1},
+		{"batches, rows below threshold", ctx(0, readOnly), 3, 1023, true, 1},
+	}
+	for _, tc := range cases {
+		counter := 0
+		p := tc.c.split(tc.n, tc.work, tc.safe, &counter)
+		if p.k != tc.want {
+			t.Errorf("%s: split(%d, %d) = %d chunks, want %d", tc.name, tc.n, tc.work, p.k, tc.want)
+		}
+		wantCount := 0 // the stage counter counts fan-outs only
+		if tc.want > 1 {
+			wantCount = 1
+		}
+		if counter != wantCount {
+			t.Errorf("%s: counter = %d, want %d", tc.name, counter, wantCount)
+		}
+		next := 0
+		for ci := 0; ci < p.k; ci++ {
+			lo, hi := p.chunk(ci)
+			if lo != next || hi < lo || (p.k > 1 && hi == lo) {
+				t.Errorf("%s: chunk %d = [%d, %d) after %d", tc.name, ci, lo, hi, next)
+			}
+			next = hi
+		}
+		if next != tc.n {
+			t.Errorf("%s: chunks end at %d, want %d", tc.name, next, tc.n)
+		}
+	}
+}
+
+// TestRunChunksRecoversPanic checks that a panic in a chunk body becomes
+// the stage's error, carrying the panic value, whether the chunk runs on a
+// worker goroutine or inline as the only chunk.
+func TestRunChunksRecoversPanic(t *testing.T) {
+	for _, p := range []partition{{n: 2, k: 2}, {n: 1, k: 1}} {
+		ran := make([]bool, p.k)
+		err := runChunks(p, func(ci, lo, hi int) error {
+			ran[ci] = true
+			if ci == p.k-1 {
+				panic("boom")
+			}
+			return nil
+		})
+		var cp *chunkPanic
+		if !errors.As(err, &cp) || cp.value != "boom" {
+			t.Fatalf("%d chunks: err = %v, want a chunkPanic carrying \"boom\"", p.k, err)
+		}
+		for ci, ok := range ran {
+			if !ok {
+				t.Fatalf("%d chunks: chunk %d never ran", p.k, ci)
+			}
+		}
 	}
 }

@@ -29,8 +29,8 @@ package query
 // that could make the row path error — a bare-column reference to an
 // attribute some row lacks, an unbound parameter — make the whole query
 // fall back to the row path, which then produces the identical error.
-// Batches are processed on the shared worker pool (parallel.go's chunk
-// machinery) and merged in batch order, never map order.
+// Batches split into chunks like any stage's rows (parallel.go) and merge
+// in batch order, never map order.
 
 import (
 	"math"
@@ -611,73 +611,52 @@ func (c *execCtx) execVecScan(cl *ForClause, filters []*FilterClause, rows []*en
 
 	residual := filters[len(v.filters):]
 	base := rows[0]
-	process := func(b *colstore.Batch) ([]*env, bool, error) {
-		ve := &vecEval{b: b}
-		sel := bitmapidx.NewBitset()
-		sel.SetRange(b.Len())
-		for _, p := range preds {
-			sel = ve.evalBits(p, sel)
-		}
-		if sel.Count() == 0 {
-			return nil, !ve.perRow, nil
-		}
-		var out []*env
-		var ferr error
-		sel.ForEach(func(i int) bool {
-			en := base.bindSource(cl.Var, b.Doc(i))
-			keep, err := c.applyFilters(residual, en)
-			if err != nil {
-				ferr = err
-				return false
-			}
-			if keep {
-				out = append(out, en)
-			}
-			return true
-		})
-		return out, false, ferr
-	}
-
 	outPer := make([][]*env, len(batches))
 	skippedPer := make([]bool, len(batches))
-	parallel := c.pipelineParallelOK() && c.aboveThreshold(total)
-	for _, f := range residual {
-		if !f.parallelSafe {
-			parallel = false
-		}
-	}
-	if parallel && len(batches) > 1 {
-		c.stats.ParallelScans++
-		err := runChunks(c.splitChunks(len(batches)), func(_ int, ch chunkRange) error {
-			for bi := ch.lo; bi < ch.hi; bi++ {
-				out, skipped, err := process(batches[bi])
+	p := c.split(len(batches), total, filtersSafe(residual), &c.stats.ParallelScans)
+	err = runChunks(p, func(_, lo, hi int) error {
+		for bi := lo; bi < hi; bi++ {
+			b := batches[bi]
+			ve := &vecEval{b: b}
+			sel := bitmapidx.NewBitset()
+			sel.SetRange(b.Len())
+			for _, pred := range preds {
+				sel = ve.evalBits(pred, sel)
+			}
+			if sel.Count() == 0 {
+				skippedPer[bi] = !ve.perRow
+				continue
+			}
+			var out []*env
+			var ferr error
+			sel.ForEach(func(i int) bool {
+				en := base.bindSource(cl.Var, b.Doc(i))
+				keep, err := c.applyFilters(residual, en)
 				if err != nil {
-					return err
+					ferr = err
+					return false
 				}
-				outPer[bi], skippedPer[bi] = out, skipped
+				if keep {
+					out = append(out, en)
+				}
+				return true
+			})
+			if ferr != nil {
+				return ferr
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, true, err
+			outPer[bi] = out
 		}
-	} else {
-		for bi, b := range batches {
-			out, skipped, err := process(b)
-			if err != nil {
-				return nil, true, err
-			}
-			outPer[bi], skippedPer[bi] = out, skipped
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, true, err
 	}
-	var out []*env
-	for bi := range outPer { // batch order == key order == serial row order
-		out = append(out, outPer[bi]...)
-		if skippedPer[bi] {
+	for _, skipped := range skippedPer {
+		if skipped {
 			c.stats.BatchesSkippedByBitmap++
 		}
 	}
-	return out, true, nil
+	return concatChunks(outPer), true, nil // batch order == key order == serial row order
 }
 
 // --- vectorized aggregation (whole-pipeline shape) ------------------------
@@ -685,8 +664,8 @@ func (c *execCtx) execVecScan(cl *ForClause, filters []*FilterClause, rows []*en
 // vecBatchAgg is one batch's contribution: the selection, one aggState per
 // spec, per-spec numeric element counts (AVG), whether the batch was pruned
 // without any per-row work, and how many specs it answered from popcounts /
-// zone stats alone (vectorized, in the strong sense). vecAggBatch runs on
-// worker goroutines, so everything it learns lands here, never in c.stats.
+// zone stats alone (vectorized, in the strong sense). vecAggBatch runs in
+// chunk bodies, so everything it learns lands here, never in c.stats.
 type vecBatchAgg struct {
 	sel     *bitmapidx.Bitset
 	states  []aggState
@@ -856,21 +835,15 @@ func (c *execCtx) execVecAgg(pipe *Pipeline) ([]mmvalue.Value, bool, error) {
 	c.stats.DecomposedAggs += len(v.agg.collect.aggSpecs)
 
 	results := make([]vecBatchAgg, len(batches))
-	if c.pipelineParallelOK() && c.aboveThreshold(total) && len(batches) > 1 {
-		c.stats.ParallelScans++
-		rerr := runChunks(c.splitChunks(len(batches)), func(_ int, ch chunkRange) error {
-			for bi := ch.lo; bi < ch.hi; bi++ {
-				results[bi] = c.vecAggBatch(v, preds, batches[bi])
-			}
-			return nil
-		})
-		if rerr != nil {
-			return nil, true, rerr
+	p := c.split(len(batches), total, true, &c.stats.ParallelScans)
+	err = runChunks(p, func(_, lo, hi int) error {
+		for bi := lo; bi < hi; bi++ {
+			results[bi] = c.vecAggBatch(v, preds, batches[bi])
 		}
-	} else {
-		for bi, b := range batches {
-			results[bi] = c.vecAggBatch(v, preds, b)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, true, err
 	}
 
 	// Merge partials in batch order — the serial fold order.

@@ -1,7 +1,7 @@
 // Sharded replicas: one WAL-shipping replica per shard behind the same
 // ReplicaView surface a single engine's replica offers. Point reads route
-// by the router's hash; scans merge per-shard runs; lag is the sum of
-// per-shard backlogs. A cross-shard transaction ships one batch per
+// by the router's hash; scans gather per-shard runs as Txn scans do; lag is
+// the sum of per-shard backlogs. A cross-shard transaction ships one batch per
 // participant, so a lagging sharded replica can transiently expose half of
 // one — the same bounded-staleness contract a lagging single replica
 // already has for sequences of transactions.
@@ -42,11 +42,7 @@ func (p *Replica) Scan(ks string, lo, hi []byte, fn func(key, value []byte) bool
 		})
 		runs[i] = pairs
 	}
-	for _, pair := range mergeRuns(runs, false) {
-		if !fn(pair[0], pair[1]) {
-			return
-		}
-	}
+	gather(runs, false, fn)
 }
 
 // Lag sums the per-shard apply backlogs.

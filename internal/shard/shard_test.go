@@ -422,6 +422,23 @@ func TestShardedReplicaRoutesAndMerges(t *testing.T) {
 			t.Fatalf("replica merge out of order: %q >= %q", keys[i-1], keys[i])
 		}
 	}
+	// Early stop: fn declining after k keys ends the gather there, having
+	// seen the k smallest keys in order.
+	for _, k := range []int{1, 7, 60} {
+		var got []string
+		rep.Scan("rp", nil, nil, func(key, v []byte) bool {
+			got = append(got, string(key))
+			return len(got) < k
+		})
+		if len(got) != k {
+			t.Fatalf("early stop after %d: replica scan saw %d keys", k, len(got))
+		}
+		for i, key := range got {
+			if key != keys[i] {
+				t.Fatalf("early stop after %d: key %d = %q, want %q", k, i, key, keys[i])
+			}
+		}
+	}
 	if rep.Lag() != 0 {
 		t.Fatalf("lag = %d after CatchUp", rep.Lag())
 	}

@@ -210,9 +210,17 @@ func (t *Txn) scan(ks string, lo, hi []byte, fn func(key, value []byte) bool, re
 			return err
 		}
 	}
-	// Gather: drive fn straight off the runs with a min-pick (no merged
-	// copy, which halves the allocation and GC-barrier traffic of a fan-out
-	// scan).
+	gather(runs, reverse, fn)
+	return nil
+}
+
+// gather drives fn over per-shard sorted runs in global key order, by a
+// min-pick across the run heads, until fn returns false. It reads the runs
+// in place (no merged copy, which halves the allocation and GC-barrier
+// traffic of a fan-out scan). Keys are disjoint across shards (each key
+// hashes to one owner), so there are never ties to break and the order is
+// byte-identical to a single engine's scan of the union.
+func gather(runs [][][2][]byte, reverse bool, fn func(key, value []byte) bool) {
 	idx := make([]int, len(runs))
 	for {
 		best := -1
@@ -230,64 +238,14 @@ func (t *Txn) scan(ks string, lo, hi []byte, fn func(key, value []byte) bool, re
 			}
 		}
 		if best < 0 {
-			return nil
+			return
 		}
 		p := runs[best][idx[best]]
 		idx[best]++
 		if !fn(p[0], p[1]) {
-			return nil
+			return
 		}
 	}
-}
-
-// mergeRuns merges per-shard sorted runs into one globally ordered slice by
-// repeated two-way merging (n·log k compares instead of n·k for the naive
-// min-pick, and each exhausted side's tail is bulk-copied). Keys are
-// disjoint across shards (each key hashes to one owner), so there are never
-// ties to break and the merge is byte-identical to a single engine's scan
-// of the union.
-func mergeRuns(runs [][][2][]byte, reverse bool) [][2][]byte {
-	live := runs[:0]
-	for _, run := range runs {
-		if len(run) > 0 {
-			live = append(live, run)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	for len(live) > 1 {
-		next := live[:0]
-		for i := 0; i+1 < len(live); i += 2 {
-			next = append(next, merge2(live[i], live[i+1], reverse))
-		}
-		if len(live)%2 == 1 {
-			next = append(next, live[len(live)-1])
-		}
-		live = next
-	}
-	return live[0]
-}
-
-// merge2 merges two sorted tie-free runs.
-func merge2(a, b [][2][]byte, reverse bool) [][2][]byte {
-	out := make([][2][]byte, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		c := bytes.Compare(a[i][0], b[j][0])
-		if (!reverse && c < 0) || (reverse && c > 0) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // Commit publishes the transaction. Single-shard write-sets take the
