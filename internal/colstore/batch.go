@@ -8,6 +8,7 @@
 package colstore
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/binenc"
@@ -121,21 +122,38 @@ func (b *Batch) Doc(i int) mmvalue.Value {
 	return mmvalue.ObjectOf(fields)
 }
 
-func (b *Batch) addValue(row int, attr string, val mmvalue.Value) {
-	ci, ok := b.colIdx[attr]
+// addValue stores row's value of the attribute named attr, opening the
+// column (the one place its name is allocated) on the batch's first value.
+func (b *Batch) addValue(row int, attr []byte, val mmvalue.Value) {
+	ci, ok := b.colIdx[string(attr)]
 	if !ok {
+		name := string(attr)
 		ci = len(b.Cols)
-		b.colIdx[attr] = ci
+		b.colIdx[name] = ci
 		b.Cols = append(b.Cols, Column{
-			Name:    attr,
+			Name:    name,
 			Present: bitmapidx.NewBitset(),
 			AllInt:  true,
 		})
 	}
 	c := &b.Cols[ci]
+	if c.Present.Has(row) {
+		// A second entry for one item's attribute: the item's keys were
+		// written in two encodings of Equal values, such as Int(1) and
+		// Float(1). The later entry wins, as in ScanJSON, and the column's
+		// stats are recounted without the value it replaces.
+		c.Vals[row] = val
+		c.restat()
+		return
+	}
 	c.Vals = put(c.Vals, row, val, b.capHint)
 	c.Present.Set(row)
+	c.observe(val)
+	b.values++
+}
 
+// observe folds one present value into the column's stats.
+func (c *Column) observe(val mmvalue.Value) {
 	switch val.Kind() {
 	case mmvalue.KindNull:
 		c.HasNull = true
@@ -162,7 +180,15 @@ func (b *Batch) addValue(row int, attr string, val mmvalue.Value) {
 		c.MaxVal = val
 	}
 	c.NPresent++
-	b.values++
+}
+
+// restat recomputes the column's stats from its present values in row order.
+func (c *Column) restat() {
+	*c = Column{Name: c.Name, Vals: c.Vals, Present: c.Present, AllInt: true}
+	c.Present.ForEach(func(i int) bool {
+		c.observe(c.Vals[i])
+		return true
+	})
 }
 
 // firstCap caps the first allocation of a batch vector (see put).
@@ -232,81 +258,157 @@ func (s *Store) ReadBatches(tx engine.Tx, table string, batchSize int, project [
 // at the first item boundary where it is no longer Dense, so padding stays
 // within a constant factor of the values read (only the item that tipped a
 // batch over can exceed it). A non-nil project keeps only the named
-// attributes' values (keys are still decoded for item boundaries);
-// projected batches cannot reconstruct documents.
+// attributes' values (keys are still read for item boundaries); projected
+// batches cannot reconstruct documents.
 func (s *Store) EachBatch(tx engine.Tx, table string, batchSize int, project []string, fn func(*Batch) bool) error {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	var keep map[string]bool
+	r := &batchReader{batchSize: batchSize, capHint: batchSize, fn: fn}
 	if project != nil {
-		keep = make(map[string]bool, len(project))
+		r.keep = make(map[string]bool, len(project))
 		for _, a := range project {
-			keep[a] = true
+			r.keep[a] = true
 		}
 	}
-
-	var cur *Batch
-	var curPart, curSort mmvalue.Value
-	// capHint sizes a batch's vectors (see put): batchSize for the first
-	// batch, then the length of the one before.
-	capHint := batchSize
-	started, stopped := false, false
-	row := -1
-	var decErr error
-	scratch := make([]mmvalue.Value, 0, 4) // reused per entry; copied out below
-	err := tx.Scan(Keyspace(table), nil, nil, func(k, v []byte) bool {
-		parts, err := keyenc.DecodeAppend(scratch[:0], k)
-		if err != nil || len(parts) != 3 {
-			decErr = fmt.Errorf("colstore: corrupt entry: %w", err)
-			return false
-		}
-		scratch = parts
-		part, sort, attr := parts[0], parts[1], parts[2].AsString()
-		if !started || !mmvalue.Equal(part, curPart) || !mmvalue.Equal(sort, curSort) {
-			started = true
-			curPart, curSort = part, sort
-			if cur != nil && (cur.rows >= batchSize || !cur.Dense()) {
-				cur.seal()
-				if !fn(cur) {
-					stopped = true
-					return false
-				}
-				capHint, cur = cur.rows, nil
-			}
-			if cur == nil {
-				cur = &Batch{
-					colIdx:    map[string]int{},
-					projected: keep != nil,
-					capHint:   capHint,
-				}
-				row = -1
-			}
-			row++
-			cur.rows = row + 1
-			cur.Parts = put(cur.Parts, row, part, capHint)
-			cur.Sorts = put(cur.Sorts, row, sort, capHint)
-		}
-		if keep != nil && !keep[attr] {
-			return true
-		}
-		val, err := binenc.Decode(v)
-		if err != nil {
-			decErr = err
-			return false
-		}
-		cur.addValue(row, attr, val)
-		return true
-	})
-	if err != nil {
+	if err := tx.Scan(Keyspace(table), nil, nil, r.entry); err != nil {
 		return err
 	}
-	if decErr != nil {
-		return decErr
+	if r.err != nil {
+		return r.err
 	}
-	if cur != nil && !stopped {
-		cur.seal()
-		fn(cur)
+	if r.cur != nil && !r.stopped {
+		r.cur.seal()
+		fn(r.cur)
 	}
 	return nil
+}
+
+// batchReader is EachBatch's state between entries, one value so that a
+// read allocates it once rather than each captured variable. It decodes a
+// key's partition and sort key only where the item changes (the partition
+// only where its bytes change) and looks attribute names up by their
+// encoded bytes, so an entry of a known column and item allocates nothing
+// for its key.
+type batchReader struct {
+	batchSize int
+	keep      map[string]bool // the projection; nil keeps every attribute
+	fn        func(*Batch) bool
+
+	cur *Batch
+	// capHint sizes a batch's vectors (see put): batchSize for the first
+	// batch, then the length of the one before.
+	capHint          int
+	row              int
+	started, stopped bool
+	err              error
+
+	prefix           []byte        // the last entry's encoded (part, sort)
+	partLen          int           // prefix[:partLen] encodes part
+	part             mmvalue.Value // prefix's part, decoded
+	curPart, curSort mmvalue.Value // the current item's keys
+	scratch          []mmvalue.Value
+}
+
+// corrupt stops the scan on an entry whose key is not (part, sort, attr).
+func (r *batchReader) corrupt(err error) bool {
+	r.err = fmt.Errorf("colstore: corrupt entry: %w", err)
+	return false
+}
+
+// decode decodes the one element b holds, which Skip has measured.
+func (r *batchReader) decode(b []byte) (mmvalue.Value, error) {
+	vals, err := keyenc.DecodeAppend(r.scratch[:0], b)
+	if err != nil || len(vals) != 1 {
+		return mmvalue.Null, err
+	}
+	r.scratch = vals
+	return vals[0], nil
+}
+
+// entry handles one attribute entry of the scan. Every key is validated as
+// ScanJSON's decoding would: part and sort by keyenc.Skip (or by being the
+// previous entry's validated bytes), the attribute by comparison with an
+// unescaped string element or by decoding. Items are told apart as ScanJSON
+// does, by mmvalue.Equal on the decoded keys.
+func (r *batchReader) entry(k, v []byte) bool {
+	n, samePrefix := len(r.prefix), r.started && bytes.HasPrefix(k, r.prefix)
+	partLen := r.partLen
+	if !samePrefix {
+		var err error
+		if partLen, err = keyenc.Skip(k); err != nil {
+			return r.corrupt(err)
+		}
+		sortLen, err := keyenc.Skip(k[partLen:])
+		if err != nil {
+			return r.corrupt(err)
+		}
+		n = partLen + sortLen
+	}
+	name, m, plain := keyenc.UnescapedString(k[n:])
+	if !plain || m != len(k)-n {
+		attr, err := keyenc.Decode(k[n:])
+		if err != nil || len(attr) != 1 {
+			return r.corrupt(err)
+		}
+		name = []byte(attr[0].AsString())
+	}
+	if !samePrefix && !r.item(k[:partLen], k[partLen:n]) {
+		return false
+	}
+	if r.keep != nil && !r.keep[string(name)] {
+		return true
+	}
+	val, err := binenc.Decode(v)
+	if err != nil {
+		r.err = err
+		return false
+	}
+	r.cur.addValue(r.row, name, val)
+	return true
+}
+
+// item takes an entry whose encoded (part, sort) differ from the last
+// entry's: it decodes them, and when they start a new item, adds its row,
+// first handing on the batch that is full or no longer Dense.
+func (r *batchReader) item(partEnc, sortEnc []byte) bool {
+	part := r.part
+	if !r.started || !bytes.Equal(partEnc, r.prefix[:r.partLen]) {
+		var err error
+		if part, err = r.decode(partEnc); err != nil {
+			return r.corrupt(err)
+		}
+	}
+	sort, err := r.decode(sortEnc)
+	if err != nil {
+		return r.corrupt(err)
+	}
+	r.prefix = append(append(r.prefix[:0], partEnc...), sortEnc...)
+	r.partLen, r.part = len(partEnc), part
+	if r.started && mmvalue.Equal(part, r.curPart) && mmvalue.Equal(sort, r.curSort) {
+		return true
+	}
+	r.started = true
+	r.curPart, r.curSort = part, sort
+	if r.cur != nil && (r.cur.rows >= r.batchSize || !r.cur.Dense()) {
+		r.cur.seal()
+		if !r.fn(r.cur) {
+			r.stopped = true
+			return false
+		}
+		r.capHint, r.cur = r.cur.rows, nil
+	}
+	if r.cur == nil {
+		r.cur = &Batch{
+			colIdx:    map[string]int{},
+			projected: r.keep != nil,
+			capHint:   r.capHint,
+		}
+		r.row = -1
+	}
+	r.row++
+	r.cur.rows = r.row + 1
+	r.cur.Parts = put(r.cur.Parts, r.row, part, r.capHint)
+	r.cur.Sorts = put(r.cur.Sorts, r.row, sort, r.capHint)
+	return true
 }

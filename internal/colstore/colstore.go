@@ -236,27 +236,35 @@ func (s *Store) QuerySortRange(tx engine.Tx, table string, part mmvalue.Value, l
 // and are merged with `_part` and `_sort` into one exactly sized field
 // slice, so mmvalue.ObjectOf takes it without sorting. An attribute named
 // like a key column lands just before it, and ObjectOf's keep-last rule
-// lets the key column win.
+// lets the key column win. An item whose keys were written in two
+// encodings of Equal values (Int(1) and Float(1)) gathers its attributes
+// out of name order; they go first and the key columns last, so that
+// ObjectOf's sort keeps the later of two entries for one attribute and
+// the key columns over both.
 func (s *Store) ScanJSON(tx engine.Tx, table string, fn func(doc mmvalue.Value) bool) error {
 	var attrs []mmvalue.Field // the current item's attributes, reused item to item
 	var parts []mmvalue.Value // key scratch, reused row to row
 	var curPart, curSort mmvalue.Value
-	started := false
+	started, inOrder := false, true
 	flush := func() bool {
 		if !started {
 			return true
 		}
 		keys := [2]mmvalue.Field{mmvalue.F("_part", curPart), mmvalue.F("_sort", curSort)}
 		fields := make([]mmvalue.Field, 0, len(attrs)+len(keys))
-		k := 0
-		for _, a := range attrs {
-			for k < len(keys) && keys[k].Name < a.Name {
-				fields = append(fields, keys[k])
-				k++
+		if inOrder {
+			k := 0
+			for _, a := range attrs {
+				for k < len(keys) && keys[k].Name < a.Name {
+					fields = append(fields, keys[k])
+					k++
+				}
+				fields = append(fields, a)
 			}
-			fields = append(fields, a)
+			fields = append(fields, keys[k:]...)
+		} else {
+			fields = append(append(fields, attrs...), keys[:]...)
 		}
-		fields = append(fields, keys[k:]...)
 		// Cleared once fn stops the scan, so the closing flush does not hand
 		// it the same item again.
 		started = fn(mmvalue.ObjectOf(fields))
@@ -280,11 +288,15 @@ func (s *Store) ScanJSON(tx engine.Tx, table string, fn func(doc mmvalue.Value) 
 			if !flush() {
 				return false
 			}
-			started = true
+			started, inOrder = true, true
 			curPart, curSort = part, sort
 			attrs = attrs[:0]
 		}
-		attrs = append(attrs, mmvalue.F(parts[2].AsString(), val))
+		name := parts[2].AsString()
+		if len(attrs) > 0 && attrs[len(attrs)-1].Name >= name {
+			inOrder = false
+		}
+		attrs = append(attrs, mmvalue.F(name, val))
 		return true
 	})
 	if err != nil {

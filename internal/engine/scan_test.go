@@ -122,9 +122,17 @@ func TestScanAllocsIndependentOfKeyspaceSize(t *testing.T) {
 // TestStoreScanAllocsPerRowIndependentOfSize is the guard on the per-row
 // cost of the store scans the query layer iterates: a document scan, a
 // wide-column item scan and the vectorized executor's column-batch read (of
-// a dense table and of a sparse one with as many attributes as rows)
-// allocate the same per row, in count and in bytes, over a thousand rows and
-// over ten thousand, and each stays within a fixed per-row allocation budget.
+// a dense table, of the same table projected to one attribute, and of a
+// sparse one with as many attributes as rows) allocate the same per row, in
+// count and in bytes, from one to five batches' worth of rows as from five
+// to ten, and each stays within a fixed per-row allocation budget.
+//
+// The per-row cost is the slope between two table sizes, which leaves out a
+// scan's fixed cost: a dense column-batch read allocates about 0.03 times
+// per row, so its dozen allocations per call (the reader, the keyspace
+// name, the growing batch list) would move a per-row quotient by a third
+// between a thousand rows and ten thousand. The sizes are whole multiples
+// of colstore.DefaultBatchSize, so both slopes cover whole batches.
 func TestStoreScanAllocsPerRowIndependentOfSize(t *testing.T) {
 	e := openEphemeral(t)
 	docs := docstore.New(e, catalog.New(e))
@@ -159,13 +167,17 @@ func TestStoreScanAllocsPerRowIndependentOfSize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	load("small", 1_000)
-	load("large", 10_000)
-	// perRow returns what one scan of the named table allocates per row, in
-	// count and in bytes.
-	perRow := func(scan func(tx engine.Tx, name string) (rows int, err error), name string) (allocs, bytes float64) {
+	sizes := []struct {
+		name string
+		rows int
+	}{{"small", 1 * colstore.DefaultBatchSize}, {"medium", 5 * colstore.DefaultBatchSize}, {"large", 10 * colstore.DefaultBatchSize}}
+	for _, sz := range sizes {
+		load(sz.name, sz.rows)
+	}
+	// cost returns what one scan of the named table allocates, in count and
+	// in bytes, and the rows it read.
+	cost := func(scan func(tx engine.Tx, name string) (rows int, err error), name string) (allocs, bytes float64, rows int) {
 		err := e.SnapshotView(func(tx *engine.Txn) error {
-			rows := 0
 			run := func() {
 				var err error
 				if rows, err = scan(tx, name); err != nil {
@@ -177,18 +189,27 @@ func TestStoreScanAllocsPerRowIndependentOfSize(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			run()
 			runtime.ReadMemStats(&after)
-			allocs, bytes = allocs/float64(rows), float64(after.TotalAlloc-before.TotalAlloc)/float64(rows)
+			bytes = float64(after.TotalAlloc - before.TotalAlloc)
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return allocs, bytes
+		return allocs, bytes, rows
+	}
+	readBatches := func(suffix string, project []string) func(tx engine.Tx, name string) (rows int, err error) {
+		return func(tx engine.Tx, name string) (rows int, err error) {
+			batches, err := cols.ReadBatches(tx, name+suffix, 0, project)
+			for _, b := range batches {
+				rows += b.Len()
+			}
+			return rows, err
+		}
 	}
 	for _, c := range []struct {
 		name      string
 		scan      func(tx engine.Tx, name string) (rows int, err error)
-		maxAllocs float64 // per row, plus a hundredth for the scan's fixed cost
+		maxAllocs float64 // per row, plus a hundredth
 	}{
 		{"docstore.Scan", func(tx engine.Tx, name string) (rows int, err error) {
 			err = docs.Scan(tx, name, func(string, mmvalue.Value) bool { rows++; return true })
@@ -198,31 +219,36 @@ func TestStoreScanAllocsPerRowIndependentOfSize(t *testing.T) {
 			err = cols.ScanJSON(tx, name, func(mmvalue.Value) bool { rows++; return true })
 			return rows, err
 		}, 2}, // the item's field slice and its one multi-byte attribute name
-		{"colstore.ReadBatches", func(tx engine.Tx, name string) (rows int, err error) {
-			batches, err := cols.ReadBatches(tx, name, 0, nil)
-			for _, b := range batches {
-				rows += b.Len()
-			}
-			return rows, err
-		}, 1.05}, // the item's one multi-byte attribute name, plus each batch's vectors and bitmaps
-		{"colstore.ReadBatches (sparse)", func(tx engine.Tx, name string) (rows int, err error) {
-			batches, err := cols.ReadBatches(tx, name+"_sparse", 0, nil)
-			for _, b := range batches {
-				rows += b.Len()
-			}
-			return rows, err
-		}, 5.4}, // the item's attribute name, plus per batch of ~12 items (cut where it stops being Dense) its map and one vector and bitmap per column
+		// Per batch its vectors, bitmaps and column names; a key allocates nothing.
+		{"colstore.ReadBatches", readBatches("", nil), 0.03},
+		// The same for one column; other attributes are skipped by their encoded name.
+		{"colstore.ReadBatches (projected)", readBatches("", []string{"v"}), 0.02},
+		// The item's attribute name, plus per batch of ~12 items (cut where it
+		// stops being Dense) its map and one vector and bitmap per column.
+		{"colstore.ReadBatches (sparse)", readBatches("_sparse", nil), 5.4},
 	} {
-		smallAllocs, smallBytes := perRow(c.scan, "small")
-		largeAllocs, largeBytes := perRow(c.scan, "large")
-		t.Logf("%s per row: %.2f allocs / %.0f B over 1 000 rows, %.2f allocs / %.0f B over 10 000",
-			c.name, smallAllocs, smallBytes, largeAllocs, largeBytes)
-		if math.Abs(largeAllocs-smallAllocs) > smallAllocs/20 || math.Abs(largeBytes-smallBytes) > smallBytes/20 {
-			t.Errorf("%s costs %.2f allocs / %.0f B per row over 1 000 rows but %.2f / %.0f over 10 000",
-				c.name, smallAllocs, smallBytes, largeAllocs, largeBytes)
+		var allocs, bytes [3]float64
+		var rows [3]int
+		for i, sz := range sizes {
+			allocs[i], bytes[i], rows[i] = cost(c.scan, sz.name)
+			if rows[i] != sz.rows {
+				t.Fatalf("%s read %d rows of %s, want %d", c.name, rows[i], sz.name, sz.rows)
+			}
 		}
-		if largeAllocs > c.maxAllocs+0.01 {
-			t.Errorf("%s costs %.2f allocations per row, want %g", c.name, largeAllocs, c.maxAllocs)
+		slope := func(i int) (perRowAllocs, perRowBytes float64) {
+			d := float64(rows[i+1] - rows[i])
+			return (allocs[i+1] - allocs[i]) / d, (bytes[i+1] - bytes[i]) / d
+		}
+		lowAllocs, lowBytes := slope(0)
+		highAllocs, highBytes := slope(1)
+		t.Logf("%s per row: %.3f allocs / %.0f B from %d to %d rows, %.3f allocs / %.0f B from %d to %d (fixed ≈ %.0f allocs)",
+			c.name, lowAllocs, lowBytes, rows[0], rows[1], highAllocs, highBytes, rows[1], rows[2], allocs[0]-lowAllocs*float64(rows[0]))
+		if math.Abs(highAllocs-lowAllocs) > lowAllocs/20 || math.Abs(highBytes-lowBytes) > lowBytes/20 {
+			t.Errorf("%s costs %.3f allocs / %.0f B per row from %d to %d rows but %.3f / %.0f from %d to %d",
+				c.name, lowAllocs, lowBytes, rows[0], rows[1], highAllocs, highBytes, rows[1], rows[2])
+		}
+		if highAllocs > c.maxAllocs+0.01 {
+			t.Errorf("%s costs %.3f allocations per row, want %g", c.name, highAllocs, c.maxAllocs)
 		}
 	}
 }

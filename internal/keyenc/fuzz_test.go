@@ -9,7 +9,8 @@ import (
 // FuzzKeyDecode feeds arbitrary bytes to Decode, which reads keys straight
 // off the B+tree and the WAL: it must return an error rather than panic,
 // and a tuple it does decode must encode to a key that decodes to Equal
-// values.
+// values. Skip and UnescapedString must agree with the decoder on every
+// element of the input.
 func FuzzKeyDecode(f *testing.F) {
 	for _, tuple := range [][]mmvalue.Value{
 		// A column-item key: partition, sort key, attribute name.
@@ -30,7 +31,34 @@ func FuzzKeyDecode(f *testing.F) {
 	f.Add([]byte{0x42})
 	f.Add([]byte{tagArray, tagNull})
 	f.Add([]byte{tagObject, tagTrue, tagNull, terminator0, terminator1})
+	// An object whose last key has no value, and a string with an escape.
+	f.Add([]byte{tagObject, tagNull, terminator0, terminator1})
+	f.Add([]byte{tagString, 'a', terminator0, escape, terminator0, terminator1})
 	f.Fuzz(func(t *testing.T, key []byte) {
+		// Skip finds the element boundaries decodeOne does and fails where
+		// it fails, with the same error.
+		for rest := key; ; {
+			_, n, derr := decodeOne(rest)
+			sn, serr := Skip(rest)
+			if (derr == nil) != (serr == nil) || (derr != nil && derr.Error() != serr.Error()) {
+				t.Fatalf("Skip(%x) error %v, decodeOne error %v", rest, serr, derr)
+			}
+			if derr != nil {
+				break
+			}
+			if sn != n {
+				t.Fatalf("Skip(%x) = %d, decodeOne read %d bytes", rest, sn, n)
+			}
+			if p, pn, ok := UnescapedString(rest); ok {
+				v, _, _ := decodeOne(rest)
+				if pn != n || v.Kind() != mmvalue.KindString || v.AsString() != string(p) {
+					t.Fatalf("UnescapedString(%x) = %q, %d; decodeOne read %v, %d bytes", rest, p, pn, v, n)
+				}
+			}
+			if rest = rest[n:]; len(rest) == 0 {
+				break
+			}
+		}
 		vals, err := Decode(key)
 		if err != nil {
 			return

@@ -25,6 +25,7 @@
 package keyenc
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -254,6 +255,69 @@ func decodeOne(b []byte) (mmvalue.Value, int, error) {
 	default:
 		return mmvalue.Null, 0, fmt.Errorf("keyenc: unknown tag %#x", b[0])
 	}
+}
+
+// Skip returns the encoded length of the element at the head of b without
+// decoding it. It accepts exactly the elements Decode does, with the same
+// errors, and allocates nothing on valid input, so a scan can find element
+// boundaries in keys it does not need to decode.
+func Skip(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, fmt.Errorf("keyenc: empty input")
+	}
+	switch b[0] {
+	case tagNull, tagFalse, tagTrue:
+		return 1, nil
+	case tagNumber:
+		if len(b) < 10 {
+			return 0, fmt.Errorf("keyenc: short number")
+		}
+		if b[9] > 0x01 {
+			return 0, fmt.Errorf("keyenc: bad number disambiguator %#x", b[9])
+		}
+		return 10, nil
+	case tagString, tagBytes:
+		end, _, err := scanEscaped(b[1:])
+		if err != nil {
+			return 0, err
+		}
+		return 1 + end + 2, nil
+	case tagArray, tagObject:
+		per := 1 // elements between terminator checks: an object's are (key, value) pairs
+		if b[0] == tagObject {
+			per = 2
+		}
+		off := 1
+		for {
+			if off+1 < len(b) && b[off] == terminator0 && b[off+1] == terminator1 {
+				return off + 2, nil
+			}
+			for range per {
+				n, err := Skip(b[off:])
+				if err != nil {
+					return 0, err
+				}
+				off += n
+			}
+		}
+	default:
+		return 0, fmt.Errorf("keyenc: unknown tag %#x", b[0])
+	}
+}
+
+// UnescapedString reports whether b begins with a string element whose
+// payload holds no escaped byte, returning that payload — the string's own
+// bytes, aliasing b — and the element's encoded length. Callers compare or
+// look up the payload without allocating a string.
+func UnescapedString(b []byte) (payload []byte, n int, ok bool) {
+	if len(b) == 0 || b[0] != tagString {
+		return nil, 0, false
+	}
+	end := bytes.IndexByte(b[1:], terminator0)
+	if end < 0 || 1+end+1 >= len(b) || b[1+end+1] != terminator1 {
+		return nil, 0, false
+	}
+	return b[1 : 1+end], 1 + end + 2, true
 }
 
 func decodeMonotoneFloat(b []byte) float64 {

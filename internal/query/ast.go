@@ -177,6 +177,11 @@ type CollectClause struct {
 	// a per-group partial state per spec, and the merged state's value is
 	// bound under the spec's hidden name.
 	aggSpecs []aggSpec
+	// aggOnly is set by Pipeline.analyze when nothing downstream reads the
+	// Into array except through aggSpecs (see annotateCollectAggs): groups
+	// then fold each row straight into their states and build the member
+	// objects only for a group whose state cannot finish (value Null).
+	aggOnly bool
 }
 
 // ReturnClause produces the result value per row. expand (set by MSQL's

@@ -33,6 +33,12 @@ package query
 // skips it so INTO member objects are unchanged). evalFunc consults the
 // hidden binding before evaluating its argument; mmvalue.Null marks an
 // invalidated state and routes evaluation down the normal fold.
+//
+// Late materialization: when those annotated calls are the only readers of
+// the group variable (annotateCollectAggs sets aggOnly), grouping folds each
+// row into the states without building its member object (observeRow), and
+// buildCollectRows binds the INTO array — built then from the group's member
+// rows — only for a group with a Null state, whose calls fall back to it.
 
 import (
 	"strings"
@@ -67,18 +73,89 @@ func hiddenAggName(fn, varName string, path []string) string {
 // longer names this clause's group array, so calls stay unannotated and
 // evaluate normally (stale hidden bindings deeper in the env chain are only
 // ever consulted by annotated calls).
+//
+// It also decides whether the clause is aggregate-only (see aggOnly).
 func annotateCollectAggs(col *CollectClause, rest []Clause) {
 	if col.Into == "" {
 		return
 	}
+	col.aggOnly = true
 	for _, cl := range rest {
 		// A clause's expressions evaluate before its binding takes effect
 		// (LET g = SUM(g[*].x) reads the old g), so annotate first.
-		for _, e := range clauseExprs(cl) {
+		exprs := clauseExprs(cl)
+		for _, e := range exprs {
 			annotateAggExprs(col, e)
 		}
+		if later, ok := cl.(*CollectClause); ok && later.Into != "" {
+			col.aggOnly = false // its member objects would capture the group array
+		}
+		for _, e := range exprs {
+			if !readsIntoOnlyViaAggs(col, e) {
+				col.aggOnly = false
+			}
+		}
 		if clauseRebinds(cl, col.Into) {
-			return
+			break
+		}
+	}
+	for _, sp := range col.aggSpecs {
+		if len(sp.path) == 0 && sp.fn != "LENGTH" {
+			col.aggOnly = false // MIN(g), SUM(g): the state folds the member objects themselves
+		}
+	}
+}
+
+// readsIntoOnlyViaAggs reports whether every reference to col.Into in e is
+// the argument of a call annotated with one of col's aggSpecs, and e holds
+// no subquery (walkExpr does not enter one, so it could read the group
+// variable unseen).
+func readsIntoOnlyViaAggs(col *CollectClause, e Expr) bool {
+	covered := map[*VarRef]bool{}
+	ok := true
+	walkExpr(e, func(x Expr) {
+		switch t := x.(type) {
+		case *SubqueryExpr:
+			ok = false
+		case *FuncCall:
+			if t.aggName != "" && col.hasAggSpec(t.aggName) {
+				covered[aggArgRoot(t.Args[0])] = true
+			}
+		default:
+			// Variable references are checked by the second walk.
+		}
+	})
+	walkExpr(e, func(x Expr) {
+		if v, isVar := x.(*VarRef); isVar && !v.Param && v.Name == col.Into && !covered[v] {
+			ok = false
+		}
+	})
+	return ok
+}
+
+// hasAggSpec reports whether one of the clause's specs binds hidden.
+func (col *CollectClause) hasAggSpec(hidden string) bool {
+	for _, sp := range col.aggSpecs {
+		if sp.hidden == hidden {
+			return true
+		}
+	}
+	return false
+}
+
+// aggArgRoot returns the variable an aggregate argument accepted by
+// aggArgPath navigates from.
+func aggArgRoot(e Expr) *VarRef {
+	for {
+		switch t := e.(type) {
+		case *FieldAccess:
+			e = t.Base
+		case *IndexAccess:
+			e = t.Base
+		case *VarRef:
+			return t
+		default:
+			return nil
 		}
 	}
 }
@@ -130,12 +207,9 @@ func annotateAggExprs(col *CollectClause, e Expr) {
 		}
 		sp := aggSpec{fn: fn, path: path, hidden: hiddenAggName(fn, varName, path)}
 		fc.aggName = sp.hidden
-		for _, have := range col.aggSpecs {
-			if have.hidden == sp.hidden {
-				return
-			}
+		if !col.hasAggSpec(sp.hidden) {
+			col.aggSpecs = append(col.aggSpecs, sp)
 		}
-		col.aggSpecs = append(col.aggSpecs, sp)
 	})
 }
 
@@ -215,6 +289,20 @@ func newAggStates(n int) []aggState {
 // observeMember folds one member's contribution into the state.
 func (a *aggState) observeMember(sp aggSpec, member mmvalue.Value) {
 	navElems(member, sp.path, func(el mmvalue.Value) { a.observeOne(sp, el) })
+}
+
+// observeRow folds the contribution of the member object allVars would build
+// from row r without building it: the object's field path[0] is r's newest
+// binding of that name, so lookupDirect then colElems over path[1:] visits
+// exactly what navElems visits in the object. An empty path occurs on an
+// aggOnly clause only for LENGTH(g), which counts the member.
+func (a *aggState) observeRow(sp aggSpec, r *env) {
+	if len(sp.path) == 0 {
+		a.count++
+		return
+	}
+	v, _ := r.lookupDirect(sp.path[0])
+	colElems(v, sp.path[1:], func(el mmvalue.Value) { a.observeOne(sp, el) })
 }
 
 func (a *aggState) observeOne(sp aggSpec, el mmvalue.Value) {

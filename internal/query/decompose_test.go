@@ -1,8 +1,11 @@
 package query
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/mmvalue"
 )
 
@@ -222,5 +225,112 @@ func TestNavElemsMatchesArrayNavigation(t *testing.T) {
 	}
 	if !mmvalue.Equal(whole, mmvalue.ArrayOf(split)) {
 		t.Fatalf("whole-array %v != concat of per-member %v", whole, mmvalue.ArrayOf(split))
+	}
+}
+
+// TestAnnotateAggOnly pins which COLLECT ... INTO clauses are aggregate-only:
+// every downstream read of the group variable, up to its rebinding, must be
+// the argument of one of the clause's decomposed aggregates, with no
+// subquery or later COLLECT ... INTO that could see the array, and no
+// aggregate over the bare member objects except LENGTH.
+func TestAnnotateAggOnly(t *testing.T) {
+	for _, tc := range []struct {
+		q    string
+		msql bool
+		want bool
+	}{
+		{`FOR o IN orders FOR line IN o.Orderlines COLLECT product = line.Product_no INTO g
+			LET revenue = SUM(g[*].line.Price) SORT revenue DESC LIMIT 10
+			RETURN {product: product, revenue: revenue}`, false, true},
+		{`FOR s IN sales COLLECT r = s.region INTO g
+			RETURN {n: LENGTH(g), c: COUNT(g), lo: MIN(g[*].s.qty), hi: MAX(g[*].s.qty)}`, false, true},
+		{`FOR s IN sales COLLECT r = s.region INTO g RETURN r`, false, true},
+		{`FOR s IN sales COLLECT r = s.region INTO g LET g = 1 RETURN g`, false, true},
+		{`SELECT region, COUNT(*) AS n, SUM(qty) AS total FROM sales s GROUP BY region ORDER BY region`, true, true},
+		{`FOR s IN sales COLLECT r = s.region INTO g RETURN g`, false, false},
+		{`FOR s IN sales COLLECT r = s.region INTO g RETURN g[0].s.qty`, false, false},
+		{`FOR s IN sales COLLECT r = s.region INTO g FILTER LENGTH(g[*].s) > 1 RETURN SUM(g[*].s.qty)`, false, true},
+		{`FOR s IN sales COLLECT r = s.region INTO g RETURN {s: SUM(g[*].s.qty), m: AVG(g[*].s.qty)}`, false, false},
+		{`FOR s IN sales COLLECT r = s.region INTO g RETURN {s: SUM(g[*].s.qty), x: (FOR y IN [1] RETURN LENGTH(g))}`, false, false},
+		{`FOR s IN sales COLLECT r = s.region INTO g COLLECT n = LENGTH(g) INTO h RETURN {n: n, k: LENGTH(h)}`, false, false},
+		{`FOR s IN sales COLLECT r = s.region INTO g RETURN MIN(g)`, false, false},
+		{`SELECT region, AVG(qty) AS mean FROM sales s GROUP BY region`, true, false},
+	} {
+		var p *Pipeline
+		if tc.msql {
+			p = mustMSQL(t, tc.q)
+		} else {
+			p = mustMMQL(t, tc.q)
+		}
+		if got := findCollect(t, p).aggOnly; got != tc.want {
+			t.Errorf("aggOnly = %v, want %v for %s", got, tc.want, tc.q)
+		}
+	}
+}
+
+// TestAggOnlyCollectAllocsPerRowIndependentOfSize guards the cost of an
+// aggregate-only COLLECT: each input row costs the same, in count and in
+// bytes, from a thousand rows to ten thousand as from ten thousand to
+// nineteen thousand, and within a budget, in count and in bytes, that leaves
+// no room for a member object (a field map, a field slice and an object) or
+// a key slice per row.
+// The per-row cost is the slope between two sizes: the query's fixed cost
+// (its ten groups' states and result rows) is a tenth of the whole at a
+// thousand rows, too much for a per-row quotient to show a few percent.
+func TestAggOnlyCollectAllocsPerRowIndependentOfSize(t *testing.T) {
+	e, err := engine.Open(engine.Options{Durability: engine.Ephemeral})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	pipe := mustMMQL(t, `FOR x IN @rows COLLECT k = x.k INTO g
+		RETURN {k: k, n: LENGTH(g), s: SUM(g[*].x.v), hi: MAX(g[*].x.v)}`)
+	if !findCollect(t, pipe).aggOnly {
+		t.Fatal("COLLECT not aggregate-only")
+	}
+	// cost returns what one run over n rows allocates, in count and in bytes.
+	cost := func(n int) (allocs, bytes float64) {
+		rows := make([]mmvalue.Value, n)
+		for i := range rows {
+			rows[i] = mmvalue.Object(mmvalue.F("k", mmvalue.Int(int64(i%10))), mmvalue.F("v", mmvalue.Int(int64(i))))
+		}
+		opts := Options{Ablate: NoParallel, Params: map[string]mmvalue.Value{"rows": mmvalue.ArrayOf(rows)}}
+		err := e.SnapshotView(func(tx *engine.Txn) error {
+			run := func() {
+				res, err := Execute(tx, &Sources{}, pipe, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Values) != 10 {
+					t.Fatalf("%d groups, want 10", len(res.Values))
+				}
+			}
+			allocs = testing.AllocsPerRun(5, run)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			bytes = float64(after.TotalAlloc - before.TotalAlloc)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return allocs, bytes
+	}
+	a1, b1 := cost(1_000)
+	a2, b2 := cost(10_000)
+	a3, b3 := cost(19_000)
+	lowAllocs, lowBytes := (a2-a1)/9_000, (b2-b1)/9_000
+	highAllocs, highBytes := (a3-a2)/9_000, (b3-b2)/9_000
+	t.Logf("per input row: %.3f allocs / %.0f B from 1 000 to 10 000 rows, %.3f allocs / %.0f B from 10 000 to 19 000 (fixed ≈ %.0f allocs)",
+		lowAllocs, lowBytes, highAllocs, highBytes, a1-1_000*lowAllocs)
+	if math.Abs(highAllocs-lowAllocs) > lowAllocs/20 || math.Abs(highBytes-lowBytes) > lowBytes/20 {
+		t.Errorf("costs %.3f allocs / %.0f B per row from 1 000 to 10 000 rows but %.3f / %.0f from 10 000 to 19 000",
+			lowAllocs, lowBytes, highAllocs, highBytes)
+	}
+	// The FOR's binding (a 64 B env node), its output slot and a member link.
+	if highAllocs > 1.05 || highBytes > 80 {
+		t.Errorf("costs %.3f allocations / %.0f B per input row, want at most 1.05 / 80", highAllocs, highBytes)
 	}
 }

@@ -587,25 +587,31 @@ func (c *execCtx) execReturn(cl *ReturnClause, rows []*env) ([]mmvalue.Value, er
 // variables, the Into variable (array of row-binding objects), and — for
 // MSQL's loose-grouping convenience — the bindings of the group's first row.
 // Each chunk groups its rows into its own table; the tables merge in chunk
-// order (see parallel.go).
+// order (see parallel.go). An aggOnly clause folds each row into its group's
+// aggregate states and leaves the member objects to buildCollectRows.
 func (c *execCtx) execCollect(cl *CollectClause, rows []*env) ([]*env, error) {
 	c.stats.DecomposedAggs += len(cl.aggSpecs)
 	p := c.split(len(rows), len(rows), cl.parallelSafe, &c.stats.ParallelCollects)
 	partials := make([]*groupTable, p.k)
+	members := &memberRows{rows: rows, next: make([]int32, len(rows))}
 	err := runChunks(p, func(ci, lo, hi int) error {
 		groups := newGroupTable()
-		for _, r := range rows[lo:hi] {
-			keyVals := make([]mmvalue.Value, len(cl.Keys))
-			for i, k := range cl.Keys {
+		keyVals := make([]mmvalue.Value, len(cl.Keys)) // reused; a new group copies it
+		for i := lo; i < hi; i++ {
+			r := rows[i]
+			for ki, k := range cl.Keys {
 				v, err := c.eval(k, r)
 				if err != nil {
 					return err
 				}
-				keyVals[i] = v
+				keyVals[ki] = v
 			}
 			g := groups.group(keyVals)
-			g.members = append(g.members, r)
-			if cl.Into != "" {
+			members.add(g, i)
+			switch {
+			case cl.aggOnly:
+				g.observeRow(cl, r)
+			case cl.Into != "":
 				obj := mmvalue.ObjectOf(r.allVars())
 				g.memberObjs = append(g.memberObjs, obj)
 				g.observeAggs(cl, obj)
@@ -617,7 +623,7 @@ func (c *execCtx) execCollect(cl *CollectClause, rows []*env) ([]*env, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := c.buildCollectRows(cl, mergeCollectPartials(cl, partials))
+	out := buildCollectRows(cl, mergeCollectPartials(cl, partials, members), members)
 	// A keyless COLLECT over zero rows still yields one (empty) group so
 	// aggregates like COUNT(*) return 0.
 	if len(out) == 0 && len(cl.Keys) == 0 {
@@ -705,6 +711,9 @@ func (c *execCtx) execFor(cl *ForClause, filters []*FilterClause, rows []*env, n
 	per := make([][]*env, p.k)
 	err := runChunks(p, func(ci, lo, hi int) error {
 		var out []*env
+		if len(filters) == 0 {
+			out = make([]*env, 0, hi-lo) // every element binds one row
+		}
 		base := 0 // flat index of part's first element
 		for _, part := range parts {
 			if base >= hi {

@@ -31,9 +31,10 @@ package query
 //
 //   - COLLECT: each chunk builds an ordered group table — first-seen key
 //     order within the chunk, member lists in row order, INTO member objects
-//     materialized by the chunk that saw the member. Merging concatenates
-//     member lists in chunk order, and group order is global first-seen
-//     order (the first chunk that saw a key wins). Aggregates detected at
+//     materialized by the chunk that saw the member (an aggOnly clause
+//     builds them after the merge, and only for fallback groups). Merging
+//     concatenates member lists in chunk order, and group order is global
+//     first-seen order (the first chunk that saw a key wins). Aggregates detected at
 //     compile time (LENGTH/COUNT, MIN/MAX, and integer SUM — see
 //     decompose.go) also accumulate per-chunk partial states merged in
 //     chunk order, with integer SUM guarded so the state invalidates the
@@ -59,6 +60,7 @@ package query
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/mmvalue"
@@ -208,15 +210,56 @@ func filtersSafe(filters []*FilterClause) bool {
 // --- COLLECT partial state ---
 
 // collectGroup is one group's partial (or merged) state: key values, member
-// rows in arrival order, and — when INTO is requested — the member binding
-// objects, materialized by the chunk that saw the member, plus one running
-// aggregate state per compiled aggSpec.
+// rows in arrival order (a list in memberRows), and — when INTO is
+// requested — the member binding objects, materialized by the chunk that saw
+// the member (or, on an aggOnly clause, not at all until buildCollectRows
+// needs them), plus one running aggregate state per compiled aggSpec.
 type collectGroup struct {
-	keyVals    []mmvalue.Value
-	hash       uint64 // of mmvalue.ArrayOf(keyVals)
-	members    []*env
-	memberObjs []mmvalue.Value
-	partials   []aggState
+	keyVals     []mmvalue.Value
+	hash        uint64 // of mmvalue.ArrayOf(keyVals)
+	first, last int32  // member rows, see memberRows
+	size        int
+	memberObjs  []mmvalue.Value
+	partials    []aggState
+}
+
+// memberRows holds every COLLECT group's member rows as a list linked
+// through the stage input: a group's members run from rows[g.first] along
+// next to rows[g.last], in arrival order. One index per input row replaces a
+// growing slice per group. A chunk writes next only in its own index range;
+// merges run after every chunk.
+type memberRows struct {
+	rows []*env
+	next []int32 // next[i]: index of the member after rows[i], -1 after the last (an input holds fewer than 2^31 rows)
+}
+
+// add appends rows[i] to g's members.
+func (m *memberRows) add(g *collectGroup, i int) {
+	m.next[i] = -1
+	if g.size == 0 {
+		g.first = int32(i)
+	} else {
+		m.next[g.last] = int32(i)
+	}
+	g.last = int32(i)
+	g.size++
+}
+
+// join appends later's members to g's.
+func (m *memberRows) join(g, later *collectGroup) {
+	m.next[g.last] = later.first
+	g.last = later.last
+	g.size += later.size
+}
+
+// objects builds g's member objects in arrival order — the objects the
+// chunk body of a clause that is not aggOnly builds.
+func (m *memberRows) objects(g *collectGroup) []mmvalue.Value {
+	objs := make([]mmvalue.Value, 0, g.size)
+	for i := g.first; i >= 0; i = m.next[i] {
+		objs = append(objs, mmvalue.ObjectOf(m.rows[i].allVars()))
+	}
+	return objs
 }
 
 // observeAggs folds one member object into the group's aggregate states.
@@ -230,6 +273,35 @@ func (g *collectGroup) observeAggs(cl *CollectClause, obj mmvalue.Value) {
 	for si := range cl.aggSpecs {
 		g.partials[si].observeMember(cl.aggSpecs[si], obj)
 	}
+}
+
+// observeRow folds one member row into the group's aggregate states without
+// building its member object (aggOnly clauses).
+func (g *collectGroup) observeRow(cl *CollectClause, r *env) {
+	if len(cl.aggSpecs) == 0 {
+		return
+	}
+	if g.partials == nil {
+		g.partials = newAggStates(len(cl.aggSpecs))
+	}
+	for si := range cl.aggSpecs {
+		g.partials[si].observeRow(cl.aggSpecs[si], r)
+	}
+}
+
+// needsMembers reports whether the group's Into array must be bound: always
+// unless the clause is aggOnly, and then only when a state finishes Null, so
+// an annotated call falls back to folding the array.
+func (g *collectGroup) needsMembers(cl *CollectClause) bool {
+	if !cl.aggOnly {
+		return true
+	}
+	for si := range g.partials {
+		if g.partials[si].value(cl.aggSpecs[si]).IsNull() {
+			return true
+		}
+	}
+	return false
 }
 
 // groupTable holds COLLECT groups in first-seen key order. Keys match
@@ -259,13 +331,14 @@ func (t *groupTable) insert(g *collectGroup) {
 }
 
 // group returns the group of keyVals, adding an empty one after the groups
-// already seen when the key is new.
+// already seen when the key is new. keyVals is copied only then, so callers
+// may reuse it.
 func (t *groupTable) group(keyVals []mmvalue.Value) *collectGroup {
 	h := mmvalue.ArrayOf(keyVals).Hash()
 	if g := t.lookup(h, keyVals); g != nil {
 		return g
 	}
-	g := &collectGroup{keyVals: keyVals, hash: h}
+	g := &collectGroup{keyVals: slices.Clone(keyVals), hash: h}
 	t.insert(g)
 	return g
 }
@@ -275,7 +348,7 @@ func (t *groupTable) group(keyVals []mmvalue.Value) *collectGroup {
 // and per-spec aggregate states merge pairwise (chunk order is serial fold
 // order, so the merged state matches what one left-to-right accumulation
 // would have produced). One chunk's table is returned as is.
-func mergeCollectPartials(cl *CollectClause, partials []*groupTable) []*collectGroup {
+func mergeCollectPartials(cl *CollectClause, partials []*groupTable, members *memberRows) []*collectGroup {
 	if len(partials) == 1 {
 		return partials[0].order
 	}
@@ -287,7 +360,7 @@ func mergeCollectPartials(cl *CollectClause, partials []*groupTable) []*collectG
 				merged.insert(pg)
 				continue
 			}
-			g.members = append(g.members, pg.members...)
+			members.join(g, pg)
 			g.memberObjs = append(g.memberObjs, pg.memberObjs...)
 			if g.partials != nil && pg.partials != nil {
 				for si := range cl.aggSpecs {
@@ -301,18 +374,25 @@ func mergeCollectPartials(cl *CollectClause, partials []*groupTable) []*collectG
 
 // buildCollectRows produces the output rows of a COLLECT from the merged
 // group table: loose-grouping base bindings from the group's first member,
-// key variables, then the INTO array.
-func (c *execCtx) buildCollectRows(cl *CollectClause, groups []*collectGroup) []*env {
+// key variables, then the INTO array (on an aggOnly clause only where
+// needsMembers) and the decomposed aggregate values.
+func buildCollectRows(cl *CollectClause, groups []*collectGroup, members *memberRows) []*env {
 	out := make([]*env, 0, len(groups))
 	for _, g := range groups {
-		base := g.members[0]
+		base := members.rows[g.first]
 		for i, v := range g.keyVals {
 			if i < len(cl.Vars) {
 				base = base.bind(cl.Vars[i], v)
 			}
 		}
 		if cl.Into != "" {
-			base = base.bind(cl.Into, mmvalue.ArrayOf(g.memberObjs))
+			if g.needsMembers(cl) {
+				objs := g.memberObjs
+				if cl.aggOnly {
+					objs = members.objects(g) // the fallback fold's input
+				}
+				base = base.bind(cl.Into, mmvalue.ArrayOf(objs))
+			}
 			// Publish decomposed aggregate values under their hidden names;
 			// annotated FuncCalls downstream read them instead of folding
 			// the INTO array (Null marks an invalidated state — fold).

@@ -17,6 +17,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -62,9 +63,8 @@ type errorResponse struct {
 
 func (s *srv) handleQuery(run func(string, map[string]mmvalue.Value) (*coreResult, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
 		var req queryRequest
@@ -106,9 +106,8 @@ func (s *srv) handleCollections(w http.ResponseWriter, r *http.Request) {
 		})
 		respondGet(w, doc, found, err)
 	case http.MethodPut:
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
 		doc, err := mmvalue.ParseJSON(body)
@@ -163,9 +162,8 @@ func (s *srv) handleKV(w http.ResponseWriter, r *http.Request) {
 		})
 		respondGet(w, v, found, err)
 	case http.MethodPut:
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
 		v, err := mmvalue.ParseJSON(body)
@@ -184,6 +182,26 @@ func (s *srv) handleKV(w http.ResponseWriter, r *http.Request) {
 	default:
 		w.WriteHeader(http.StatusMethodNotAllowed)
 	}
+}
+
+// maxBody is the largest request body a route accepts.
+const maxBody = 1 << 20
+
+// readBody reads the request body whole, reporting whether the route may go
+// on. A body over maxBody is refused with 413, never cut to a prefix the
+// route would then act on; any other read failure is a 400.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorResponse{Error: err.Error()})
+		return nil, false
+	}
+	return body, true
 }
 
 func respondGet(w http.ResponseWriter, v mmvalue.Value, found bool, err error) {

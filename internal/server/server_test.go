@@ -228,3 +228,33 @@ func TestWriteJSONEncodeFailureIs500(t *testing.T) {
 		t.Fatalf("writeJSON of unencodable value = %d %q", rec.Code, rec.Body.String())
 	}
 }
+
+// TestOversizedBodyRefused sends each body-reading route a valid JSON
+// prefix followed by more than a megabyte of padding and trailing garbage:
+// the route must answer 413 and act on nothing, not on the prefix. A body
+// of exactly the limit is still read.
+func TestOversizedBodyRefused(t *testing.T) {
+	pad := strings.Repeat(" ", maxBody)
+	for _, tc := range []struct {
+		name, method, path, body, check string
+	}{
+		{"query", "POST", "/query", `{"query":"INSERT {_key: 'q1'} INTO products"}`, "/collections/products/q1"},
+		{"collections", "PUT", "/collections/products/p1", `{"a":1}`, "/collections/products/p1"},
+		{"kv", "PUT", "/kv/b/k", `{"a":1}`, "/kv/b/k"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newServer(t)
+			code, body := do(t, tc.method, ts.URL+tc.path, tc.body+pad+"garbage")
+			if code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("oversized body: %d %s, want 413", code, body)
+			}
+			if code, body := do(t, "GET", ts.URL+tc.check, ""); code != http.StatusNotFound {
+				t.Fatalf("after a refused body, GET %s = %d %s, want 404", tc.check, code, body)
+			}
+			code, body = do(t, tc.method, ts.URL+tc.path, tc.body+pad[len(tc.body):])
+			if code != http.StatusOK {
+				t.Fatalf("body of exactly %d bytes: %d %s, want 200", maxBody, code, body)
+			}
+		})
+	}
+}

@@ -45,11 +45,12 @@ go test -run '^$' -bench . -benchtime 1x ./internal/...
 echo "== go test (bench/, the nested module tier-1 skips)"
 (cd bench && go test ./...)
 
-echo "== fuzz smoke (parsers, record decoder, key decoder, value JSON rendering, parameter values through the executor)"
+echo "== fuzz smoke (parsers, record decoder, key decoder, column-batch reader, value JSON rendering, parameter values through the executor)"
 go test -run=^$ -fuzz=FuzzParseMMQL -fuzztime=5s ./internal/query
 go test -run=^$ -fuzz=FuzzParseMSQL -fuzztime=5s ./internal/query
 go test -run=^$ -fuzz=FuzzDecode -fuzztime=5s ./internal/binenc
 go test -run=^$ -fuzz=FuzzKeyDecode -fuzztime=5s ./internal/keyenc
+go test -run=^$ -fuzz=FuzzEachBatch -fuzztime=5s ./internal/colstore
 go test -run=^$ -fuzz=FuzzValueJSON -fuzztime=5s ./internal/mmvalue
 go test -run=^$ -fuzz=FuzzQueryParams -fuzztime=5s ./internal/core
 
