@@ -137,15 +137,6 @@ func (b *Batch) addValue(row int, attr []byte, val mmvalue.Value) {
 		})
 	}
 	c := &b.Cols[ci]
-	if c.Present.Has(row) {
-		// A second entry for one item's attribute: the item's keys were
-		// written in two encodings of Equal values, such as Int(1) and
-		// Float(1). The later entry wins, as in ScanJSON, and the column's
-		// stats are recounted without the value it replaces.
-		c.Vals[row] = val
-		c.restat()
-		return
-	}
 	c.Vals = put(c.Vals, row, val, b.capHint)
 	c.Present.Set(row)
 	c.observe(val)
@@ -180,15 +171,6 @@ func (c *Column) observe(val mmvalue.Value) {
 		c.MaxVal = val
 	}
 	c.NPresent++
-}
-
-// restat recomputes the column's stats from its present values in row order.
-func (c *Column) restat() {
-	*c = Column{Name: c.Name, Vals: c.Vals, Present: c.Present, AllInt: true}
-	c.Present.ForEach(func(i int) bool {
-		c.observe(c.Vals[i])
-		return true
-	})
 }
 
 // firstCap caps the first allocation of a batch vector (see put).
@@ -303,11 +285,10 @@ type batchReader struct {
 	started, stopped bool
 	err              error
 
-	prefix           []byte        // the last entry's encoded (part, sort)
-	partLen          int           // prefix[:partLen] encodes part
-	part             mmvalue.Value // prefix's part, decoded
-	curPart, curSort mmvalue.Value // the current item's keys
-	scratch          []mmvalue.Value
+	prefix  []byte        // the current item's encoded (part, sort)
+	partLen int           // prefix[:partLen] encodes part
+	part    mmvalue.Value // prefix's part, decoded
+	scratch []mmvalue.Value
 }
 
 // corrupt stops the scan on an entry whose key is not (part, sort, attr).
@@ -328,27 +309,23 @@ func (r *batchReader) decode(b []byte) (mmvalue.Value, error) {
 
 // entry handles one attribute entry of the scan. Every key is validated as
 // ScanJSON's decoding would: part and sort by keyenc.Skip (or by being the
-// previous entry's validated bytes), the attribute by comparison with an
-// unescaped string element or by decoding. Items are told apart as ScanJSON
-// does, by mmvalue.Equal on the decoded keys.
+// current item's validated bytes), the attribute by comparison with an
+// unescaped string element or by decoding. An entry whose encoded (part,
+// sort) differ from the current item's starts the next item, as in
+// ScanJSON.
 func (r *batchReader) entry(k, v []byte) bool {
 	n, samePrefix := len(r.prefix), r.started && bytes.HasPrefix(k, r.prefix)
 	partLen := r.partLen
 	if !samePrefix {
 		var err error
-		if partLen, err = keyenc.Skip(k); err != nil {
+		if partLen, n, err = itemPrefixLen(k); err != nil {
 			return r.corrupt(err)
 		}
-		sortLen, err := keyenc.Skip(k[partLen:])
-		if err != nil {
-			return r.corrupt(err)
-		}
-		n = partLen + sortLen
 	}
 	name, m, plain := keyenc.UnescapedString(k[n:])
 	if !plain || m != len(k)-n {
 		attr, err := keyenc.Decode(k[n:])
-		if err != nil || len(attr) != 1 {
+		if err != nil || len(attr) != 1 || attr[0].Kind() != mmvalue.KindString {
 			return r.corrupt(err)
 		}
 		name = []byte(attr[0].AsString())
@@ -368,9 +345,9 @@ func (r *batchReader) entry(k, v []byte) bool {
 	return true
 }
 
-// item takes an entry whose encoded (part, sort) differ from the last
-// entry's: it decodes them, and when they start a new item, adds its row,
-// first handing on the batch that is full or no longer Dense.
+// item starts the item of an entry whose encoded (part, sort) differ from
+// the last entry's: it decodes them and adds the item's row, first handing
+// on the batch that is full or no longer Dense.
 func (r *batchReader) item(partEnc, sortEnc []byte) bool {
 	part := r.part
 	if !r.started || !bytes.Equal(partEnc, r.prefix[:r.partLen]) {
@@ -385,11 +362,7 @@ func (r *batchReader) item(partEnc, sortEnc []byte) bool {
 	}
 	r.prefix = append(append(r.prefix[:0], partEnc...), sortEnc...)
 	r.partLen, r.part = len(partEnc), part
-	if r.started && mmvalue.Equal(part, r.curPart) && mmvalue.Equal(sort, r.curSort) {
-		return true
-	}
 	r.started = true
-	r.curPart, r.curSort = part, sort
 	if r.cur != nil && (r.cur.rows >= r.batchSize || !r.cur.Dense()) {
 		r.cur.seal()
 		if !r.fn(r.cur) {

@@ -9,6 +9,10 @@
 //
 //	col:<table>    keyenc(partKey, sortKey, attrName) -> binenc(value)
 //
+// An item is identified by its encoded (partKey, sortKey) prefix on every
+// path, point reads and scans alike: keys that mmvalue holds Equal but that
+// encode differently (Int(1) and Float(1)) name two items.
+//
 // This gives, for free, the two access paths the paper highlights:
 // DynamoDB's Query (all items of one partition, sort-key ordered, via a
 // prefix scan) and Cassandra's sparse rows (absent attributes simply have
@@ -17,6 +21,7 @@
 package colstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -49,6 +54,16 @@ func attrKey(part, sort mmvalue.Value, attr string) []byte {
 func itemPrefix(part, sort mmvalue.Value) []byte {
 	k := keyenc.Append(nil, part)
 	return keyenc.Append(k, sort)
+}
+
+// itemPrefixLen measures an entry key's encoded partition and its encoded
+// (part, sort) prefix, the bytes that identify the entry's item.
+func itemPrefixLen(k []byte) (partLen, n int, err error) {
+	if partLen, err = keyenc.Skip(k); err != nil {
+		return 0, 0, err
+	}
+	sortLen, err := keyenc.Skip(k[partLen:])
+	return partLen, partLen + sortLen, err
 }
 
 // PutItem stores (or extends) the item at (part, sort) with the attributes
@@ -181,6 +196,7 @@ func (s *Store) QueryPartition(tx engine.Tx, table string, part mmvalue.Value) (
 	hi := keyenc.AppendMax(append([]byte{}, prefix...))
 	var items []Item
 	var cur *Item
+	var item []byte // the current item's encoded (part, sort)
 	var decErr error
 	var parts []mmvalue.Value // key scratch, reused row to row
 	err := tx.Scan(Keyspace(table), prefix, hi, func(k, v []byte) bool {
@@ -195,12 +211,17 @@ func (s *Store) QueryPartition(tx engine.Tx, table string, part mmvalue.Value) (
 			decErr = err
 			return false
 		}
-		sort, attr := parts[1], parts[2].AsString()
-		if cur == nil || !mmvalue.Equal(cur.Sort, sort) {
-			items = append(items, Item{Sort: sort, Attrs: mmvalue.Object()})
+		if cur == nil || !bytes.HasPrefix(k, item) {
+			_, n, err := itemPrefixLen(k)
+			if err != nil {
+				decErr = err
+				return false
+			}
+			item = append(item[:0], k[:n]...)
+			items = append(items, Item{Sort: parts[1], Attrs: mmvalue.Object()})
 			cur = &items[len(items)-1]
 		}
-		cur.Attrs = cur.Attrs.Set(attr, val)
+		cur.Attrs = cur.Attrs.Set(parts[2].AsString(), val)
 		return true
 	})
 	if err != nil {
@@ -236,35 +257,28 @@ func (s *Store) QuerySortRange(tx engine.Tx, table string, part mmvalue.Value, l
 // and are merged with `_part` and `_sort` into one exactly sized field
 // slice, so mmvalue.ObjectOf takes it without sorting. An attribute named
 // like a key column lands just before it, and ObjectOf's keep-last rule
-// lets the key column win. An item whose keys were written in two
-// encodings of Equal values (Int(1) and Float(1)) gathers its attributes
-// out of name order; they go first and the key columns last, so that
-// ObjectOf's sort keeps the later of two entries for one attribute and
-// the key columns over both.
+// lets the key column win.
 func (s *Store) ScanJSON(tx engine.Tx, table string, fn func(doc mmvalue.Value) bool) error {
 	var attrs []mmvalue.Field // the current item's attributes, reused item to item
 	var parts []mmvalue.Value // key scratch, reused row to row
+	var item []byte           // the current item's encoded (part, sort)
 	var curPart, curSort mmvalue.Value
-	started, inOrder := false, true
+	started := false
 	flush := func() bool {
 		if !started {
 			return true
 		}
 		keys := [2]mmvalue.Field{mmvalue.F("_part", curPart), mmvalue.F("_sort", curSort)}
 		fields := make([]mmvalue.Field, 0, len(attrs)+len(keys))
-		if inOrder {
-			k := 0
-			for _, a := range attrs {
-				for k < len(keys) && keys[k].Name < a.Name {
-					fields = append(fields, keys[k])
-					k++
-				}
-				fields = append(fields, a)
+		k := 0
+		for _, a := range attrs {
+			for k < len(keys) && keys[k].Name < a.Name {
+				fields = append(fields, keys[k])
+				k++
 			}
-			fields = append(fields, keys[k:]...)
-		} else {
-			fields = append(append(fields, attrs...), keys[:]...)
+			fields = append(fields, a)
 		}
+		fields = append(fields, keys[k:]...)
 		// Cleared once fn stops the scan, so the closing flush does not hand
 		// it the same item again.
 		started = fn(mmvalue.ObjectOf(fields))
@@ -274,7 +288,7 @@ func (s *Store) ScanJSON(tx engine.Tx, table string, fn func(doc mmvalue.Value) 
 	err := tx.Scan(Keyspace(table), nil, nil, func(k, v []byte) bool {
 		var err error
 		parts, err = keyenc.DecodeAppend(parts[:0], k)
-		if err != nil || len(parts) != 3 {
+		if err != nil || len(parts) != 3 || parts[2].Kind() != mmvalue.KindString {
 			decErr = fmt.Errorf("colstore: corrupt entry: %w", err)
 			return false
 		}
@@ -283,20 +297,20 @@ func (s *Store) ScanJSON(tx engine.Tx, table string, fn func(doc mmvalue.Value) 
 			decErr = err
 			return false
 		}
-		part, sort := parts[0], parts[1]
-		if !started || !mmvalue.Equal(part, curPart) || !mmvalue.Equal(sort, curSort) {
+		if !started || !bytes.HasPrefix(k, item) {
 			if !flush() {
 				return false
 			}
-			started, inOrder = true, true
-			curPart, curSort = part, sort
+			_, n, err := itemPrefixLen(k)
+			if err != nil {
+				decErr = err
+				return false
+			}
+			started, item = true, append(item[:0], k[:n]...)
+			curPart, curSort = parts[0], parts[1]
 			attrs = attrs[:0]
 		}
-		name := parts[2].AsString()
-		if len(attrs) > 0 && attrs[len(attrs)-1].Name >= name {
-			inOrder = false
-		}
-		attrs = append(attrs, mmvalue.F(name, val))
+		attrs = append(attrs, mmvalue.F(parts[2].AsString(), val))
 		return true
 	})
 	if err != nil {

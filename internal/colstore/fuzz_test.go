@@ -13,8 +13,8 @@ import (
 
 // The key and attribute domains FuzzEachBatch draws from: strings whose
 // encoding escapes a zero byte, empty strings, and numbers that are Equal
-// but encode differently (Int(1) and Float(1)), so that one item's entries
-// can carry two encodings of its keys.
+// but encode differently (Int(1) and Float(1)), which name distinct items
+// on every path.
 var (
 	fuzzParts = []mmvalue.Value{str("p"), str("p\x00"), str("\x00"), str(""), mmvalue.Int(1), mmvalue.Float(1), str("p\x00\x00q")}
 	fuzzSorts = []mmvalue.Value{mmvalue.Int(0), mmvalue.Int(1), mmvalue.Float(1), str("s\x00"), str(""), mmvalue.Int(-2)}
@@ -40,7 +40,8 @@ func FuzzEachBatch(f *testing.F) {
 		defer e.Close()
 		s := New(e)
 		type itemKey struct{ part, sort mmvalue.Value }
-		var keys []itemKey // distinct (part, sort) pairs written
+		enc := func(k itemKey) []byte { return keyenc.Encode(k.part, k.sort) }
+		var keys []itemKey // distinct encoded (part, sort) pairs written: the items
 		err = e.Update(func(tx *engine.Txn) error {
 			for i := 0; i+2 < len(data) && i < 3*64; i += 3 {
 				k := itemKey{fuzzParts[int(data[i])%len(fuzzParts)], fuzzSorts[int(data[i+1])%len(fuzzSorts)]}
@@ -59,7 +60,7 @@ func FuzzEachBatch(f *testing.F) {
 				if err := s.PutItem(tx, "t", k.part, k.sort, mmvalue.Object(mmvalue.F(attr, val))); err != nil {
 					return err
 				}
-				if !slices.ContainsFunc(keys, func(h itemKey) bool { return sameKey(h.part, k.part) && sameKey(h.sort, k.sort) }) {
+				if !slices.ContainsFunc(keys, func(h itemKey) bool { return bytes.Equal(enc(h), enc(k)) }) {
 					keys = append(keys, k)
 				}
 			}
@@ -82,35 +83,18 @@ func FuzzEachBatch(f *testing.F) {
 			if err := s.ScanJSON(tx, "t", func(doc mmvalue.Value) bool { docs = append(docs, doc); return true }); err != nil {
 				return err
 			}
-			// The rows, as the runs of written (part, sort) pairs that are
-			// adjacent in key order and Equal; attrAt reads what GetAttr
-			// holds for a row's attribute, the last pair in key order that
-			// has it winning, as in ScanJSON.
-			slices.SortFunc(keys, func(a, b itemKey) int {
-				return bytes.Compare(keyenc.Encode(a.part, a.sort), keyenc.Encode(b.part, b.sort))
-			})
-			var rows [][]itemKey
-			for i, k := range keys {
-				if i > 0 && mmvalue.Equal(k.part, keys[i-1].part) && mmvalue.Equal(k.sort, keys[i-1].sort) {
-					rows[len(rows)-1] = append(rows[len(rows)-1], k)
-				} else {
-					rows = append(rows, []itemKey{k})
-				}
+			// The rows, in key order; attrAt reads what GetAttr holds for a
+			// row's attribute.
+			slices.SortFunc(keys, func(a, b itemKey) int { return bytes.Compare(enc(a), enc(b)) })
+			if len(keys) != len(docs) {
+				t.Fatalf("%d items written, ScanJSON read %d", len(keys), len(docs))
 			}
-			if len(rows) != len(docs) {
-				t.Fatalf("%d items written, ScanJSON read %d", len(rows), len(docs))
-			}
-			attrAt := func(row int, attr string) (got mmvalue.Value, found bool) {
-				for _, k := range rows[row] {
-					v, ok, err := s.GetAttr(tx, "t", k.part, k.sort, attr)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ok {
-						got, found = v, true
-					}
+			attrAt := func(row int, attr string) (mmvalue.Value, bool) {
+				v, ok, err := s.GetAttr(tx, "t", keys[row].part, keys[row].sort, attr)
+				if err != nil {
+					t.Fatal(err)
 				}
-				return got, found
+				return v, ok
 			}
 			row := 0
 			err := s.EachBatch(tx, "t", int(size%9), keep, func(b *Batch) bool {

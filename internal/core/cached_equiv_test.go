@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/inverted"
 	"repro/internal/mmvalue"
 )
 
@@ -63,6 +64,26 @@ func TestCachedEquivalenceCorpus(t *testing.T) {
 	}
 	for _, tc := range cases {
 		assertCachedUncachedEqual(t, cached, uncached, tc.dialect, tc.q, tc.params)
+	}
+	// `@>` through a GIN and FTSEARCH through a full-text index read index
+	// keyspaces written with their collection, so the cache serves them too.
+	for _, db := range []*core.DB{cached, uncached} {
+		if err := db.CreateGIN("products", inverted.PathOpsMode); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateFullText("products"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []string{
+		`FOR p IN products FILTER p @> {tags: ["fun"]} SORT p._key RETURN p.name`,
+		`FOR k IN FTSEARCH("products", "book") RETURN DOCUMENT("products", k).price`,
+	} {
+		hits := cached.ResultCacheStats().Hits
+		assertCachedUncachedEqual(t, cached, uncached, "mmql", q, nil)
+		if cached.ResultCacheStats().Hits == hits {
+			t.Fatalf("%q was not served from the cache", q)
+		}
 	}
 	st := cached.ResultCacheStats()
 	if st.Hits == 0 {

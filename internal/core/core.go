@@ -1,15 +1,15 @@
-// Package core assembles unidb: one engine, seven model layers, a unified
-// catalog, cross-model transactions, auxiliary index views, and the two
-// query front-ends. It is the paper's "multi-model database … multiple data
-// models against a single, integrated backend" as a concrete object.
+// Package core assembles unidb: one storage backend, seven model layers, a
+// unified catalog, cross-model transactions, and the two query front-ends.
+// It is the paper's "multi-model database … multiple data models against a
+// single, integrated backend" as a concrete object. Every index, GIN and
+// full-text included, is a keyspace on that backend, written inside the
+// transaction that writes its documents.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -75,17 +75,6 @@ type DB struct {
 	XML    *xmlstore.Store
 	RDF    *rdfstore.Store
 
-	// Auxiliary index views (the paper's OctopusDB "storage views over a
-	// central log"): maintained by a WAL subscriber at commit time and
-	// always rechecked by the query layer.
-	viewMu sync.RWMutex
-	gins   map[string]*inverted.GIN      // collection -> GIN
-	fts    map[string]*inverted.FullText // collection -> full-text
-	// views mirrors len(gins)+len(fts), stored under viewMu, so the query
-	// path can ask "is there any view?" without taking viewMu, which every
-	// commit's subscriber holds exclusively.
-	views atomic.Int32
-
 	// plans caches parsed pipelines keyed by (dialect, text); a WAL
 	// subscriber bumps its epoch on every committed DDL (see
 	// invalidatePlans and plancache.go for the contract).
@@ -139,8 +128,6 @@ func Open(opts Options) (*DB, error) {
 		Cols:   colstore.New(be),
 		XML:    xmlstore.New(be, cat),
 		RDF:    rdfstore.New(be),
-		gins:   map[string]*inverted.GIN{},
-		fts:    map[string]*inverted.FullText{},
 		plans:  newPlanCache(defaultPlanCacheCap),
 
 		maxStale: opts.MaxResultStaleness,
@@ -149,34 +136,15 @@ func Open(opts Options) (*DB, error) {
 		db.results = newResultCache(opts.ResultCacheBytes)
 	}
 	db.sources = &query.Sources{
-		Cols:   db.Cols,
-		Docs:   db.Docs,
-		Rels:   db.Rels,
-		KV:     db.KV,
-		Graphs: db.Graphs,
-		XML:    db.XML,
-		RDF:    db.RDF,
-		GINLookup: func(coll string, pattern mmvalue.Value) ([]string, bool) {
-			db.viewMu.RLock()
-			defer db.viewMu.RUnlock()
-			g, ok := db.gins[coll]
-			if !ok {
-				return nil, false
-			}
-			return g.CandidatesContains(pattern), true
-		},
-		FullText: func(coll, terms string) []string {
-			db.viewMu.RLock()
-			defer db.viewMu.RUnlock()
-			ft, ok := db.fts[coll]
-			if !ok {
-				return nil
-			}
-			return ft.SearchAll(inverted.Tokenize(terms))
-		},
+		Cols:    db.Cols,
+		Docs:    db.Docs,
+		Rels:    db.Rels,
+		KV:      db.KV,
+		Graphs:  db.Graphs,
+		XML:     db.XML,
+		RDF:     db.RDF,
 		Resolve: db.resolve,
 	}
-	be.Subscribe(db.applyToViews)
 	be.Subscribe(db.invalidatePlans)
 	return db, nil
 }
@@ -296,148 +264,47 @@ func (db *DB) CreateColTable(tx engine.Tx, name string) error {
 	return db.Cat.Create(tx, "coltable", name, mmvalue.Object())
 }
 
-// --- Auxiliary index views ---
+// --- GIN and full-text indexes ---
+//
+// Both are docstore secondary indexes (see docstore.IndexKind), built and
+// maintained inside writing transactions like any path index.
 
-// CreateGIN builds a GIN index over a collection in the given mode and
-// keeps it maintained from the commit log.
+// The names of the indexes CreateGIN and CreateFullText add.
+const (
+	ginIndexName      = "gin"
+	fullTextIndexName = "fulltext"
+)
+
+// CreateGIN builds a GIN index over a collection in the given mode, in one
+// transaction ordered by 2PL against concurrent writers. `@>` filters on
+// the collection then read candidates from it, on snapshots too.
 func (db *DB) CreateGIN(coll string, mode inverted.Mode) error {
-	g := inverted.NewGIN(mode)
-	err := db.be.View(func(tx engine.Tx) error {
-		return db.Docs.Scan(tx, coll, func(key string, doc mmvalue.Value) bool {
-			g.Add(key, doc)
-			return true
-		})
+	return db.be.Update(func(tx engine.Tx) error {
+		return db.Docs.CreateIndex(tx, coll, docstore.IndexDef{Name: ginIndexName, Kind: docstore.GINIndex, Mode: mode})
 	})
-	if err != nil {
-		return err
-	}
-	db.viewMu.Lock()
-	db.gins[coll] = g
-	db.countViewsLocked()
-	db.viewMu.Unlock()
-	return nil
 }
 
-// DropGIN removes the GIN view of a collection.
-func (db *DB) DropGIN(coll string) {
-	db.viewMu.Lock()
-	delete(db.gins, coll)
-	db.countViewsLocked()
-	db.viewMu.Unlock()
-}
-
-// countViewsLocked refreshes db.views; the caller holds viewMu for writing.
-func (db *DB) countViewsLocked() { db.views.Store(int32(len(db.gins) + len(db.fts))) }
-
-// GINItems reports the index size (for E3).
-func (db *DB) GINItems(coll string) int {
-	db.viewMu.RLock()
-	defer db.viewMu.RUnlock()
-	if g, ok := db.gins[coll]; ok {
-		return g.Items()
-	}
-	return 0
-}
-
-// CreateFullText builds a full-text view over a collection: every string
-// leaf of every document is tokenized into one posting space per document.
+// CreateFullText builds a full-text index over a collection: the distinct
+// tokens of every string leaf of every document.
 func (db *DB) CreateFullText(coll string) error {
-	ft := inverted.NewFullText()
-	err := db.be.View(func(tx engine.Tx) error {
-		return db.Docs.Scan(tx, coll, func(key string, doc mmvalue.Value) bool {
-			ft.Add(key, docText(doc))
-			return true
-		})
+	return db.be.Update(func(tx engine.Tx) error {
+		return db.Docs.CreateIndex(tx, coll, docstore.IndexDef{Name: fullTextIndexName, Kind: docstore.FullTextIndex})
 	})
-	if err != nil {
-		return err
-	}
-	db.viewMu.Lock()
-	db.fts[coll] = ft
-	db.countViewsLocked()
-	db.viewMu.Unlock()
-	return nil
 }
 
 // FullTextSearch runs a boolean-AND term query against a collection's
-// full-text view, returning matching document keys.
+// full-text index on a snapshot, returning matching document keys in key
+// order (none when the collection has no full-text index).
 func (db *DB) FullTextSearch(coll, terms string) []string {
-	return db.sources.FullText(coll, terms)
-}
-
-// FullTextPhrase runs an exact phrase query.
-func (db *DB) FullTextPhrase(coll, phrase string) []string {
-	db.viewMu.RLock()
-	defer db.viewMu.RUnlock()
-	if ft, ok := db.fts[coll]; ok {
-		return ft.SearchPhrase(phrase)
+	var keys []string
+	if err := db.be.SnapshotView(func(tx engine.Tx) error {
+		var err error
+		keys, err = db.Docs.SearchText(tx, coll, terms)
+		return err
+	}); err != nil {
+		return nil
 	}
-	return nil
-}
-
-// docText concatenates every string leaf of a document.
-func docText(doc mmvalue.Value) string {
-	var sb strings.Builder
-	for _, e := range mmvalue.FlattenPaths(doc) {
-		if e.Leaf.Kind() == mmvalue.KindString {
-			sb.WriteString(e.Leaf.AsString())
-			sb.WriteByte(' ')
-		}
-	}
-	return sb.String()
-}
-
-// applyToViews is the commit-log subscriber maintaining auxiliary views.
-func (db *DB) applyToViews(batch []wal.Record) {
-	db.viewMu.Lock()
-	defer db.viewMu.Unlock()
-	if len(db.gins) == 0 && len(db.fts) == 0 {
-		return
-	}
-	for _, rec := range batch {
-		coll, ok := strings.CutPrefix(rec.Keyspace, "doc:")
-		if !ok {
-			continue
-		}
-		g := db.gins[coll]
-		ft := db.fts[coll]
-		if g == nil && ft == nil {
-			continue
-		}
-		switch rec.Op {
-		case wal.OpSet:
-			key, doc, err := docstore.DecodeRecord(rec.Key, rec.Value)
-			if err != nil {
-				continue
-			}
-			if g != nil {
-				g.Add(key, doc)
-			}
-			if ft != nil {
-				ft.Add(key, docText(doc))
-			}
-		case wal.OpDelete:
-			key, _, err := docstore.DecodeRecord(rec.Key, nil)
-			if err != nil {
-				continue
-			}
-			if g != nil {
-				g.Remove(key)
-			}
-			if ft != nil {
-				ft.Remove(key)
-			}
-		case wal.OpDropKeyspace:
-			if g != nil {
-				db.gins[coll] = inverted.NewGIN(g.Mode())
-			}
-			if ft != nil {
-				db.fts[coll] = inverted.NewFullText()
-			}
-		case wal.OpCommit, wal.OpAbort, wal.OpPrepare:
-			// Control records carry no document data to index.
-		}
-	}
+	return keys
 }
 
 // --- Query entry points ---
@@ -500,12 +367,6 @@ func (db *DB) queryAuto(dialect, text string, params map[string]mmvalue.Value,
 // Opts variants) and prepared-statement Exec: result cache first for
 // cacheable pipelines, then a lock-free MVCC snapshot for every proven
 // read-only one, then the 2PL auto-commit path for DML.
-//
-// One read-only shape stays locked: a pipeline that may be answered from a
-// GIN or full-text view, while the database has such a view. The views
-// follow the latest commit, not a snapshot, so a snapshot consulting them
-// could miss rows it should see; on a snapshot `@>` falls back to scan and
-// recheck, but FTSEARCH has no scan form.
 func (db *DB) execPipeline(dialect, text string, pipe *query.Pipeline, opts query.Options) (*query.Result, error) {
 	if db.results != nil && pipe.Cacheable() {
 		res, handled, err := db.execCached(dialect, text, pipe, opts)
@@ -520,7 +381,7 @@ func (db *DB) execPipeline(dialect, text string, pipe *query.Pipeline, opts quer
 		return qerr
 	}
 	var err error
-	if pipe.ReadOnly() && !(pipe.ViewBacked() && db.views.Load() > 0) {
+	if pipe.ReadOnly() {
 		// Proven read-only: no locks are taken, so the statement neither
 		// waits for nor delays a writer, no deadlock retry loop is needed,
 		// and nothing is committed.

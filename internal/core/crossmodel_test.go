@@ -72,43 +72,77 @@ func TestFTSearchFunctionInQuery(t *testing.T) {
 	}
 }
 
-// TestGINViewMaintenanceSemantics documents the deliberate semantics of
-// log-subscriber index views: they see only committed data. Within the
-// writing transaction itself the GIN is stale, which can cause false
-// negatives for documents written in the same transaction — the documented
-// trade of deferred (commit-time) index maintenance.
-func TestGINViewMaintenanceSemantics(t *testing.T) {
+// TestGINMaintenanceSemantics: the GIN is written inside the transaction
+// that writes its documents, so the writer reads its own writes through it,
+// an abort rolls both back, and a delete removes the document's items.
+func TestGINMaintenanceSemantics(t *testing.T) {
 	db := openDB(t)
-	db.Update(func(tx engine.Tx) error {
+	if err := db.Update(func(tx engine.Tx) error {
 		return db.Docs.CreateCollection(tx, "c", catalogSchemaless())
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.CreateGIN("c", 0); err != nil {
 		t.Fatal(err)
 	}
-	// Committed docs are visible through the GIN.
-	db.Update(func(tx engine.Tx) error {
-		return db.Docs.Put(tx, "c", "a", mmvalue.MustParseJSON(`{"tag":"x"}`))
-	})
-	res, err := db.Query(`FOR d IN c FILTER d @> {tag: 'x'} RETURN d._key`, nil)
-	if err != nil || len(res.Values) != 1 {
-		t.Fatalf("committed visibility = %v, %v", res.Values, err)
+	ginQuery := func(tx engine.Tx, tag string) []string {
+		t.Helper()
+		res, err := db.QueryTx(tx, `FOR d IN c FILTER d @> {tag: @tag} RETURN d._key`,
+			map[string]mmvalue.Value{"tag": mmvalue.String(tag)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Stats.IndexUsed) != 1 || res.Stats.IndexUsed[0] != "doc:c GIN (@>)" {
+			t.Fatalf("@> did not use the GIN: %+v", res.Stats)
+		}
+		return core.Strings(res)
 	}
-	// Aborted docs never reach the view.
-	tx, _ := db.BeginTx()
-	db.Docs.Put(tx, "c", "b", mmvalue.MustParseJSON(`{"tag":"y"}`))
-	tx.Abort()
-	res, _ = db.Query(`FOR d IN c FILTER d @> {tag: 'y'} RETURN d._key`, nil)
-	if len(res.Values) != 0 {
-		t.Fatalf("aborted doc leaked into GIN: %v", res.Values)
+	// Read-your-writes: the writing transaction sees its document through
+	// the GIN before it commits.
+	if err := db.Update(func(tx engine.Tx) error {
+		if err := db.Docs.Put(tx, "c", "a", mmvalue.MustParseJSON(`{"tag":"x"}`)); err != nil {
+			return err
+		}
+		if got := ginQuery(tx, "x"); !reflect.DeepEqual(got, []string{"a"}) {
+			t.Fatalf("own write through the GIN = %v, want [a]", got)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	// Deletes propagate.
-	db.Update(func(tx engine.Tx) error {
+	// Aborted writes leave no item behind.
+	tx, err := db.BeginTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Docs.Put(tx, "c", "b", mmvalue.MustParseJSON(`{"tag":"y"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got := ginQuery(tx, "y"); !reflect.DeepEqual(got, []string{"b"}) {
+		t.Fatalf("own write before abort = %v, want [b]", got)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	// Deletes remove the document's items.
+	if err := db.Update(func(tx engine.Tx) error {
 		_, err := db.Docs.Delete(tx, "c", "a")
 		return err
-	})
-	res, _ = db.Query(`FOR d IN c FILTER d @> {tag: 'x'} RETURN d._key`, nil)
-	if len(res.Values) != 0 {
-		t.Fatalf("deleted doc still matched: %v", res.Values)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.View(func(tx engine.Tx) error {
+		for _, tag := range []string{"x", "y"} {
+			if got := ginQuery(tx, tag); len(got) != 0 {
+				t.Fatalf("@> {tag: %s} after abort and delete = %v", tag, got)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.KeyspaceLen("idx:doc:c:gin"); n != 0 {
+		t.Fatalf("GIN keyspace holds %d entries after abort and delete", n)
 	}
 }
 

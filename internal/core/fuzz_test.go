@@ -1,11 +1,16 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/docstore"
 	"repro/internal/engine"
+	"repro/internal/inverted"
 	"repro/internal/mmvalue"
 	"repro/internal/query"
 )
@@ -98,6 +103,209 @@ func FuzzQueryParams(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// ginBytes hands out a fuzz input one byte at a time, zero once exhausted.
+type ginBytes []byte
+
+func (b *ginBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+// ginScalars and ginWords are FuzzGINContains' value domain: numbers that
+// are Equal across kinds (1 and 1.0, 2^53+1 and its float), strings whose
+// tokens overlap, and the other scalar kinds.
+var (
+	ginScalars = []mmvalue.Value{
+		mmvalue.Int(0), mmvalue.Int(1), mmvalue.Float(1), mmvalue.Float(1.5),
+		mmvalue.Int(1<<53 + 1), mmvalue.Float(1 << 53), mmvalue.True, mmvalue.Null,
+		mmvalue.String("x"), mmvalue.String("y"), mmvalue.String("X y-z"), mmvalue.String(""),
+	}
+	ginWords = []string{"x", "Y", "z", "k1", "", "x-y", "1"}
+)
+
+// ginValue decodes a value of at most three levels from b: an object over
+// the names a, b, c, an array (either possibly empty), or a scalar.
+func ginValue(b *ginBytes, depth int, object bool) mmvalue.Value {
+	c := b.next()
+	kind := int(c % 8)
+	if object {
+		kind = 0
+	}
+	switch {
+	case kind == 0 && depth < 3:
+		n := int(c/8) % 4
+		fields := make([]mmvalue.Field, 0, n)
+		for i := 0; i < n; i++ {
+			fields = append(fields, mmvalue.F(string(rune('a'+b.next()%3)), ginValue(b, depth+1, false)))
+		}
+		return mmvalue.ObjectOf(fields)
+	case kind == 1 && depth < 3:
+		n := int(c/8) % 4
+		elems := make([]mmvalue.Value, n)
+		for i := range elems {
+			elems[i] = ginValue(b, depth+1, false)
+		}
+		return mmvalue.ArrayOf(elems)
+	}
+	return ginScalars[int(c/8)%len(ginScalars)]
+}
+
+// ginTokens is the token set of every string leaf of v.
+func ginTokens(v mmvalue.Value, into map[string]bool) {
+	switch v.Kind() {
+	case mmvalue.KindObject:
+		for _, f := range v.Fields() {
+			ginTokens(f.Value, into)
+		}
+	case mmvalue.KindArray:
+		for _, e := range v.AsArray() {
+			ginTokens(e, into)
+		}
+	case mmvalue.KindString:
+		for _, tok := range inverted.Tokenize(v.AsString()) {
+			into[tok] = true
+		}
+	default:
+	}
+}
+
+// FuzzGINContains checks the keyspace-backed GIN and full-text indexes
+// against scans. Fuzzed documents go into two collections, one with a GIN
+// in each mode and a full-text index; some are written before the index
+// builds (backfill) and the rest after (maintenance), then one is updated
+// and one deleted. A `@>` pattern decoded from its own input must select the same documents
+// through the GIN and its recheck as through a NoIndexes scan, reading the
+// GIN whenever the pattern has items, and FTSEARCH with fuzzed terms must
+// select exactly the documents whose string leaves hold every term's token.
+func FuzzGINContains(f *testing.F) {
+	// k2 = {b: [{a: 0}]} contains {b: []}, which has no jsonb_path_ops item.
+	f.Add([]byte{0, 0, 0, 0, 0, 8, 1, 9, 8, 0, 2}, []byte{8, 1, 1}, []byte{0, 3})
+	// k2 = {a: 2^53+1} contains {a: 2^53 as a float}.
+	f.Add([]byte{0, 0, 0, 0, 0, 8, 0, 34, 1, 1}, []byte{8, 0, 42}, []byte{1, 2})
+	f.Add([]byte{1, 0, 24, 1, 66, 2, 74, 0, 16, 2, 1, 0, 8, 1, 9}, []byte{0}, []byte{5, 6, 3})
+	f.Fuzz(func(t *testing.T, data, pat, terms []byte) {
+		db, err := core.Open(core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		b := ginBytes(data)
+		docs := map[string]mmvalue.Value{}
+		var later []string // keys written after the builds
+		colls := map[string]inverted.Mode{"ops": inverted.OpsMode, "path": inverted.PathOpsMode}
+		put := func(key string, doc mmvalue.Value) {
+			t.Helper()
+			if err := db.Update(func(tx engine.Tx) error {
+				for coll := range colls {
+					if err := db.Docs.Put(tx, coll, key, doc); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			docs[key] = doc.Set("_key", mmvalue.String(key))
+		}
+		if err := db.Update(func(tx engine.Tx) error {
+			for coll := range colls {
+				if err := db.Docs.CreateCollection(tx, coll, catalogSchemaless()); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8 && len(b) > 0; i++ {
+			key := fmt.Sprintf("k%d", i)
+			if b.next()%2 == 0 {
+				put(key, ginValue(&b, 0, true))
+			} else {
+				later = append(later, key)
+			}
+		}
+		for coll, mode := range colls {
+			if err := db.CreateGIN(coll, mode); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.CreateFullText("ops"); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range later {
+			put(key, ginValue(&b, 0, true))
+		}
+		if len(docs) > 1 {
+			put("k0", ginValue(&b, 0, true))
+			if err := db.Update(func(tx engine.Tx) error {
+				for coll := range colls {
+					if _, err := db.Docs.Delete(tx, coll, "k1"); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			delete(docs, "k1")
+		}
+		pb := ginBytes(pat)
+		pattern := ginValue(&pb, 0, false)
+
+		for coll, mode := range colls {
+			q := `FOR d IN ` + coll + ` FILTER d @> @p SORT d._key RETURN d._key`
+			params := map[string]mmvalue.Value{"p": pattern}
+			gin, err := db.QueryOpts(q, params, query.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, err := db.QueryOpts(q, params, queryOptsNoIndex())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, s := fmt.Sprint(core.Strings(gin)), fmt.Sprint(core.Strings(scan)); g != s {
+				t.Fatalf("%s @> %v: GIN %s, scan %s (docs %v)", coll, pattern, g, s, docs)
+			}
+			if used := len(gin.Stats.IndexUsed) > 0; used != (len(inverted.Items(mode, pattern)) > 0) {
+				t.Fatalf("%s @> %v: GIN used = %v with %d pattern items", coll, pattern, used, len(inverted.Items(mode, pattern)))
+			}
+		}
+
+		var words []string
+		for _, c := range terms {
+			words = append(words, ginWords[int(c)%len(ginWords)])
+		}
+		text := strings.Join(words, " ")
+		want := []string{}
+		if toks := inverted.Tokenize(text); len(toks) > 0 {
+			for key, doc := range docs {
+				have := map[string]bool{}
+				ginTokens(doc, have)
+				if !slices.ContainsFunc(toks, func(tok string) bool { return !have[tok] }) {
+					want = append(want, key)
+				}
+			}
+		}
+		slices.Sort(want)
+		res, err := db.Query(`RETURN FTSEARCH("ops", @terms)`, map[string]mmvalue.Value{"terms": mmvalue.String(text)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []string{}
+		for _, v := range res.Values[0].AsArray() {
+			got = append(got, v.AsString())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("FTSEARCH(%q) = %v, token-set filter %v (docs %v)", text, got, want, docs)
 		}
 	})
 }

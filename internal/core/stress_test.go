@@ -11,8 +11,8 @@ import (
 
 // TestConcurrentMixedWorkload hammers one database with concurrent
 // cross-model writers, readers, and queries; afterwards every invariant
-// must hold: counts match, no dangling references, index views agree with
-// the primary data.
+// must hold: counts match, no dangling references, the full-text index
+// agrees with the primary data.
 func TestConcurrentMixedWorkload(t *testing.T) {
 	db := openDB(t)
 	err := db.Update(func(tx engine.Tx) error {
@@ -93,8 +93,8 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	if len(res.Values) != 0 {
 		t.Fatalf("documents without mirrors: %v", res.Values)
 	}
-	// The full-text view saw every committed write.
+	// The full-text index saw every committed write.
 	if got := len(db.FullTextSearch("items", "worker")); got != total {
-		t.Fatalf("full-text view has %d docs, want %d", got, total)
+		t.Fatalf("full-text index has %d docs, want %d", got, total)
 	}
 }

@@ -6,24 +6,28 @@
 // Layout on the integrated backend:
 //
 //	doc:<coll>              primary data: keyenc(_key) -> binenc(document)
-//	idx:doc:<coll>:<name>   secondary B+tree index: keyenc(value, _key) -> ""
+//	idx:doc:<coll>:<name>   secondary index: keyenc(value, _key) -> ""
 //
-// Because secondary indexes live in keyspaces, index maintenance is part of
-// the same engine transaction as the document write — abort rolls both
-// back. Hash, GIN, and full-text accelerators are maintained separately as
-// log subscribers (see internal/core), mirroring the paper's OctopusDB
-// "storage views over a central log".
+// Every index kind is such a keyspace; the kinds differ only in the values
+// a document contributes. A B+tree path index holds the values at its path,
+// a GIN index the document's GIN items (inverted.Items), and a full-text
+// index the distinct tokens of its string leaves. Index maintenance is part
+// of the same engine transaction as the document write, so abort rolls both
+// back, and snapshots, shards, the WAL and recovery cover indexes as they
+// cover documents.
 package docstore
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
 	"repro/internal/binenc"
 	"repro/internal/catalog"
 	"repro/internal/engine"
+	"repro/internal/inverted"
 	"repro/internal/keyenc"
 	"repro/internal/mmvalue"
 )
@@ -42,10 +46,22 @@ var ErrDuplicateKey = errors.New("docstore: duplicate key")
 // ErrNotFound is returned when a referenced document does not exist.
 var ErrNotFound = errors.New("docstore: document not found")
 
+// IndexKind selects what a secondary index holds for each document.
+type IndexKind string
+
+// Index kinds.
+const (
+	PathIndex     IndexKind = ""         // the values at Path (B+tree)
+	GINIndex      IndexKind = "gin"      // the GIN items of the document, in Mode
+	FullTextIndex IndexKind = "fulltext" // the distinct tokens of its string leaves
+)
+
 // IndexDef describes a secondary index.
 type IndexDef struct {
 	Name   string
-	Path   string // mmvalue path, may contain [*]
+	Kind   IndexKind
+	Path   string        // PathIndex: mmvalue path, may contain [*]
+	Mode   inverted.Mode // GINIndex: the item extraction mode
 	Unique bool
 	Sparse bool // skip documents where the path is missing
 }
@@ -129,18 +145,24 @@ func indexDefs(meta mmvalue.Value) []IndexDef {
 			Path:   v.GetOr("path").AsString(),
 			Unique: v.GetOr("unique").AsBool(),
 			Sparse: v.GetOr("sparse").AsBool(),
+			Kind:   IndexKind(v.GetOr("kind").AsString()),
+			Mode:   inverted.Mode(v.GetOr("mode").AsInt()),
 		})
 	}
 	return defs
 }
 
 func indexDefValue(d IndexDef) mmvalue.Value {
-	return mmvalue.Object(
+	v := mmvalue.Object(
 		mmvalue.F("name", mmvalue.String(d.Name)),
 		mmvalue.F("path", mmvalue.String(d.Path)),
 		mmvalue.F("unique", mmvalue.Bool(d.Unique)),
 		mmvalue.F("sparse", mmvalue.Bool(d.Sparse)),
 	)
+	if d.Kind != PathIndex {
+		v = v.Set("kind", mmvalue.String(string(d.Kind))).Set("mode", mmvalue.Int(int64(d.Mode)))
+	}
+	return v
 }
 
 // GenerateKey returns a fresh unique document key.
@@ -287,7 +309,7 @@ func (s *Store) Count(coll string) int { return s.e.KeyspaceLen(Keyspace(coll)) 
 
 // --- Secondary indexes ---
 
-// CreateIndex registers and backfills a B+tree secondary index over a path.
+// CreateIndex registers and backfills a secondary index of any kind.
 func (s *Store) CreateIndex(tx engine.Tx, coll string, def IndexDef) error {
 	meta, err := s.meta(tx, coll)
 	if err != nil {
@@ -298,8 +320,17 @@ func (s *Store) CreateIndex(tx engine.Tx, coll string, def IndexDef) error {
 			return fmt.Errorf("docstore: index %q already exists on %q", def.Name, coll)
 		}
 	}
-	if _, err := mmvalue.ParsePath(def.Path); err != nil {
-		return err
+	switch def.Kind {
+	case PathIndex:
+		if _, err := mmvalue.ParsePath(def.Path); err != nil {
+			return err
+		}
+	case GINIndex, FullTextIndex:
+		if def.Unique {
+			return fmt.Errorf("docstore: a %s index cannot be unique", def.Kind)
+		}
+	default:
+		return fmt.Errorf("docstore: unknown index kind %q", def.Kind)
 	}
 	// Backfill from existing documents.
 	type pair struct {
@@ -359,12 +390,51 @@ func (s *Store) Indexes(tx engine.Tx, coll string) ([]IndexDef, error) {
 
 // indexedValues extracts the values a document contributes to an index.
 func indexedValues(def IndexDef, doc mmvalue.Value) []mmvalue.Value {
+	switch def.Kind {
+	case GINIndex:
+		return stringValues(inverted.Items(def.Mode, doc))
+	case FullTextIndex:
+		return stringValues(docTokens(doc))
+	}
 	path := mmvalue.MustParsePath(def.Path)
 	vals := path.ExtractAll(doc)
 	if len(vals) == 0 && !def.Sparse {
 		// Non-sparse indexes record missing paths as null, like ArangoDB's
 		// non-sparse hash indexes.
 		return []mmvalue.Value{mmvalue.Null}
+	}
+	return vals
+}
+
+// docTokens returns the distinct tokens of every string leaf of doc.
+func docTokens(doc mmvalue.Value) []string {
+	var toks []string
+	var walk func(v mmvalue.Value)
+	walk = func(v mmvalue.Value) {
+		switch v.Kind() {
+		case mmvalue.KindObject:
+			for _, f := range v.Fields() {
+				walk(f.Value)
+			}
+		case mmvalue.KindArray:
+			for _, e := range v.AsArray() {
+				walk(e)
+			}
+		case mmvalue.KindString:
+			toks = append(toks, inverted.Tokenize(v.AsString())...)
+		default:
+			// Other scalars carry no text.
+		}
+	}
+	walk(doc)
+	slices.Sort(toks)
+	return slices.Compact(toks)
+}
+
+func stringValues(ss []string) []mmvalue.Value {
+	vals := make([]mmvalue.Value, len(ss))
+	for i, s := range ss {
+		vals[i] = mmvalue.String(s)
 	}
 	return vals
 }
@@ -427,6 +497,44 @@ func (s *Store) LookupEq(tx engine.Tx, coll, idx string, v mmvalue.Value) ([]str
 	return s.lookupRangeRaw(tx, IndexKeyspace(coll, idx), lo, hi)
 }
 
+// LookupAll returns, in key order, the keys of the documents an index
+// holds under every one of items: one LookupEq range scan per item, then an
+// intersection of the sorted key lists. It serves GIN containment (items
+// from inverted.Items) and full-text AND queries (tokens).
+func (s *Store) LookupAll(tx engine.Tx, coll, idx string, items []string) ([]string, error) {
+	lists := make([][]string, len(items))
+	for i, it := range items {
+		keys, err := s.LookupEq(tx, coll, idx, mmvalue.String(it))
+		if err != nil || len(keys) == 0 {
+			return nil, err
+		}
+		lists[i] = keys
+	}
+	return inverted.Intersect(lists), nil
+}
+
+// SearchText returns, in key order, the keys of the documents whose string
+// leaves hold every token of terms, read from the collection's full-text
+// index. An unknown collection, one without a full-text index, and terms
+// without a token all yield none.
+func (s *Store) SearchText(tx engine.Tx, coll, terms string) ([]string, error) {
+	meta, err := s.cat.Get(tx, catKind, coll)
+	if errors.Is(err, catalog.ErrNotFound) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	toks := inverted.Tokenize(terms)
+	slices.Sort(toks)
+	for _, d := range indexDefs(meta) {
+		if d.Kind == FullTextIndex {
+			return s.LookupAll(tx, coll, d.Name, slices.Compact(toks))
+		}
+	}
+	return nil, nil
+}
+
 // Bound describes one end of an index range.
 type Bound struct {
 	Value     mmvalue.Value
@@ -476,21 +584,4 @@ func (s *Store) lookupRangeRaw(tx engine.Tx, ks string, lo, hi []byte) ([]string
 		return nil, err
 	}
 	return keys, decodeErr
-}
-
-// DecodeRecord decodes an engine record from a doc keyspace back into
-// (docKey, document); used by log subscribers maintaining auxiliary indexes.
-func DecodeRecord(key, value []byte) (string, mmvalue.Value, error) {
-	parts, err := keyenc.Decode(key)
-	if err != nil || len(parts) == 0 {
-		return "", mmvalue.Null, fmt.Errorf("docstore: corrupt key: %w", err)
-	}
-	if value == nil {
-		return parts[0].AsString(), mmvalue.Null, nil
-	}
-	doc, err := binenc.Decode(value)
-	if err != nil {
-		return "", mmvalue.Null, err
-	}
-	return parts[0].AsString(), doc, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
+	"repro/internal/inverted"
 	"repro/internal/mmvalue"
 )
 
@@ -421,6 +422,61 @@ func TestCollectionsList(t *testing.T) {
 		colls, _ := s.Collections(tx)
 		if !reflect.DeepEqual(colls, []string{"another", "orders"}) {
 			t.Fatalf("Collections = %v", colls)
+		}
+		return nil
+	})
+}
+
+// TestGINAndFullTextIndexKinds: a GIN and a full-text index are secondary
+// indexes whose entries are the document's GIN items and distinct tokens;
+// LookupAll intersects their keys, SearchText reads the full-text index,
+// and the kinds round-trip through the catalog.
+func TestGINAndFullTextIndexKinds(t *testing.T) {
+	e, s := setup(t)
+	err := e.Update(func(tx *engine.Txn) error {
+		for key, doc := range map[string]string{
+			"a": `{"tags":["db","graph"],"body":"Graph databases"}`,
+			"b": `{"tags":["db"],"body":"relational DATABASES, graph-free"}`,
+			"c": `{"tags":["food"],"body":"cooking"}`,
+		} {
+			if err := s.Put(tx, "orders", key, mmvalue.MustParseJSON(doc)); err != nil {
+				return err
+			}
+		}
+		if err := s.CreateIndex(tx, "orders", IndexDef{Name: "gin", Kind: GINIndex, Mode: inverted.PathOpsMode}); err != nil {
+			return err
+		}
+		return s.CreateIndex(tx, "orders", IndexDef{Name: "ft", Kind: FullTextIndex})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, def := range []IndexDef{{Name: "u", Kind: GINIndex, Unique: true}, {Name: "x", Kind: "hash"}} {
+		if err := e.Update(func(tx *engine.Txn) error { return s.CreateIndex(tx, "orders", def) }); err == nil {
+			t.Fatalf("CreateIndex(%+v) succeeded", def)
+		}
+	}
+	e.View(func(tx *engine.Txn) error {
+		defs, err := s.Indexes(tx, "orders")
+		if err != nil || len(defs) != 2 || defs[0].Kind != GINIndex || defs[0].Mode != inverted.PathOpsMode || defs[1].Kind != FullTextIndex {
+			t.Fatalf("Indexes = %+v, %v", defs, err)
+		}
+		pattern := mmvalue.MustParseJSON(`{"tags":["db","graph"]}`)
+		if got, err := s.LookupAll(tx, "orders", "gin", inverted.Items(inverted.PathOpsMode, pattern)); err != nil || !reflect.DeepEqual(got, []string{"a"}) {
+			t.Fatalf("GIN lookup = %v, %v", got, err)
+		}
+		for terms, want := range map[string][]string{
+			"graph databases": {"a", "b"},
+			"GRAPH free":      {"b"},
+			"cooking graph":   nil,
+			" ,":              nil,
+		} {
+			if got, err := s.SearchText(tx, "orders", terms); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("SearchText(%q) = %v, %v; want %v", terms, got, err, want)
+			}
+		}
+		if got, err := s.SearchText(tx, "nothere", "graph"); err != nil || got != nil {
+			t.Fatalf("SearchText on an unknown collection = %v, %v", got, err)
 		}
 		return nil
 	})

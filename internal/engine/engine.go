@@ -173,8 +173,8 @@ type Engine struct {
 // Subscribe registers fn to be called synchronously with the redo batch of
 // every committed transaction, in commit order. This is the paper's
 // OctopusDB idea ("storage views defined over a central log") put to work:
-// replicas, secondary index views, and materialized views are all just log
-// subscribers.
+// the plan cache's DDL epoch is one such subscriber. Indexes are not: they
+// are keyspaces written inside the writing transaction.
 func (e *Engine) Subscribe(fn func(batch []wal.Record)) {
 	e.subMu.Lock()
 	e.listeners = append(e.listeners, fn)

@@ -114,7 +114,7 @@ func (ft *FullText) SearchAll(terms []string) []string {
 	for i, t := range terms {
 		lists[i] = ft.Search(t)
 	}
-	return intersectAll(lists)
+	return Intersect(lists)
 }
 
 // SearchAny returns ids containing at least one term (boolean OR).

@@ -15,6 +15,7 @@
 package inverted
 
 import (
+	"math"
 	"sort"
 	"strconv"
 
@@ -53,12 +54,21 @@ func NewGIN(mode Mode) *GIN {
 	}
 }
 
-// Mode returns the index mode.
-func (g *GIN) Mode() Mode { return g.mode }
-
 // Items returns the number of distinct index items — the "index size" axis
 // of the E3 experiment (path_ops produces fewer items than ops).
 func (g *GIN) Items() int { return len(g.postings) }
+
+// Items returns the index items doc contributes in the given mode, sorted
+// and distinct: the one definition of the item format, shared by GIN and
+// by the docstore's keyspace-backed GIN indexes. A pattern's items are
+// extracted the same way, and every document containing the pattern holds
+// all of them.
+func Items(mode Mode, doc mmvalue.Value) []string {
+	if mode == PathOpsMode {
+		return extractPathOps(doc)
+	}
+	return extractOps(doc)
+}
 
 // extractOps produces jsonb_ops items: every key and every leaf value,
 // independently.
@@ -90,26 +100,20 @@ func extractOps(doc mmvalue.Value) []string {
 }
 
 // extractPathOps produces jsonb_path_ops items: one hashed (path, value)
-// item per leaf, with array positions erased so that containment of an
-// element at any position matches.
+// item per scalar leaf, with array positions erased so that containment of
+// an element at any position matches. An empty object or array yields no
+// item: it is contained in every object or array at its path, so an item
+// for it would hide documents that contain it.
 func extractPathOps(doc mmvalue.Value) []string {
 	set := map[string]struct{}{}
 	var walk func(path string, v mmvalue.Value)
 	walk = func(path string, v mmvalue.Value) {
 		switch v.Kind() {
 		case mmvalue.KindObject:
-			if v.Len() == 0 {
-				set[hashItem(path, v)] = struct{}{}
-				return
-			}
 			for _, f := range v.Fields() {
 				walk(path+"/"+f.Name, f.Value)
 			}
 		case mmvalue.KindArray:
-			if v.Len() == 0 {
-				set[hashItem(path, v)] = struct{}{}
-				return
-			}
 			for _, e := range v.AsArray() {
 				walk(path, e) // positions erased
 			}
@@ -127,13 +131,15 @@ func extractPathOps(doc mmvalue.Value) []string {
 }
 
 func canonicalScalar(v mmvalue.Value) string {
-	// Integral floats canonicalize to their int form so 1 and 1.0 share an
-	// item, matching mmvalue equality.
-	if v.Kind() == mmvalue.KindFloat {
+	// Numbers canonicalize through their float64 image, integral ones to
+	// the int form, so numbers mmvalue holds equal (1 and 1.0, or an int
+	// past 2^53 and its float) share an item.
+	if v.IsNumber() {
 		f := v.AsFloat()
-		if f == float64(int64(f)) {
-			return "int:" + mmvalue.Int(int64(f)).String()
+		if f == math.Trunc(f) && math.Abs(f) < 1<<63 {
+			return "int:" + strconv.FormatInt(int64(f), 10)
 		}
+		return "float:" + strconv.FormatFloat(f, 'g', -1, 64)
 	}
 	return v.Kind().String() + ":" + v.String()
 }
@@ -152,19 +158,12 @@ func hashItem(path string, v mmvalue.Value) string {
 	return strconv.FormatUint(h, 36)
 }
 
-func (g *GIN) extract(doc mmvalue.Value) []string {
-	if g.mode == PathOpsMode {
-		return extractPathOps(doc)
-	}
-	return extractOps(doc)
-}
-
 // Add indexes doc under id, replacing any previous posting for id.
 func (g *GIN) Add(id string, doc mmvalue.Value) {
 	if _, ok := g.docs[id]; ok {
 		g.Remove(id)
 	}
-	items := g.extract(doc)
+	items := Items(g.mode, doc)
 	g.docs[id] = items
 	for _, it := range items {
 		g.postings[it] = insertSorted(g.postings[it], id)
@@ -191,16 +190,8 @@ func (g *GIN) Remove(id string) {
 // ops loses key/value association, path_ops hashes).
 func (g *GIN) CandidatesContains(pattern mmvalue.Value) []string {
 	var itemLists [][]string
-	if g.mode == PathOpsMode {
-		items := extractPathOps(pattern)
-		for _, it := range items {
-			itemLists = append(itemLists, g.postings[it])
-		}
-	} else {
-		items := extractOps(pattern)
-		for _, it := range items {
-			itemLists = append(itemLists, g.postings[it])
-		}
+	for _, it := range Items(g.mode, pattern) {
+		itemLists = append(itemLists, g.postings[it])
 	}
 	if len(itemLists) == 0 {
 		// Empty pattern ({}): every document matches; return all ids.
@@ -211,7 +202,7 @@ func (g *GIN) CandidatesContains(pattern mmvalue.Value) []string {
 		sort.Strings(ids)
 		return ids
 	}
-	return intersectAll(itemLists)
+	return Intersect(itemLists)
 }
 
 // CandidatesHasKey returns ids of documents possibly having the top-level
@@ -245,7 +236,7 @@ func (g *GIN) CandidatesHasAllKeys(keys []string) ([]string, bool) {
 	for i, k := range keys {
 		lists[i] = g.postings["K:"+k]
 	}
-	return intersectAll(lists), true
+	return Intersect(lists), true
 }
 
 func insertSorted(list []string, id string) []string {
@@ -307,9 +298,9 @@ func intersectSorted(a, b []string) []string {
 	return out
 }
 
-// intersectAll intersects posting lists smallest-first (the standard GIN
-// evaluation order).
-func intersectAll(lists [][]string) []string {
+// Intersect intersects sorted posting lists smallest-first (the standard
+// GIN evaluation order). It reorders lists.
+func Intersect(lists [][]string) []string {
 	if len(lists) == 0 {
 		return nil
 	}

@@ -109,7 +109,6 @@ func DefaultLockClasses() LockClasses {
 		{Pkg: "repro/internal/engine", Type: "Replica", Field: "mu", Class: "engine.replica.mu"},
 		{Pkg: "repro/internal/wal", Type: "committer", Field: "mu", Class: "wal.commit.mu"},
 		{Pkg: "repro/internal/wal", Type: "Log", Field: "mu", Class: "wal.log.mu"},
-		{Pkg: "repro/internal/core", Type: "DB", Field: "viewMu", Class: "core.viewMu"},
 		{Pkg: "repro/internal/core", Type: "planCache", Field: "mu", Class: "core.plans.mu"},
 		{Pkg: "repro/internal/core", Type: "resultCache", Field: "mu", Class: "core.results.mu"},
 		{Pkg: "repro/internal/csr", Type: "Cache", Field: "mu", Class: "csr.cache.mu"},
@@ -129,7 +128,7 @@ func DefaultLockClasses() LockClasses {
 // (cpMu cuts while holding commitMu; commit publication holds commitMu
 // across the WAL append and the tree apply under engine.mu), the middle is
 // the WAL group-commit pair and the 2PL lock manager, and the tail is the
-// read-side cache/view mutexes, which are leaves that never hold anything
+// read-side cache mutexes, which are leaves that never hold anything
 // engine-side.
 func DefaultLockOrder() []string {
 	return []string{
@@ -143,7 +142,6 @@ func DefaultLockOrder() []string {
 		"engine.lockmgr.mu",
 		"engine.subMu",
 		"engine.replica.mu",
-		"core.viewMu",
 		"core.plans.mu",
 		"core.results.mu",
 		"csr.cache.mu",

@@ -754,10 +754,10 @@ func (c *execCtx) evalFunc(t *FuncCall, en *env) (mmvalue.Value, error) {
 		if err := need(2); err != nil {
 			return mmvalue.Null, err
 		}
-		if c.src.FullText == nil {
-			return mmvalue.Null, fmt.Errorf("query: no full-text index available")
+		ids, err := c.src.Docs.SearchText(c.tx, stringify(args[0]), stringify(args[1]))
+		if err != nil {
+			return mmvalue.Null, err
 		}
-		ids := c.src.FullText(stringify(args[0]), stringify(args[1]))
 		arr := make([]mmvalue.Value, len(ids))
 		for i, id := range ids {
 			arr[i] = mmvalue.String(id)

@@ -17,8 +17,7 @@ import (
 	"repro/internal/xmlstore"
 )
 
-// Sources wires the query layer to every model store plus the auxiliary
-// (log-subscriber-maintained) indexes owned by core.
+// Sources wires the query layer to every model store.
 type Sources struct {
 	Cols   *colstore.Store
 	Docs   *docstore.Store
@@ -28,13 +27,6 @@ type Sources struct {
 	XML    *xmlstore.Store
 	RDF    *rdfstore.Store
 
-	// GINLookup returns candidate document keys for a containment pattern
-	// on a collection, and whether a GIN index exists. Results must be
-	// rechecked (GIN is lossy).
-	GINLookup func(coll string, pattern mmvalue.Value) ([]string, bool)
-	// FullText returns document keys matching a full-text query (AND over
-	// terms), or nil when no index exists.
-	FullText func(coll, terms string) []string
 	// Resolve reports what kind of source a name is: "collection",
 	// "table", "graph", "bucket", or "" when unknown.
 	Resolve func(tx engine.Tx, name string) string

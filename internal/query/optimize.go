@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/docstore"
+	"repro/internal/inverted"
 	"repro/internal/mmvalue"
 )
 
@@ -16,8 +17,8 @@ import (
 //	range on a table's primary key  -> bounded scan of the PK-ordered rows
 //	equality on an indexed path     -> secondary B+tree LookupEq
 //	range on an indexed path        -> secondary B+tree LookupRange
-//	containment (@>) on a document  -> GIN candidates + recheck
-//	FTSEARCH(coll, ...) membership  -> full-text posting lists
+//	containment (@>) on a document  -> GIN index item lookups + recheck
+//	FTSEARCH(coll, ...) membership  -> full-text index token lookups
 //
 // (Bitmap/bitslice aggregation — the remaining family of the paper's
 // classification — is a store-level accelerator measured in E5, not a
@@ -189,33 +190,41 @@ func (c *execCtx) tryDocIndex(coll string, preds []predicate) ([]mmvalue.Value, 
 			return []mmvalue.Value{doc}, true, nil
 		}
 	}
-	// GIN containment. The GIN is maintained by a commit-log subscriber and
-	// reflects the latest commit, not a snapshot's cut: a document that
-	// matches in the snapshot may already be gone from it. A snapshot
-	// transaction therefore answers `@>` by scan and recheck.
+	defs, err := c.src.Docs.Indexes(c.tx, coll)
+	if err != nil {
+		return nil, false, err
+	}
+	// GIN containment: the candidates hold every item of the pattern, and
+	// the `@>` filter rechecks them (GIN is lossy). A pattern without items
+	// ({}, []) has nothing to look up and falls back to the scan.
 	for _, p := range preds {
-		if p.op == "@>" && c.src.GINLookup != nil && !c.tx.SnapshotRead() {
-			keys, ok := c.src.GINLookup(coll, p.value)
-			if !ok {
+		if p.op != "@>" {
+			continue
+		}
+		for _, d := range defs {
+			if d.Kind != docstore.GINIndex {
 				continue
+			}
+			items := inverted.Items(d.Mode, p.value)
+			if len(items) == 0 {
+				continue
+			}
+			keys, err := c.src.Docs.LookupAll(c.tx, coll, d.Name, items)
+			if err != nil {
+				return nil, false, err
 			}
 			c.noteIndex("doc:" + coll + " GIN (@>)")
 			docs, err := c.fetchDocs(coll, keys)
 			return docs, true, err
 		}
 	}
-	// Secondary indexes.
-	defs, err := c.src.Docs.Indexes(c.tx, coll)
-	if err != nil {
-		return nil, false, err
-	}
-	// Equality first (most selective), then ranges.
+	// Path indexes: equality first (most selective), then ranges.
 	for _, p := range preds {
 		if p.op != "==" {
 			continue
 		}
 		for _, d := range defs {
-			if !pathMatchesIndex(p.path, d.Path) {
+			if d.Kind != docstore.PathIndex || !pathMatchesIndex(p.path, d.Path) {
 				continue
 			}
 			keys, err := c.src.Docs.LookupEq(c.tx, coll, d.Name, p.value)
@@ -228,6 +237,9 @@ func (c *execCtx) tryDocIndex(coll string, preds []predicate) ([]mmvalue.Value, 
 		}
 	}
 	for _, d := range defs {
+		if d.Kind != docstore.PathIndex {
+			continue
+		}
 		lo := docstore.Bound{Unbounded: true}
 		hi := docstore.Bound{Unbounded: true}
 		matched := false

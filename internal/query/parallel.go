@@ -52,9 +52,8 @@ package query
 // Thread-safety: chunk bodies share the execCtx strictly read-only.
 // Expression evaluation reaches the engine only through Txn.Get/Scan and the
 // store read APIs, which the engine documents as safe for concurrent use on
-// one transaction (see engine.Txn); the auxiliary GIN/full-text views are
-// behind core's RWMutex; env rows are copy-on-bind, so outer rows are never
-// mutated. A panic in a chunk body fails the query with an error instead of
+// one transaction (see engine.Txn); env rows are copy-on-bind, so outer
+// rows are never mutated. A panic in a chunk body fails the query with an error instead of
 // the process; only read-only pipelines ever run more than one chunk.
 
 import (

@@ -6,12 +6,12 @@ package query
 // pipeline read is unchanged, so the compiler must know — before execution —
 // which stores a pipeline can touch. This file derives that set from the
 // AST: named FOR sources, graph traversals, and the cross-model access
-// functions (DOCUMENT, KV, OUT/IN/INN/BOTH, SHORTEST_PATH, XPATH, TRIPLES)
-// with literal first arguments. Anything whose target is only known at run
-// time (a computed collection name), and anything answered from a
-// commit-log-subscriber view that can lag the data-version bump (FTSEARCH
-// full-text, `@>` containment served by the GIN view), marks the pipeline
-// uncacheable instead: correctness over coverage.
+// functions (DOCUMENT, FTSEARCH, KV, OUT/IN/INN/BOTH, SHORTEST_PATH, XPATH,
+// TRIPLES) with literal first arguments. Anything whose target is only
+// known at run time (a computed collection name) marks the pipeline
+// uncacheable instead: correctness over coverage. Index keyspaces (`@>` via
+// a GIN, FTSEARCH via a full-text index) need no entry: every write to an
+// index also writes its collection's keyspace in the same transaction.
 //
 // This file is in the cachekey lint scope (see internal/lint): no map
 // iteration, wall-clock, or randomness may influence what it computes,
@@ -55,20 +55,13 @@ func (p *Pipeline) Cacheable() bool {
 	return p.analyzed && !p.hasMutation && p.cacheable
 }
 
-// ViewBacked reports whether the pipeline may be answered from an auxiliary
-// view (the GIN behind `@>`, the full-text index behind FTSEARCH). Those
-// views are maintained by a commit-log subscriber, so they reflect the
-// latest commit rather than any particular snapshot; core keeps such
-// pipelines on the locked path while a view exists.
-func (p *Pipeline) ViewBacked() bool { return p.viewBacked }
-
-// computeReadSet derives p.readSet, p.cacheable and p.viewBacked. Called by
+// computeReadSet derives p.readSet and p.cacheable. Called by
 // analyze after its clause walk, when every nested subquery pipeline is
 // already analyzed (so their read-sets union in directly). Deduplication is
 // by linear scan — read-sets are tiny, and this path must stay free of map
 // iteration.
 func (p *Pipeline) computeReadSet() {
-	cacheable, viewBacked := true, false
+	cacheable := true
 	var refs []ReadRef
 	add := func(kind ReadKind, name string) {
 		for _, r := range refs {
@@ -93,7 +86,6 @@ func (p *Pipeline) computeReadSet() {
 			walkExpr(e, func(x Expr) {
 				switch t := x.(type) {
 				case *SubqueryExpr:
-					viewBacked = viewBacked || t.Pipeline.viewBacked
 					if !t.Pipeline.cacheable || t.Pipeline.hasMutation {
 						cacheable = false
 						return
@@ -101,23 +93,9 @@ func (p *Pipeline) computeReadSet() {
 					for _, r := range t.Pipeline.readSet {
 						add(r.Kind, r.Name)
 					}
-				case *BinaryOp:
-					if t.Op == "@>" {
-						// May be answered from the GIN view, which is
-						// updated by a commit-log subscriber after the
-						// data-version bump — a result cached in that
-						// window would be stale forever.
-						cacheable, viewBacked = false, true
-					}
 				case *FuncCall:
 					kind, reads := crossModelRead(t.Name)
 					if !reads {
-						return
-					}
-					if t.Name == "FTSEARCH" {
-						// Full-text is served by a subscriber view; same
-						// lag hazard as GIN above.
-						cacheable, viewBacked = false, true
 						return
 					}
 					name, lit := literalStringArg(t.Args, 0)
@@ -127,7 +105,7 @@ func (p *Pipeline) computeReadSet() {
 						return
 					}
 					add(kind, name)
-				case *ArrayExpr, *FieldAccess, *IndexAccess, *Literal,
+				case *ArrayExpr, *BinaryOp, *FieldAccess, *IndexAccess, *Literal,
 					*ObjectExpr, *TernaryExpr, *UnaryOp, *VarRef:
 					// Pure node kinds: no store access of their own, and
 					// walkExpr already descends into their children. Listed
@@ -139,14 +117,13 @@ func (p *Pipeline) computeReadSet() {
 	}
 	p.readSet = refs
 	p.cacheable = cacheable
-	p.viewBacked = viewBacked
 }
 
 // crossModelRead maps a function name to the read-set kind of its first
 // (name) argument; reads is false for pure functions that touch no store.
 func crossModelRead(name string) (kind ReadKind, reads bool) {
 	switch name {
-	case "DOCUMENT":
+	case "DOCUMENT", "FTSEARCH":
 		return ReadCollection, true
 	case "KV":
 		return ReadBucket, true
@@ -156,8 +133,6 @@ func crossModelRead(name string) (kind ReadKind, reads bool) {
 		return ReadXML, true
 	case "TRIPLES":
 		return ReadRDF, true
-	case "FTSEARCH":
-		return 0, true // store-reading, but view-backed: forces uncacheable
 	}
 	return 0, false
 }

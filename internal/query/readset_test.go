@@ -7,7 +7,8 @@ import (
 
 // Pins the compile-time read-set/cacheability analysis the result cache
 // keys on: named sources and literal cross-model accesses are collected;
-// DML, view-backed operators, and dynamic store names are uncacheable.
+// `@>` and FTSEARCH read their collection like any other access; DML and
+// dynamic store names are uncacheable.
 
 func TestReadSetCollection(t *testing.T) {
 	cases := []struct {
@@ -52,6 +53,20 @@ func TestReadSetCollection(t *testing.T) {
 			`FOR u IN users LET n = (FOR o IN orders FILTER o.user == u._key RETURN o) RETURN [u, n]`,
 			[]ReadRef{{ReadSource, "users"}, {ReadSource, "orders"}},
 		},
+		{
+			// Full-text and GIN containment are index reads of their
+			// collection, also nested.
+			`FOR id IN FTSEARCH("posts", "database") RETURN id`,
+			[]ReadRef{{ReadCollection, "posts"}},
+		},
+		{
+			`FOR u IN users FILTER u.tags @> ["go"] RETURN u`,
+			[]ReadRef{{ReadSource, "users"}},
+		},
+		{
+			`FOR u IN users LET n = (FOR p IN posts FILTER p @> {by: u._key} RETURN p) RETURN n`,
+			[]ReadRef{{ReadSource, "users"}, {ReadSource, "posts"}},
+		},
 	}
 	for _, tc := range cases {
 		p := mustMMQL(t, tc.text)
@@ -61,9 +76,6 @@ func TestReadSetCollection(t *testing.T) {
 		}
 		if got := p.ReadSet(); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%q: ReadSet() = %v, want %v", tc.text, got, tc.want)
-		}
-		if p.ViewBacked() {
-			t.Errorf("%q: ViewBacked() = true, want false", tc.text)
 		}
 	}
 }
@@ -80,30 +92,19 @@ func TestReadSetTraversal(t *testing.T) {
 }
 
 func TestReadSetUncacheable(t *testing.T) {
-	cases := []struct {
-		text       string
-		viewBacked bool
-	}{
+	for _, text := range []string{
 		// DML.
-		{`INSERT {name: "x"} INTO users`, false},
-		{`FOR u IN users UPDATE u._key WITH {seen: true} IN users`, false},
+		`INSERT {name: "x"} INTO users`,
+		`FOR u IN users UPDATE u._key WITH {seen: true} IN users`,
 		// Mutating subquery.
-		{`FOR u IN users LET x = (FOR a IN audit INSERT {u: u._key} INTO audit) RETURN u`, false},
-		// View-backed operators: full-text and GIN containment, also nested.
-		{`FOR id IN FTSEARCH("posts", "database") RETURN id`, true},
-		{`FOR u IN users FILTER u.tags @> ["go"] RETURN u`, true},
-		{`FOR u IN users LET n = (FOR p IN posts FILTER p @> {by: u._key} RETURN p) RETURN n`, true},
+		`FOR u IN users LET x = (FOR a IN audit INSERT {u: u._key} INTO audit) RETURN u`,
 		// Dynamic store names.
-		{`FOR u IN users RETURN DOCUMENT(u.coll, u._key)`, false},
-		{`FOR u IN users RETURN KV(CONCAT("s", u._key), u._key)`, false},
-	}
-	for _, tc := range cases {
-		p := mustMMQL(t, tc.text)
-		if p.Cacheable() {
-			t.Errorf("%q: Cacheable() = true, want false", tc.text)
-		}
-		if p.ViewBacked() != tc.viewBacked {
-			t.Errorf("%q: ViewBacked() = %v, want %v", tc.text, p.ViewBacked(), tc.viewBacked)
+		`FOR u IN users RETURN DOCUMENT(u.coll, u._key)`,
+		`FOR u IN users RETURN KV(CONCAT("s", u._key), u._key)`,
+		`FOR id IN FTSEARCH(@coll, "database") RETURN id`,
+	} {
+		if mustMMQL(t, text).Cacheable() {
+			t.Errorf("%q: Cacheable() = true, want false", text)
 		}
 	}
 }

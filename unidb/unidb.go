@@ -519,7 +519,9 @@ const (
 	GINPathOps = inverted.PathOpsMode
 )
 
-// CreateGIN builds a containment (@>) index over a collection.
+// CreateGIN builds a containment (@>) index over a collection. Like every
+// document index it is a keyspace written by each transaction that writes
+// the collection, so it is durable and snapshot-consistent.
 func (d *Database) CreateGIN(coll string, mode GINMode) error {
 	return d.db.CreateGIN(coll, mode)
 }
@@ -528,7 +530,8 @@ func (d *Database) CreateGIN(coll string, mode GINMode) error {
 // collection's documents.
 func (d *Database) CreateFullText(coll string) error { return d.db.CreateFullText(coll) }
 
-// FullTextSearch finds documents containing every term.
+// FullTextSearch finds documents containing every term, reading the
+// collection's full-text index on a snapshot; none without one.
 func (d *Database) FullTextSearch(coll, terms string) []string {
 	return d.db.FullTextSearch(coll, terms)
 }

@@ -221,7 +221,7 @@ func TestGINAndFullText(t *testing.T) {
 	if got := db.FullTextSearch("docs", "graph databases"); !reflect.DeepEqual(got, []string{"a"}) {
 		t.Fatalf("fts = %v", got)
 	}
-	// Index views follow committed writes.
+	// The indexes are written with the documents.
 	db.Update(func(tx *unidb.Txn) error {
 		return tx.PutDocument("docs", "c", unidb.MustParseJSON(`{"title":"graph theory"}`))
 	})
