@@ -63,7 +63,7 @@ func main() {
   .checkpoint  snapshot + truncate WAL (durable databases)
   .quit        exit
   .keyspaces   list engine keyspaces and sizes
-  .stats       WAL, plan/result cache, and shard counters
+  .stats       WAL, plan cache, and shard counters
 anything else runs as a query in the current language`)
 		case line == ".mmql":
 			mode = "mmql"
@@ -93,9 +93,6 @@ func printStats(db *unidb.Database) {
 		ws.Appends, ws.BatchedAppends, ws.Windows, ws.GroupCommits, ws.Fsyncs, ws.FsyncsSaved)
 	ps := db.PlanCacheStats()
 	fmt.Printf("plans: hits=%d misses=%d size=%d epoch=%d\n", ps.Hits, ps.Misses, ps.Size, ps.Epoch)
-	rs := db.ResultCacheStats()
-	fmt.Printf("results: hits=%d misses=%d stale-serves=%d refreshes=%d bytes=%d\n",
-		rs.Hits, rs.Misses, rs.StaleServes, rs.BackgroundRefreshes, rs.Bytes)
 	ss := db.ShardStats()
 	fmt.Printf("shards: n=%d fanouts=%d cross-shard-txns=%d prepares=%d\n",
 		ss.Shards, ss.ShardFanouts, ss.CrossShardTxns, ss.PreparedTxns)

@@ -9,8 +9,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/colstore"
@@ -38,19 +36,6 @@ type Options struct {
 	// GroupCommitWindow is forwarded to the engine: the maximum number of
 	// concurrent Synced committers that share one WAL fsync (0 = default).
 	GroupCommitWindow int
-	// ResultCacheBytes enables the cross-query result cache with this total
-	// byte budget; 0 disables it. Cacheable (proven read-only, fully
-	// read-set-analyzed) pipelines then serve materialized results while
-	// every read keyspace's data version is unchanged — see resultcache.go
-	// for the validity contract.
-	ResultCacheBytes int
-	// MaxResultStaleness bounds the result cache's stale-serve window: when
-	// a cached entry's version vector no longer matches but the entry was
-	// verified fresh within this duration, it is served as-is and
-	// recomputed in the background against an MVCC snapshot. 0 (the
-	// default) disables stale serving — any version mismatch recomputes in
-	// the foreground.
-	MaxResultStaleness time.Duration
 	// Shards hash-partitions every keyspace across this many in-process
 	// engine shards (internal/shard): point operations route by key hash,
 	// scans fan out and merge, and transactions spanning shards commit via
@@ -79,15 +64,6 @@ type DB struct {
 	// subscriber bumps its epoch on every committed DDL (see
 	// invalidatePlans and plancache.go for the contract).
 	plans *planCache
-
-	// results is the cross-query result cache (nil when disabled). It
-	// shares the plan cache's DDL epoch and pairs it with per-keyspace data
-	// versions from the engine; maxStale is its stale-serve bound and
-	// refreshWG tracks in-flight background refreshes so Close can drain
-	// them.
-	results   *resultCache
-	maxStale  time.Duration
-	refreshWG sync.WaitGroup
 
 	sources *query.Sources
 }
@@ -129,11 +105,6 @@ func Open(opts Options) (*DB, error) {
 		XML:    xmlstore.New(be, cat),
 		RDF:    rdfstore.New(be),
 		plans:  newPlanCache(defaultPlanCacheCap),
-
-		maxStale: opts.MaxResultStaleness,
-	}
-	if opts.ResultCacheBytes > 0 {
-		db.results = newResultCache(opts.ResultCacheBytes)
 	}
 	db.sources = &query.Sources{
 		Cols:    db.Cols,
@@ -211,18 +182,16 @@ func (db *DB) invalidatePlans(batch []wal.Record) {
 // PlanCacheStats snapshots the compiled-plan cache counters.
 func (db *DB) PlanCacheStats() PlanCacheStats { return db.plans.stats() }
 
-// ResultCacheStats snapshots the result cache counters (all-zero when the
-// cache is disabled).
-func (db *DB) ResultCacheStats() ResultCacheStats {
-	if db.results == nil {
-		return ResultCacheStats{}
-	}
-	return db.results.statsSnapshot()
+// ResultCacheStats is the counter pair of a cross-query result cache.
+// unidb has none, so both fields always read zero; the type and its getter
+// stay only for callers that still report a result-cache hit ratio.
+type ResultCacheStats struct {
+	Hits   uint64
+	Misses uint64
 }
 
-// KeyspaceVersions returns the engine's per-keyspace data version counters —
-// the validity half of every result-cache key — under one consistent cut.
-func (db *DB) KeyspaceVersions() map[string]uint64 { return db.be.Versions() }
+// ResultCacheStats returns zeros: there is no result cache.
+func (db *DB) ResultCacheStats() ResultCacheStats { return ResultCacheStats{} }
 
 // CSRStats re-exports the CSR adjacency-snapshot cache counters type.
 type CSRStats = csr.Stats
@@ -231,12 +200,8 @@ type CSRStats = csr.Stats
 // version-mismatch rebuilds, reuses, and resident size.
 func (db *DB) CSRStats() CSRStats { return db.Graphs.CSRStats() }
 
-// Close shuts the database down, draining in-flight background result-cache
-// refreshes first so no goroutine races engine shutdown.
-func (db *DB) Close() error {
-	db.refreshWG.Wait()
-	return db.be.Close()
-}
+// Close shuts the database down.
+func (db *DB) Close() error { return db.be.Close() }
 
 // resolve classifies a name for the query layer.
 func (db *DB) resolve(tx engine.Tx, name string) string {
@@ -360,20 +325,13 @@ func (db *DB) queryAuto(dialect, text string, params map[string]mmvalue.Value,
 	if opts.Params == nil {
 		opts.Params = params
 	}
-	return db.execPipeline(dialect, text, pipe, opts)
+	return db.execPipeline(pipe, opts)
 }
 
 // execPipeline is the shared execution tail behind Query/SQL (and their
-// Opts variants) and prepared-statement Exec: result cache first for
-// cacheable pipelines, then a lock-free MVCC snapshot for every proven
-// read-only one, then the 2PL auto-commit path for DML.
-func (db *DB) execPipeline(dialect, text string, pipe *query.Pipeline, opts query.Options) (*query.Result, error) {
-	if db.results != nil && pipe.Cacheable() {
-		res, handled, err := db.execCached(dialect, text, pipe, opts)
-		if handled {
-			return res, err
-		}
-	}
+// Opts variants) and prepared-statement Exec: a lock-free MVCC snapshot for
+// every proven read-only statement, the 2PL auto-commit path for DML.
+func (db *DB) execPipeline(pipe *query.Pipeline, opts query.Options) (*query.Result, error) {
 	var res *query.Result
 	exec := func(tx engine.Tx) error {
 		var qerr error
@@ -390,182 +348,6 @@ func (db *DB) execPipeline(dialect, text string, pipe *query.Pipeline, opts quer
 		err = db.be.Update(exec)
 	}
 	return res, err
-}
-
-// execCached serves a cacheable pipeline through the result cache. handled
-// is false when the read-set could not be resolved against the catalog (the
-// caller then executes uncached); otherwise the result/error pair is final.
-func (db *DB) execCached(dialect, text string, pipe *query.Pipeline, opts query.Options) (res *query.Result, handled bool, err error) {
-	key := resultKey(dialect, text, opts.Ablate&query.NoIndexes, opts.Params)
-	// Captured before the version check: the entry's provable fresh instant
-	// is at or after this, so staleness computed from it is conservative.
-	now := time.Now()
-	epoch := db.plans.epoch.Load()
-	if ent := db.results.lookup(key, epoch); ent != nil {
-		cur := db.be.VersionsFor(ent.keyspaces)
-		if versionsEqual(cur, ent.vers) {
-			ent.markFresh(now)
-			db.results.hits.Add(1)
-			return ent.result(), true, nil
-		}
-		if db.maxStale > 0 && ent.staleFor(now) <= db.maxStale {
-			// Data moved, but within the configured bound: serve the stale
-			// value and recompute behind it.
-			db.results.staleServes.Add(1)
-			db.startRefresh(key, pipe, opts, ent)
-			return ent.result(), true, nil
-		}
-		db.results.remove(key)
-	}
-	db.results.misses.Add(1)
-	ent, res, err := db.computeResultEntry(key, epoch, pipe, opts, now)
-	if err != nil {
-		return nil, true, err
-	}
-	if ent == nil {
-		return nil, false, nil
-	}
-	db.results.put(ent)
-	return res, true, nil
-}
-
-// computeResultEntry executes a cacheable pipeline against a versioned MVCC
-// snapshot and wraps the result as a cache entry. The snapshot and the
-// version vector come from one engine mutex cut, so the entry's validity
-// token describes exactly the state it was computed from. A nil entry with
-// nil error means the read-set did not resolve (e.g. a FOR source that is
-// neither cataloged nor a non-empty bucket).
-func (db *DB) computeResultEntry(key string, epoch uint64, pipe *query.Pipeline,
-	opts query.Options, now time.Time) (*resultEntry, *query.Result, error) {
-	keyspaces, resolved, err := db.readSetKeyspaces(pipe.ReadSet())
-	if err != nil || !resolved {
-		return nil, nil, err
-	}
-	snap, vers := db.be.VersionedSnapshot(keyspaces)
-	var res *query.Result
-	err = db.be.SnapshotViewAt(snap, func(tx engine.Tx) error {
-		var qerr error
-		res, qerr = query.Execute(tx, db.sources, pipe, opts)
-		return qerr
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	// The entry keeps its own copy of the value slice: the caller owns the
-	// returned Result and may reorder or truncate it.
-	vals := make([]mmvalue.Value, len(res.Values))
-	copy(vals, res.Values)
-	ent := &resultEntry{
-		key:       key,
-		epoch:     epoch,
-		keyspaces: keyspaces,
-		vers:      vers,
-		values:    vals,
-		stats:     res.Stats,
-	}
-	ent.size = resultEntrySize(key, vals)
-	ent.markFresh(now)
-	return ent, res, nil
-}
-
-// startRefresh launches the single-flight background recompute behind a
-// stale serve. On failure (including engine shutdown) the stale entry is
-// dropped so the next lookup recomputes in the foreground rather than
-// serving it past the bound.
-func (db *DB) startRefresh(key string, pipe *query.Pipeline, opts query.Options, ent *resultEntry) {
-	if !ent.refreshing.CompareAndSwap(false, true) {
-		return
-	}
-	// The caller may mutate its params map after we return; the refresh
-	// keys on the same bindings, so it needs its own copy.
-	opts.Params = copyParams(opts.Params)
-	db.refreshWG.Add(1)
-	go func() {
-		defer db.refreshWG.Done()
-		defer ent.refreshing.Store(false)
-		fresh, _, err := db.computeResultEntry(key, db.plans.epoch.Load(), pipe, opts, time.Now())
-		if err != nil || fresh == nil {
-			db.results.remove(key)
-			return
-		}
-		db.results.put(fresh)
-		db.results.refreshes.Add(1)
-	}()
-}
-
-// copyParams shallow-copies a parameter binding map.
-func copyParams(params map[string]mmvalue.Value) map[string]mmvalue.Value {
-	if params == nil {
-		return nil
-	}
-	out := make(map[string]mmvalue.Value, len(params))
-	for name, v := range params {
-		out[name] = v
-	}
-	return out
-}
-
-// readSetKeyspaces resolves a pipeline's compile-time read-set to concrete
-// engine keyspaces, deduplicated, in deterministic read-set order. Index
-// keyspaces are deliberately omitted: every DML that changes an index also
-// writes its base keyspace in the same transaction (bumping its version),
-// and index DDL advances the shared epoch. resolved is false when a named
-// source classifies as nothing — such a query errors during execution and
-// must not be cached.
-func (db *DB) readSetKeyspaces(refs []query.ReadRef) (keyspaces []string, resolved bool, err error) {
-	keyspaces = make([]string, 0, len(refs)+3)
-	add := func(ks string) {
-		for _, have := range keyspaces {
-			if have == ks {
-				return
-			}
-		}
-		keyspaces = append(keyspaces, ks)
-	}
-	addGraph := func(name string) {
-		add(graphstore.VertexKeyspace(name))
-		add(graphstore.EdgeKeyspace(name))
-		add(graphstore.OutKeyspace(name))
-		add(graphstore.InKeyspace(name))
-	}
-	resolved = true
-	err = db.be.SnapshotView(func(tx engine.Tx) error {
-		for _, r := range refs {
-			switch r.Kind {
-			case query.ReadSource:
-				switch db.resolve(tx, r.Name) {
-				case "collection":
-					add(docstore.Keyspace(r.Name))
-				case "table":
-					add(relstore.Keyspace(r.Name))
-				case "coltable":
-					add(colstore.Keyspace(r.Name))
-				case "bucket":
-					add(kvstore.Keyspace(r.Name))
-				case "graph":
-					addGraph(r.Name)
-				default:
-					resolved = false
-					return nil
-				}
-			case query.ReadCollection:
-				add(docstore.Keyspace(r.Name))
-			case query.ReadBucket:
-				add(kvstore.Keyspace(r.Name))
-			case query.ReadGraph:
-				addGraph(r.Name)
-			case query.ReadXML:
-				add(xmlstore.Keyspace(r.Name))
-				add(xmlstore.PathKeyspace(r.Name))
-			case query.ReadRDF:
-				for _, ks := range rdfstore.Keyspaces(r.Name) {
-					add(ks)
-				}
-			}
-		}
-		return nil
-	})
-	return keyspaces, resolved, err
 }
 
 // QueryTx runs MMQL inside an existing transaction (for cross-model

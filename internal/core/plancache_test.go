@@ -113,6 +113,9 @@ func TestPlanCacheInvalidatedByDDL(t *testing.T) {
 			t.Fatalf("epoch unchanged after DDL (%d)", pre.Epoch)
 		}
 	}
+	if _, err := db.Query(q, nil); err == nil {
+		t.Fatal("query over a dropped collection returned rows instead of an error")
+	}
 }
 
 // TestPlanCacheNotInvalidatedByDML: plain inserts/updates are not DDL and
@@ -203,6 +206,43 @@ func TestPrepareSurvivesDDL(t *testing.T) {
 	}
 	if got := core.Strings(res); fmt.Sprint(got) != "[p1 p2 p3]" {
 		t.Fatalf("post-DDL exec: got %v", got)
+	}
+}
+
+// TestPrepareExecSeesCommittedWrite: a committed write leaves the DDL epoch
+// alone, so the statement keeps its plan, and its next Exec runs on a fresh
+// snapshot that holds the write, as an ad-hoc Query of the same text does.
+func TestPrepareExecSeesCommittedWrite(t *testing.T) {
+	db := openDB(t)
+	seedStore(t, db)
+	const q = `FOR p IN products FILTER p.price > 10 SORT p.price DESC RETURN p.name`
+	stmt, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stmt.Exec(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update(func(tx engine.Tx) error {
+		_, err := db.Docs.Insert(tx, "products",
+			mmvalue.MustParseJSON(`{"_key":"p8","name":"Rug","price":90}`))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	next, err := stmt.Exec(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := next.Values[0].AsString(), "Rug"; got != want {
+		t.Fatalf("Exec after a committed write: first row = %q, want %q", got, want)
+	}
+	adhoc, err := db.Query(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustJSON(t, adhoc.Values), mustJSON(t, next.Values); got != want {
+		t.Fatalf("Query and Exec of one text differ:\n Query %s\n  Exec %s", got, want)
 	}
 }
 

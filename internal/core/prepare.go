@@ -67,10 +67,8 @@ func (s *Stmt) Exec(params map[string]mmvalue.Value) (*query.Result, error) {
 }
 
 // ExecOpts is Exec with explicit executor options. It runs through the same
-// execution tail as ad-hoc queries — result cache (validated against both
-// the DDL epoch and the per-keyspace data version vector), snapshot-read
-// routing, then the 2PL auto-commit path — so a prepared statement can
-// never return a staler result than the equivalent Query call.
+// execution tail as ad-hoc queries: a snapshot for a read-only statement,
+// the 2PL auto-commit path for DML.
 func (s *Stmt) ExecOpts(params map[string]mmvalue.Value, opts query.Options) (*query.Result, error) {
 	pipe, err := s.pipeline()
 	if err != nil {
@@ -79,7 +77,7 @@ func (s *Stmt) ExecOpts(params map[string]mmvalue.Value, opts query.Options) (*q
 	if opts.Params == nil {
 		opts.Params = params
 	}
-	return s.db.execPipeline(s.dialect, s.text, pipe, opts)
+	return s.db.execPipeline(pipe, opts)
 }
 
 // ExecTx runs the statement inside an existing transaction.

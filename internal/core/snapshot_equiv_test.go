@@ -15,19 +15,27 @@ import (
 // The locked ≡ snapshot equivalence corpus: every read-only query must
 // produce byte-identical JSON whether it runs under S-lock reads (the 2PL
 // path, reached explicitly through db.View) or on the lock-free MVCC
-// snapshot the default entry points choose, and the SnapshotReads stat must
-// report which path actually ran.
+// snapshot the default entry points choose, under the default mask and
+// under the stress mask, and the SnapshotReads stat must report which path
+// actually ran. The reference arm is the serial row path, locked.
 
 func assertLockedSnapshotEqual(t *testing.T, db *core.DB, dialect, q string, params map[string]mmvalue.Value) {
 	t.Helper()
-	locked := runLockedQuery(t, db, dialect, q, params, query.Options{})
-	snap := runCorpusQuery(t, db, dialect, q, params, query.Options{})
-	if snap.Stats.SnapshotReads != 1 {
-		t.Fatalf("default run took the locked path for %q (stats %+v)", q, snap.Stats)
+	base := mustJSON(t, runLockedQuery(t, db, dialect, q, params, serialOpts).Values)
+	if locked := mustJSON(t, runLockedQuery(t, db, dialect, q, params, query.Options{}).Values); locked != base {
+		t.Fatalf("locked default differs from locked serial for %q\ndefault: %s\n serial: %s", q, locked, base)
 	}
-	lj, sj := mustJSON(t, locked.Values), mustJSON(t, snap.Values)
-	if lj != sj {
-		t.Fatalf("locked/snapshot results differ for %q\nlocked:   %s\nsnapshot: %s", q, lj, sj)
+	for _, arm := range []struct {
+		name string
+		opts query.Options
+	}{{"default", query.Options{}}, {"stress", stressOpts}} {
+		snap := runCorpusQuery(t, db, dialect, q, params, arm.opts)
+		if snap.Stats.SnapshotReads != 1 {
+			t.Fatalf("%s run took the locked path for %q (stats %+v)", arm.name, q, snap.Stats)
+		}
+		if sj := mustJSON(t, snap.Values); sj != base {
+			t.Fatalf("%s snapshot differs from locked serial for %q\nsnapshot: %s\n  locked: %s", arm.name, q, sj, base)
+		}
 	}
 }
 
@@ -57,6 +65,20 @@ func TestSnapshotEquivalenceCorpus(t *testing.T) {
 	}
 	for _, tc := range cases {
 		assertLockedSnapshotEqual(t, db, tc.dialect, tc.q, tc.params)
+	}
+	// `@>` through a GIN and FTSEARCH through a full-text index read index
+	// keyspaces written with their collection, at the snapshot's own cut.
+	if err := db.CreateGIN("products", inverted.PathOpsMode); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateFullText("products"); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`FOR p IN products FILTER p @> {tags: ["fun"]} SORT p._key RETURN p.name`,
+		`FOR k IN FTSEARCH("products", "book") RETURN DOCUMENT("products", k).price`,
+	} {
+		assertLockedSnapshotEqual(t, db, "mmql", q, nil)
 	}
 }
 

@@ -404,8 +404,8 @@ func (e *Engine) BeginSnapshot() (*Txn, error) {
 }
 
 // BeginSnapshotAt starts a read-only transaction against a previously
-// captured Snapshot (e.g. from VersionedSnapshot), rather than cutting a new
-// one. Same contract as BeginSnapshot otherwise: lock-free reads, writes
+// captured Snapshot (a shard router's consistent cut), rather than cutting a
+// new one. Same contract as BeginSnapshot otherwise: lock-free reads, writes
 // rejected with ErrReadOnlyTxn.
 func (e *Engine) BeginSnapshotAt(s *Snapshot) (*Txn, error) {
 	e.stateMu.Lock()
@@ -985,18 +985,6 @@ func (e *Engine) SnapshotView(fn func(*Txn) error) error {
 	return errors.Join(fn(t), t.Abort())
 }
 
-// SnapshotViewAt is SnapshotView against a previously captured Snapshot —
-// the read side of the versioned-result-cache refresh path, which must
-// execute against exactly the state its version vector describes.
-func (e *Engine) SnapshotViewAt(s *Snapshot, fn func(*Txn) error) error {
-	t, err := e.BeginSnapshotAt(s)
-	if err != nil {
-		return err
-	}
-	defer t.Abort()
-	return errors.Join(fn(t), t.Abort())
-}
-
 // --- Keyspace data versions ---
 
 // bumpVersionsLocked advances the data version of every keyspace written by
@@ -1026,8 +1014,7 @@ func (e *Engine) bumpVersionsLocked(recs []wal.Record) {
 			// A drop restarts the keyspace's version lineage, so vectors
 			// from before and after a drop+recreate can collide. The drop
 			// epoch disambiguates: any consumer validating cached state by
-			// version vector pairs it with this counter (the result cache
-			// uses core's DDL epoch the same way).
+			// version vector (the CSR cache) pairs it with this counter.
 			e.dropEpoch++
 			for i, b := range bumped {
 				if b == r.Keyspace {
@@ -1056,20 +1043,6 @@ func (e *Engine) Versions() map[string]uint64 {
 	return out
 }
 
-// VersionsFor returns the data versions of the given keyspaces, positionally,
-// under a single e.mu cut (absent keyspaces read 0). The vector is therefore
-// a consistent cut: no transaction's bumps can be half-visible in it, because
-// commits bump all their keyspaces under the same mutex hold.
-func (e *Engine) VersionsFor(keyspaces []string) []uint64 {
-	out := make([]uint64, len(keyspaces))
-	e.mu.Lock()
-	for i, ks := range keyspaces {
-		out[i] = e.versions[ks]
-	}
-	e.mu.Unlock()
-	return out
-}
-
 // --- MVCC snapshots ---
 
 // Snapshot is an immutable view of every keyspace at one commit boundary.
@@ -1083,8 +1056,8 @@ type Snapshot struct {
 	// e.mu critical section as the tree roots. It describes exactly the
 	// state this snapshot holds: two snapshots with equal versions for a
 	// set of keyspaces hold byte-identical content for them, which is what
-	// lets derived structures (the CSR adjacency cache, cached results) be
-	// validated against a snapshot without consulting the live engine.
+	// lets a derived structure (the CSR adjacency cache) be validated
+	// against a snapshot without consulting the live engine.
 	vers map[string]uint64
 	// dropEpoch is the engine's keyspace-drop counter at the cut; paired
 	// with vers it makes the snapshot's validity token unambiguous across
@@ -1094,18 +1067,11 @@ type Snapshot struct {
 
 // Snapshot publishes the current committed state as an immutable view. The
 // cut is O(keyspaces), not O(data): each tree root is marked shared under
-// e.mu and handed out; no pair is copied.
+// e.mu and handed out with a copy of the version counters; no pair is
+// copied.
 func (e *Engine) Snapshot() *Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.snapshotLocked()
-}
-
-// snapshotLocked marks every tree root shared and returns the immutable
-// view, pairing it with a copy of the version counters. The cut stays
-// O(keyspaces): the version copy rides the same loop bound as the root
-// marking. Caller holds e.mu.
-func (e *Engine) snapshotLocked() *Snapshot {
 	trees := make(map[string]*btree.Tree, len(e.keyspaces))
 	for ks, tr := range e.keyspaces {
 		trees[ks] = tr.Snapshot()
@@ -1115,21 +1081,6 @@ func (e *Engine) snapshotLocked() *Snapshot {
 		vers[ks] = v
 	}
 	return &Snapshot{trees: trees, vers: vers, dropEpoch: e.dropEpoch}
-}
-
-// VersionedSnapshot publishes the current committed state together with the
-// data versions of the given keyspaces, captured in one e.mu critical
-// section. The pairing is exact: the returned vector describes precisely the
-// state the snapshot holds, with no window for a commit to land between the
-// two — which is what lets a result computed against the snapshot be cached
-// under the vector.
-func (e *Engine) VersionedSnapshot(keyspaces []string) (*Snapshot, []uint64) {
-	e.mu.Lock()
-	snap := e.snapshotLocked()
-	e.mu.Unlock()
-	// The snapshot carries the whole version map from the same cut, so the
-	// vector can be projected out after the mutex is released.
-	return snap, snap.VersionsFor(keyspaces)
 }
 
 // VersionsFor returns the data versions of the given keyspaces as of the

@@ -9,9 +9,9 @@ import (
 // TestSnapshotViewAtUnderCheckpointAndWriters is the dynamic twin of the
 // static lockorder/snapshotpure analyzers: it interleaves, under the race
 // detector, the three parties whose lock interaction the canonical order
-// pins — snapshot readers (SnapshotViewAt, zero lock traffic), committing
-// writers (commitMu.RLock → WAL append → engine.mu apply), and checkpoints
-// (cpMu → commitMu.Lock barrier). Every writer commits an atomic triple of
+// pins — snapshot readers (a Snapshot cut, then BeginSnapshotAt on it: zero
+// lock traffic), committing writers (commitMu.RLock → WAL append →
+// engine.mu apply), and checkpoints (cpMu → commitMu.Lock barrier). Every writer commits an atomic triple of
 // equal values; every reader, on a snapshot it pinned itself, must see the
 // triple intact — and nothing may deadlock.
 func TestSnapshotViewAtUnderCheckpointAndWriters(t *testing.T) {
@@ -75,26 +75,7 @@ func TestSnapshotViewAtUnderCheckpointAndWriters(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < readIters; i++ {
-				snap, _ := e.VersionedSnapshot(keys)
-				err := e.SnapshotViewAt(snap, func(tx *Txn) error {
-					var first []byte
-					for j, k := range keys {
-						v, ok, err := tx.Get("ks", []byte(k))
-						if err != nil {
-							return err
-						}
-						if !ok {
-							return fmt.Errorf("key %s missing from snapshot", k)
-						}
-						if j == 0 {
-							first = v
-						} else if string(v) != string(first) {
-							return fmt.Errorf("torn snapshot: %s=%q, %s=%q", keys[0], first, k, v)
-						}
-					}
-					return nil
-				})
-				if err != nil {
+				if err := readTriple(e, e.Snapshot(), keys); err != nil {
 					errCh <- fmt.Errorf("reader %d: %w", r, err)
 					return
 				}
@@ -107,4 +88,30 @@ func TestSnapshotViewAtUnderCheckpointAndWriters(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
+}
+
+// readTriple reads keys on a transaction started at snap and requires them
+// all present and equal.
+func readTriple(e *Engine, snap *Snapshot, keys []string) error {
+	tx, err := e.BeginSnapshotAt(snap)
+	if err != nil {
+		return err
+	}
+	defer tx.Abort()
+	var first []byte
+	for j, k := range keys {
+		v, ok, err := tx.Get("ks", []byte(k))
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("key %s missing from snapshot", k)
+		}
+		if j == 0 {
+			first = v
+		} else if string(v) != string(first) {
+			return fmt.Errorf("torn snapshot: %s=%q, %s=%q", keys[0], first, k, v)
+		}
+	}
+	return nil
 }

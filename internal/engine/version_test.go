@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// These tests pin the per-keyspace data version counters that back the
-// cross-query result cache: one bump per keyspace per committing
-// transaction, drops delete the entry, and VersionedSnapshot pairs a
-// snapshot with exactly the vector describing it.
+// These tests pin the per-keyspace data version counters that back the CSR
+// cache's validity token: one bump per keyspace per committing transaction,
+// drops delete the entry, and a Snapshot carries exactly the vector
+// describing the state it holds.
 
 func mustUpdate(t *testing.T, e *Engine, fn func(*Txn) error) {
 	t.Helper()
@@ -139,7 +139,7 @@ func TestVersionsForAbsentReadsZero(t *testing.T) {
 	mustUpdate(t, e, func(tx *Txn) error {
 		return tx.Put("a", []byte("k"), []byte("v"))
 	})
-	got := e.VersionsFor([]string{"a", "nope", "a"})
+	got := e.Snapshot().VersionsFor([]string{"a", "nope", "a"})
 	if got[0] != 1 || got[1] != 0 || got[2] != 1 {
 		t.Fatalf("VersionsFor = %v, want [1 0 1]", got)
 	}
@@ -155,8 +155,8 @@ func TestVersionedSnapshotPairsVectorWithState(t *testing.T) {
 		return tx.Put("a", []byte("k"), []byte("1"))
 	})
 
-	// Hammer commits while repeatedly taking versioned snapshots; each
-	// snapshot's observed value index must equal its reported version.
+	// Hammer commits while repeatedly taking snapshots; each snapshot's
+	// observed value index must equal the version it carries.
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -178,7 +178,8 @@ func TestVersionedSnapshotPairsVectorWithState(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		snap, vers := e.VersionedSnapshot([]string{"a"})
+		snap := e.Snapshot()
+		vers := snap.VersionsFor([]string{"a"})
 		v, ok := snap.Get("a", []byte("k"))
 		if !ok {
 			t.Fatal("key missing in snapshot")
@@ -198,30 +199,41 @@ func TestSnapshotViewAtReadsCapturedState(t *testing.T) {
 	}
 	defer e.Close()
 	mustUpdate(t, e, func(tx *Txn) error {
+		if err := tx.Put("b", []byte("k"), []byte("v")); err != nil {
+			return err
+		}
 		return tx.Put("a", []byte("k"), []byte("old"))
 	})
-	snap, vers := e.VersionedSnapshot([]string{"a"})
-	if vers[0] != 1 {
+	snap := e.Snapshot()
+	if vers := snap.VersionsFor([]string{"a"}); vers[0] != 1 {
 		t.Fatalf("version = %d, want 1", vers[0])
 	}
+	mustUpdate(t, e, func(tx *Txn) error {
+		return tx.DropKeyspace("b")
+	})
 	mustUpdate(t, e, func(tx *Txn) error {
 		return tx.Put("a", []byte("k"), []byte("new"))
 	})
 	before := e.SnapshotReads()
-	err = e.SnapshotViewAt(snap, func(tx *Txn) error {
-		v, ok, err := tx.Get("a", []byte("k"))
-		if err != nil {
-			return err
-		}
-		if !ok || string(v) != "old" {
-			return fmt.Errorf("SnapshotViewAt read %q/%v, want old", v, ok)
-		}
-		if err := tx.Put("a", []byte("k"), []byte("x")); err != ErrReadOnlyTxn {
-			return fmt.Errorf("Put on SnapshotViewAt txn = %v, want ErrReadOnlyTxn", err)
-		}
-		return nil
-	})
+	tx, err := e.BeginSnapshotAt(snap)
 	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok, err := tx.Get("a", []byte("k"))
+	if err != nil || !ok || string(v) != "old" {
+		t.Fatalf("BeginSnapshotAt txn read %q/%v/%v, want old", v, ok, err)
+	}
+	if err := tx.Put("a", []byte("k"), []byte("x")); err != ErrReadOnlyTxn {
+		t.Fatalf("Put on BeginSnapshotAt txn = %v, want ErrReadOnlyTxn", err)
+	}
+	// The transaction reports the captured cut's token, not the live one.
+	if vers, ok := tx.SnapshotVersionsFor([]string{"a"}); !ok || vers[0] != 1 {
+		t.Fatalf("SnapshotVersionsFor = %v, %v, want [1] true", vers, ok)
+	}
+	if epoch, ok := tx.SnapshotDropEpoch(); !ok || epoch != snap.DropEpoch() || epoch == e.Snapshot().DropEpoch() {
+		t.Fatalf("SnapshotDropEpoch = %d, %v; captured %d, live %d", epoch, ok, snap.DropEpoch(), e.Snapshot().DropEpoch())
+	}
+	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.SnapshotReads(); got != before+1 {
@@ -249,8 +261,8 @@ func TestSnapshotVersionsForDescribeTheCut(t *testing.T) {
 	if got := snap.VersionsFor([]string{"a", "b", "absent"}); got[0] != 1 || got[1] != 1 || got[2] != 0 {
 		t.Fatalf("snapshot VersionsFor = %v, want [1 1 0]", got)
 	}
-	if got := e.VersionsFor([]string{"a"}); got[0] != 2 {
-		t.Fatalf("live VersionsFor = %v, want [2]", got)
+	if got := e.Versions()["a"]; got != 2 {
+		t.Fatalf("live version of a = %d, want 2", got)
 	}
 
 	// Txn.SnapshotVersionsFor: snapshot transactions expose the cut's

@@ -7,16 +7,17 @@ import (
 	"strconv"
 )
 
-// CacheKey guards the determinism of result-cache keys and read-sets: a
-// cache key must be a pure function of (dialect, query text, options, bound
-// parameters) and a read-set a pure function of the compiled pipeline, or
-// two identical queries stop sharing an entry — a silent hit-rate bug that
-// no correctness test catches, because every served result is still valid.
-// In the configured scope it forbids:
+// CacheKey guards the determinism of cache validity keys. The CSR cache's
+// token must be a pure function of the snapshot cut it describes (drop
+// epoch plus the graph keyspaces' version vector), and anything compiled
+// into a plan-cached pipeline a pure function of the query text, or one
+// graph state or one query stops mapping to one entry — a silent hit-rate
+// bug that no correctness test catches, because every cached value is
+// still valid. In the configured scope it forbids:
 //
 //	range over a map     — Go randomizes iteration order, so any map range
-//	                       in a key/read-set path risks order-dependent
-//	                       output; collect-then-sort exceptions must carry
+//	                       in a key path risks order-dependent output;
+//	                       collect-then-sort exceptions must carry
 //	                       //unidblint:ignore cachekey with a reason
 //	time.Now(...)        — a clock read makes the key or validity decision
 //	                       time-dependent; callers pass time.Time in so the
@@ -37,7 +38,7 @@ func (CacheKey) Name() string { return "cachekey" }
 
 // Doc implements Analyzer.
 func (CacheKey) Doc() string {
-	return "cache-key and read-set paths must be pure: no map ranges, time.Now, or math/rand"
+	return "cache-key paths must be pure: no map ranges, time.Now, or math/rand"
 }
 
 // Run implements Analyzer.

@@ -26,10 +26,11 @@ package lint
 //	               snapshots and must never be mutated in place; every
 //	               writer path goes through mutable(), and the shared flag
 //	               only ever moves false→true.
-//	cachekey     — the result cache's key construction and the compiler's
-//	               read-set computation: both must be pure (no map ranges,
-//	               wall-clock reads, or randomness), or identical queries
-//	               silently stop sharing cache entries.
+//	cachekey     — the CSR cache's validity token (drop epoch + version
+//	               vector) and the vectorization plan compiled into every
+//	               plan-cached pipeline: both must be pure (no map ranges,
+//	               wall-clock reads, or randomness), or one graph state or
+//	               query text silently stops mapping to one cache entry.
 func DefaultAnalyzers() []Analyzer {
 	return []Analyzer{
 		LockCheck{},
@@ -84,11 +85,12 @@ func DefaultAnalyzers() []Analyzer {
 			WriterFuncs: []string{"insert", "split", "remove"},
 		},
 		CacheKey{Scope: []ScopeRef{
-			{Pkg: "repro/internal/core", Files: []string{"resultcache.go"}},
-			{Pkg: "repro/internal/query", Files: []string{"readset.go", "vector.go"}},
-			// The CSR cache's validity token (drop epoch + version vector)
-			// must be constructed purely, like the result cache's key.
+			// The CSR cache's validity token (drop epoch + version vector):
+			// equal tokens must mean one graph state.
 			{Pkg: "repro/internal/csr", Files: []string{"cache.go"}},
+			// The vectorization plan is compiled once and served from the
+			// plan cache with its pipeline.
+			{Pkg: "repro/internal/query", Files: []string{"vector.go"}},
 		}},
 	}
 }
@@ -110,7 +112,6 @@ func DefaultLockClasses() LockClasses {
 		{Pkg: "repro/internal/wal", Type: "committer", Field: "mu", Class: "wal.commit.mu"},
 		{Pkg: "repro/internal/wal", Type: "Log", Field: "mu", Class: "wal.log.mu"},
 		{Pkg: "repro/internal/core", Type: "planCache", Field: "mu", Class: "core.plans.mu"},
-		{Pkg: "repro/internal/core", Type: "resultCache", Field: "mu", Class: "core.results.mu"},
 		{Pkg: "repro/internal/csr", Type: "Cache", Field: "mu", Class: "csr.cache.mu"},
 		{Pkg: "repro/internal/binenc", Type: "dcShard", Field: "mu", Class: "binenc.deccache.mu"},
 		{Pkg: "repro/internal/mmindex", Type: "JoinIndex", Field: "mu", Class: "mmindex.join.mu"},
@@ -143,7 +144,6 @@ func DefaultLockOrder() []string {
 		"engine.subMu",
 		"engine.replica.mu",
 		"core.plans.mu",
-		"core.results.mu",
 		"csr.cache.mu",
 		"binenc.deccache.mu",
 		"mmindex.join.mu",
@@ -160,8 +160,7 @@ func DefaultSnapshotRoots() []FuncRef {
 	const eng = "repro/internal/engine"
 	names := []string{
 		"Engine.BeginSnapshot", "Engine.BeginSnapshotAt",
-		"Engine.SnapshotView", "Engine.SnapshotViewAt",
-		"Engine.Snapshot", "Engine.VersionedSnapshot",
+		"Engine.SnapshotView", "Engine.Snapshot",
 		"Txn.Get", "Txn.Scan", "Txn.ScanReverse", "Txn.scan",
 		"Txn.KeyspaceNonEmpty", "Txn.Commit", "Txn.Abort", "Txn.finish",
 		"Snapshot.Get", "Snapshot.Len", "Snapshot.Keyspaces",

@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -74,7 +77,7 @@ func TestRepoLockEdges(t *testing.T) {
 // TestRepoShardLockEdges pins the sharding layer's place in the lock order:
 // the router's cut barrier is held (shared) across phase two of a
 // cross-shard commit, which drives each participant's CommitPrepared through
-// the engine's commit path, and held exclusively while Cut snapshots every
+// the engine's commit path, and held exclusively while a snapshot cut reads every
 // shard. Those nestings must surface as interprocedural edges, and every
 // ranked edge the shard package introduces must go strictly downward in
 // DefaultLockOrder — i.e. shard.cutMu stays outermost.
@@ -128,6 +131,67 @@ func TestSnapshotPureTraversesRealEngine(t *testing.T) {
 	}
 }
 
+// TestRepoConfigResolves keeps the repository configuration in step with the
+// code, so deleting a file or a mutex cannot leave dead configuration that
+// silently checks nothing. Every ScopeRef of every default analyzer must
+// name a package directory and files that exist, and every LockClasses row
+// must resolve to at least one acquisition site in the code.
+func TestRepoConfigResolves(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scopeRefs := reflect.TypeOf([]ScopeRef(nil))
+	for _, a := range DefaultAnalyzers() {
+		v := reflect.Indirect(reflect.ValueOf(a))
+		if v.Kind() != reflect.Struct {
+			continue
+		}
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).Type() != scopeRefs {
+				continue
+			}
+			for _, ref := range v.Field(i).Interface().([]ScopeRef) {
+				dir, err := l.dirFor(ref.Pkg)
+				if err != nil {
+					t.Errorf("%s scope: package %s: %v", a.Name(), ref.Pkg, err)
+					continue
+				}
+				if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+					t.Errorf("%s scope: package %s has no directory %s", a.Name(), ref.Pkg, dir)
+					continue
+				}
+				for _, f := range ref.Files {
+					if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+						t.Errorf("%s scope: %s names %s, which does not exist", a.Name(), ref.Pkg, f)
+					}
+				}
+			}
+		}
+	}
+
+	var paths []string
+	seen := map[string]bool{}
+	for _, ref := range DefaultLockClasses().Refs {
+		if !seen[ref.Pkg] {
+			seen[ref.Pkg] = true
+			paths = append(paths, ref.Pkg)
+		}
+	}
+	prog := loadRepoProgram(t, paths...)
+	sites := map[string]int{}
+	for _, fi := range prog.funcList {
+		for _, a := range fi.Acquires {
+			sites[a.class]++
+		}
+	}
+	for _, ref := range DefaultLockClasses().Refs {
+		if sites[ref.Class] == 0 {
+			t.Errorf("LockClasses row %s.%s.%s (%s) resolves to no acquisition site", ref.Pkg, ref.Type, ref.Field, ref.Class)
+		}
+	}
+}
+
 func edgeList(edges []lockEdge) []string {
 	var out []string
 	for _, e := range edges {
@@ -143,20 +207,9 @@ func edgeList(edges []lockEdge) []string {
 // would serialize every graph's cache hit behind one graph's cold build and
 // drag engine-side lock classes under a read-side leaf.
 func TestRepoCSRCacheLockLeaf(t *testing.T) {
+	// TestRepoConfigResolves checks that the class resolves to acquisition
+	// sites, so this test cannot pass vacuously.
 	prog := loadRepoProgram(t, "repro/internal/csr", "repro/internal/engine", "repro/internal/wal")
-	// The class must actually resolve to acquisition sites — a renamed
-	// field would silently turn this test (and lockorder) into a no-op.
-	sites := 0
-	for _, fi := range prog.funcList {
-		for _, a := range fi.Acquires {
-			if a.class == "csr.cache.mu" {
-				sites++
-			}
-		}
-	}
-	if sites == 0 {
-		t.Fatal("no acquisition sites of csr.cache.mu found: LockClasses row does not resolve")
-	}
 	edges := collectLockEdges(prog)
 	for _, e := range edges {
 		if e.from == "csr.cache.mu" {

@@ -249,12 +249,6 @@ type Pipeline struct {
 	// analyzed records that compile-time analysis ran (parsers always run
 	// it; hand-built pipelines that skip it simply never parallelize).
 	analyzed bool
-	// readSet and cacheable are set by analyze via computeReadSet (see
-	// readset.go): the stores the pipeline can read, and whether a
-	// materialized result may be reused across queries under the per-keyspace
-	// data-version vector.
-	readSet   []ReadRef
-	cacheable bool
 	// vec is the compile-time vectorization plan (see the vectorizable
 	// analysis in compile.go and the runtime in vector.go): non-nil when the
 	// pipeline opens with a FOR over a named source whose fused filters are

@@ -10,8 +10,6 @@ package query
 //     and ReturnClause: whether the stage's expressions may be evaluated
 //     concurrently, split into chunks (no subqueries — they run whole
 //     pipelines against shared executor state).
-//   - readSet / cacheable: which stores the pipeline can read and whether a
-//     materialized result may be reused across queries (readset.go).
 //
 // analyze is idempotent and cheap (one tree walk); both parsers call it on
 // the top-level pipeline, and it recurses into every SubqueryExpr so nested
@@ -73,11 +71,7 @@ func (p *Pipeline) analyze() {
 			annotateCollectAggs(col, p.Clauses[i+1:])
 		}
 	}
-	// Third pass: derive the read-set and cacheability for the cross-query
-	// result cache (readset.go). Runs after the clause walk so every nested
-	// subquery pipeline is already analyzed.
-	p.computeReadSet()
-	// Fourth pass: the vectorizable analysis (mirroring the parallelSafe
+	// Third pass: the vectorizable analysis (mirroring the parallelSafe
 	// annotations above): detect scan→filter→aggregate shapes whose
 	// predicates and aggregates are expressible over column vectors, so the
 	// batch-at-a-time executor in vector.go can engage at run time. Runs

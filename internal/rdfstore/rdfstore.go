@@ -51,15 +51,6 @@ func spoKS(g string) string   { return "rdf:" + g + ":spo" }
 func opsKS(g string) string   { return "rdf:" + g + ":ops" }
 func posKS(g string) string   { return "rdf:" + g + ":pos" }
 
-// Keyspaces returns every engine keyspace backing graph g (dictionary, both
-// directions of it, and the three triple permutations). Consumers tracking
-// data versions of an RDF graph — e.g. core's result cache — must watch all
-// of them, since any triple write touches the permutations and may touch the
-// dictionaries.
-func Keyspaces(g string) []string {
-	return []string{dictKS(g), rdictKS(g), spoKS(g), opsKS(g), posKS(g)}
-}
-
 func idKey(id uint64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], id)

@@ -32,7 +32,7 @@
 // a cut can never observe half of a cross-shard transaction. Per-keyspace
 // versions sum across shards; since each component is monotonic, two summed
 // vectors are equal exactly when every component pair is, which keeps the
-// versioned result cache sound unchanged.
+// CSR cache's version-vector validation sound unchanged.
 package shard
 
 import (
@@ -95,17 +95,13 @@ type ReplicaView interface {
 
 // Backend is the storage surface the core layer programs against: one
 // implementation wraps a single engine (Single), the other a shard fleet
-// (Router). Everything above — model stores, query executor, result cache,
-// public API — is identical over both.
+// (Router). Everything above — model stores, query executor, public API —
+// is identical over both.
 type Backend interface {
 	BeginTx() (engine.Tx, error)
 	Update(fn func(tx engine.Tx) error) error
 	View(fn func(tx engine.Tx) error) error
 	SnapshotView(fn func(tx engine.Tx) error) error
-	SnapshotViewAt(c *Cut, fn func(tx engine.Tx) error) error
-	VersionedSnapshot(keyspaces []string) (*Cut, []uint64)
-	VersionsFor(keyspaces []string) []uint64
-	Versions() map[string]uint64
 	KeyspaceLen(ks string) int
 	Keyspaces() []string
 	Subscribe(fn func(batch []wal.Record))
@@ -115,13 +111,6 @@ type Backend interface {
 	NewReplica(lagTxns int) ReplicaView
 	Stats() Stats
 	Close() error
-}
-
-// Cut is a consistent multi-shard snapshot: one immutable engine snapshot
-// per shard, captured under the router's cut barrier so no cross-shard
-// transaction is half-visible. For a single engine it wraps one snapshot.
-type Cut struct {
-	snaps []*engine.Snapshot
 }
 
 // Router partitions keyspaces across N engines and coordinates cross-shard
@@ -139,9 +128,9 @@ type Router struct {
 
 	// cutMu orders cross-shard commit publication against consistent cuts.
 	// Phase two of a cross-shard commit holds it shared across every
-	// participant's apply; Cut and VersionedSnapshot hold it exclusively
-	// while pairing the per-shard snapshots, so a cut observes each
-	// cross-shard transaction entirely or not at all. Single-shard commits
+	// participant's apply; a snapshot transaction's cut holds it
+	// exclusively while pairing the per-shard snapshots, so a cut observes
+	// each cross-shard transaction entirely or not at all. Single-shard commits
 	// never touch it: they are atomic under their own engine's mutex.
 	cutMu sync.RWMutex
 
@@ -384,67 +373,6 @@ func (r *Router) Checkpoint() error {
 		}
 	}
 	return nil
-}
-
-// Versions returns the per-keyspace data versions summed across shards.
-// Component monotonicity makes summed vectors sound for cache validation:
-// two sums are equal exactly when every addend pair is.
-func (r *Router) Versions() map[string]uint64 {
-	out := map[string]uint64{}
-	for _, e := range r.shards {
-		for ks, v := range e.Versions() {
-			out[ks] += v
-		}
-	}
-	return out
-}
-
-// VersionsFor sums the given keyspaces' versions positionally across shards.
-// The reads are per-shard cuts, not one global cut: a concurrent cross-shard
-// commit may contribute only some of its bumps to the sum. That torn sum can
-// only differ from any previously captured vector (components are monotonic
-// and at least one observed bump moved it), so a cache validation against it
-// fails closed — it can never revalidate a stale entry.
-func (r *Router) VersionsFor(keyspaces []string) []uint64 {
-	out := make([]uint64, len(keyspaces))
-	for _, e := range r.shards {
-		for i, v := range e.VersionsFor(keyspaces) {
-			out[i] += v
-		}
-	}
-	return out
-}
-
-// Cut captures a consistent multi-shard snapshot: cutMu held exclusively
-// excludes phase-two appliers, so every cross-shard transaction is entirely
-// inside or entirely outside the cut. The per-shard cuts themselves are the
-// engines' O(1) copy-on-write snapshots.
-func (r *Router) Cut() *Cut {
-	r.cutMu.Lock()
-	snaps := make([]*engine.Snapshot, len(r.shards))
-	for i, e := range r.shards {
-		snaps[i] = e.Snapshot()
-	}
-	r.cutMu.Unlock()
-	return &Cut{snaps: snaps}
-}
-
-// VersionedSnapshot is Cut paired with the summed version vector of the
-// given keyspaces, captured under the same exclusive barrier so the vector
-// describes exactly the state the cut holds.
-func (r *Router) VersionedSnapshot(keyspaces []string) (*Cut, []uint64) {
-	vers := make([]uint64, len(keyspaces))
-	r.cutMu.Lock()
-	snaps := make([]*engine.Snapshot, len(r.shards))
-	for i, e := range r.shards {
-		s, v := e.VersionedSnapshot(keyspaces)
-		snaps[i] = s
-		for j := range vers {
-			vers[j] += v[j]
-		}
-	}
-	r.cutMu.Unlock()
-	return &Cut{snaps: snaps}, vers
 }
 
 // Stats returns router activity counters plus each shard's keyspace

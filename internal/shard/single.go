@@ -35,24 +35,6 @@ func (s *Single) SnapshotView(fn func(tx engine.Tx) error) error {
 	return s.E.SnapshotView(func(t *engine.Txn) error { return fn(t) })
 }
 
-// SnapshotViewAt runs fn against the cut's single engine snapshot.
-func (s *Single) SnapshotViewAt(c *Cut, fn func(tx engine.Tx) error) error {
-	return s.E.SnapshotViewAt(c.snaps[0], func(t *engine.Txn) error { return fn(t) })
-}
-
-// VersionedSnapshot wraps the engine's snapshot+vector pairing in a
-// one-shard cut.
-func (s *Single) VersionedSnapshot(keyspaces []string) (*Cut, []uint64) {
-	snap, vers := s.E.VersionedSnapshot(keyspaces)
-	return &Cut{snaps: []*engine.Snapshot{snap}}, vers
-}
-
-// VersionsFor delegates to the engine's consistent version read.
-func (s *Single) VersionsFor(keyspaces []string) []uint64 { return s.E.VersionsFor(keyspaces) }
-
-// Versions delegates to the engine's version map.
-func (s *Single) Versions() map[string]uint64 { return s.E.Versions() }
-
 // KeyspaceLen delegates to the engine.
 func (s *Single) KeyspaceLen(ks string) int { return s.E.KeyspaceLen(ks) }
 

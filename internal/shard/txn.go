@@ -53,13 +53,21 @@ func (r *Router) Begin() (*Txn, error) {
 // BeginTx is Begin returning the interface type (the Backend surface).
 func (r *Router) BeginTx() (engine.Tx, error) { return r.Begin() }
 
-// beginSnapshotAt starts a read-only transaction over a previously captured
-// consistent cut: every shard slice reads its own immutable snapshot,
-// lock-free.
-func (r *Router) beginSnapshotAt(c *Cut) (*Txn, error) {
+// beginSnapshot starts a read-only transaction over a fresh consistent
+// cut: cutMu held exclusively excludes phase-two appliers, so every
+// cross-shard transaction is entirely inside or entirely outside the cut.
+// The per-shard cuts are the engines' O(1) copy-on-write snapshots, and
+// every shard slice reads its own, lock-free.
+func (r *Router) beginSnapshot() (*Txn, error) {
+	r.cutMu.Lock()
+	snaps := make([]*engine.Snapshot, len(r.shards))
+	for i, e := range r.shards {
+		snaps[i] = e.Snapshot()
+	}
+	r.cutMu.Unlock()
 	subs := make([]*engine.Txn, len(r.shards))
 	for i, e := range r.shards {
-		sub, err := e.BeginSnapshotAt(c.snaps[i])
+		sub, err := e.BeginSnapshotAt(snaps[i])
 		if err != nil {
 			return nil, err
 		}
@@ -76,9 +84,8 @@ func (t *Txn) ID() uint64 { return t.id }
 func (t *Txn) SnapshotRead() bool { return t.snap }
 
 // SnapshotVersionsFor returns the given keyspaces' data versions as of this
-// transaction's consistent cut, summed positionally across shards — the same
-// aggregation Router.VersionsFor uses, so vectors from cuts and from the
-// live router compare directly. ok=false for a locked transaction.
+// transaction's consistent cut, summed positionally across shards.
+// ok=false for a locked transaction.
 func (t *Txn) SnapshotVersionsFor(keyspaces []string) ([]uint64, bool) {
 	if !t.snap {
 		return nil, false
@@ -405,14 +412,7 @@ func (r *Router) View(fn func(tx engine.Tx) error) error {
 // SnapshotView runs fn against a fresh consistent cut: lock-free reads that
 // cannot block or be blocked by writers on any shard.
 func (r *Router) SnapshotView(fn func(tx engine.Tx) error) error {
-	return r.SnapshotViewAt(r.Cut(), fn)
-}
-
-// SnapshotViewAt runs fn against a previously captured cut — the read side
-// of the versioned result cache, which must execute against exactly the
-// state its version vector describes.
-func (r *Router) SnapshotViewAt(c *Cut, fn func(tx engine.Tx) error) error {
-	t, err := r.beginSnapshotAt(c)
+	t, err := r.beginSnapshot()
 	if err != nil {
 		return err
 	}

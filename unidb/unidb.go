@@ -18,8 +18,6 @@
 package unidb
 
 import (
-	"time"
-
 	"repro/internal/binenc"
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -65,21 +63,6 @@ type Options struct {
 	// to the durability guarantee — a commit is still never acknowledged
 	// before its bytes are fsynced.
 	GroupCommitWindow int
-	// ResultCacheBytes enables the cross-query result cache with the given
-	// byte budget (0 disables it). Read-only queries whose read-set the
-	// compiler can resolve are materialized once and served from memory
-	// until DDL or DML touches a keyspace they depend on; entries are keyed
-	// by (dialect, query text, bound parameters) and validated against a
-	// per-keyspace data version vector, so a hit is always byte-identical
-	// to re-executing the query.
-	ResultCacheBytes int
-	// MaxResultStaleness relaxes the result cache's freshness rule: an
-	// entry invalidated by DML may still be served for up to this duration
-	// past the last instant it was verified current, while a single-flight
-	// background goroutine recomputes it from an MVCC snapshot. 0 (the
-	// default) keeps strict freshness — version mismatches recompute in the
-	// foreground. Only meaningful with ResultCacheBytes > 0.
-	MaxResultStaleness time.Duration
 	// Shards hash-partitions every keyspace across this many in-process
 	// engine shards, each with its own WAL and lock-free snapshot trees.
 	// Point reads and writes route to one shard; scans fan out across all
@@ -99,12 +82,10 @@ type Database struct {
 // Open creates or recovers a database.
 func Open(opts Options) (*Database, error) {
 	db, err := core.Open(core.Options{
-		Dir:                opts.Dir,
-		Durability:         opts.Durability,
-		GroupCommitWindow:  opts.GroupCommitWindow,
-		ResultCacheBytes:   opts.ResultCacheBytes,
-		MaxResultStaleness: opts.MaxResultStaleness,
-		Shards:             opts.Shards,
+		Dir:               opts.Dir,
+		Durability:        opts.Durability,
+		GroupCommitWindow: opts.GroupCommitWindow,
+		Shards:            opts.Shards,
 	})
 	if err != nil {
 		return nil, err
@@ -212,22 +193,6 @@ type PlanCacheStats = core.PlanCacheStats
 // PlanCacheStats reports hits, misses, size, and the DDL epoch of the
 // compiled-plan cache. PlanCacheStats.HitRate summarizes the counters.
 func (d *Database) PlanCacheStats() PlanCacheStats { return d.db.PlanCacheStats() }
-
-// ResultCacheStats re-exports the result cache snapshot type.
-type ResultCacheStats = core.ResultCacheStats
-
-// ResultCacheStats reports the cross-query result cache's counters: hits,
-// misses, stale serves, background refreshes, invalidations, and the bytes
-// held against the configured budget. All zeros when ResultCacheBytes is 0.
-func (d *Database) ResultCacheStats() ResultCacheStats { return d.db.ResultCacheStats() }
-
-// KeyspaceVersions snapshots the engine's per-keyspace data version
-// counters: each committed transaction advances the counter of every
-// keyspace it wrote, and dropping a keyspace deletes its entry. The result
-// cache validates entries against these counters; they are exposed here for
-// observability and tests. Versions are process-local (they restart at zero
-// on Open), so compare them only within one process lifetime.
-func (d *Database) KeyspaceVersions() map[string]uint64 { return d.db.KeyspaceVersions() }
 
 // WALStats re-exports the WAL's cumulative activity counters.
 type WALStats = wal.Stats
@@ -554,13 +519,12 @@ func (t *Txn) CreateTableIndex(table, name, column string) error {
 // Replica is an eventually-consistent read endpoint fed by WAL shipping
 // with a configurable lag (measured in committed transactions).
 type Replica struct {
-	r  shard.ReplicaView
-	db *core.DB
+	r shard.ReplicaView
 }
 
 // NewReplica attaches a replica lagging the primary by lagTxns commits.
 func (d *Database) NewReplica(lagTxns int) *Replica {
-	return &Replica{r: d.db.NewReplica(lagTxns), db: d.db}
+	return &Replica{r: d.db.NewReplica(lagTxns)}
 }
 
 // KVGet reads a key/value pair at EVENTUAL consistency (no locks, possibly

@@ -328,65 +328,3 @@ func TestPreparedStatement(t *testing.T) {
 		t.Fatalf("no plan cache hits: %+v", st)
 	}
 }
-
-func TestResultCachePublicAPI(t *testing.T) {
-	db, err := unidb.Open(unidb.Options{ResultCacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	err = db.Update(func(tx *unidb.Txn) error {
-		if err := tx.CreateCollection("products"); err != nil {
-			return err
-		}
-		if _, err := tx.InsertDocument("products", `{"_key":"p1","name":"Toy","price":66}`); err != nil {
-			return err
-		}
-		_, err := tx.InsertDocument("products", `{"_key":"p2","name":"Book","price":40}`)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const q = `FOR p IN products FILTER p.price > 50 RETURN p.name`
-	first, err := db.Query(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := db.Query(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(unidb.Strings(first), unidb.Strings(second)) {
-		t.Fatalf("cached result differs: %v vs %v", first.Values, second.Values)
-	}
-	st := db.ResultCacheStats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want Hits=1 Misses=1 Entries=1", st)
-	}
-	if got := st.HitRate(); got != 0.5 {
-		t.Fatalf("hit rate = %v, want 0.5", got)
-	}
-	vers := db.KeyspaceVersions()
-	if vers["doc:products"] == 0 {
-		t.Fatalf("keyspace versions missing doc:products: %v", vers)
-	}
-	// DML to the read-set keyspace invalidates; the next run recomputes and
-	// the version counter has advanced.
-	if _, err := db.Execute(`INSERT {_key: "p3", name: "Lamp", price: 70} INTO products`, nil); err != nil {
-		t.Fatal(err)
-	}
-	after, err := db.Query(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := unidb.Strings(after); !reflect.DeepEqual(got, []string{"Toy", "Lamp"}) {
-		t.Fatalf("post-invalidation result = %v", got)
-	}
-	if st := db.ResultCacheStats(); st.Misses != 2 {
-		t.Fatalf("stats after DML = %+v, want Misses=2", st)
-	}
-	if v2 := db.KeyspaceVersions(); v2["doc:products"] <= vers["doc:products"] {
-		t.Fatalf("doc:products version did not advance: %v -> %v", vers, v2)
-	}
-}
