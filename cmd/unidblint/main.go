@@ -1,10 +1,14 @@
 // Command unidblint runs the in-tree invariant analyzer suite
-// (internal/lint) over the module: per-package checks (lock pairing,
-// dropped errors, AST exhaustiveness, executor determinism, transaction
-// lifecycle, ...) plus the whole-program analyzers built on interprocedural
-// lock summaries (lockorder, snapshotpure). It is stdlib-only — the
-// importer type-checks the module and its standard-library dependencies
-// from source — and exits nonzero when any invariant is violated.
+// (internal/lint) over the module: the per-package checks lockcheck (lock
+// pairing), errdrop (dropped errors), exhaustive (AST and enum switches),
+// determinism (no wall clock, randomness or map range in the executor, CSR
+// and fan-out paths), txnend (transaction lifecycle), syncbarrier (no
+// commit acknowledged before durability) and cowsafe (no in-place write to
+// a shared B+tree node), plus the whole-program analyzers built on
+// interprocedural lock summaries (lockorder, snapshotpure). It is
+// stdlib-only — the importer type-checks the module and its
+// standard-library dependencies from source — and exits nonzero when any
+// invariant is violated.
 //
 // Usage:
 //

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
 // TestGoldenListing runs the CLI in-process against the fixture module under
@@ -57,15 +59,22 @@ func TestCleanModuleExitsZero(t *testing.T) {
 	}
 }
 
-// TestListIncludesProgramAnalyzers keeps -list honest about the
-// whole-program suite.
+// TestListIncludesProgramAnalyzers keeps -list honest: every configured
+// per-package and whole-program analyzer appears in it.
 func TestListIncludesProgramAnalyzers(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{"lockcheck", "lockorder", "snapshotpure"} {
-		if !strings.Contains(stdout.String(), name) {
+	var names []string
+	for _, a := range lint.DefaultAnalyzers() {
+		names = append(names, a.Name())
+	}
+	for _, a := range lint.DefaultProgramAnalyzers() {
+		names = append(names, a.Name())
+	}
+	for _, name := range names {
+		if !strings.Contains(stdout.String(), name+" ") {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, stdout.String())
 		}
 	}

@@ -8,7 +8,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/catalog"
 	"repro/internal/colstore"
@@ -152,7 +151,7 @@ func (db *DB) WALStats() wal.Stats { return db.be.WALStats() }
 func (db *DB) EngineSnapshotReads() uint64 { return db.be.SnapshotReads() }
 
 // NewReplica attaches a WAL-shipping read replica with the given apply lag.
-func (db *DB) NewReplica(lagTxns int) shard.ReplicaView { return db.be.NewReplica(lagTxns) }
+func (db *DB) NewReplica(lagTxns int) *shard.Replica { return db.be.NewReplica(lagTxns) }
 
 // ShardStats reports partition count, fan-out and cross-shard commit
 // counters, and per-shard keyspace versions.
@@ -391,13 +390,4 @@ func valueString(v mmvalue.Value) string {
 		return v.AsString()
 	}
 	return v.String()
-}
-
-// MustQuery is Query that panics on error (examples and benches).
-func (db *DB) MustQuery(mmql string) *query.Result {
-	res, err := db.Query(mmql, nil)
-	if err != nil {
-		panic(fmt.Errorf("MustQuery(%s): %w", mmql, err))
-	}
-	return res
 }

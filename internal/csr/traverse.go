@@ -3,9 +3,9 @@ package csr
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/bitmapidx"
+	"repro/internal/fanout"
 )
 
 // ErrNoSuchPath mirrors the graph store's sentinel; the store wraps it back
@@ -75,7 +75,8 @@ func (g *Graph) NeighborKeys(v string, dir Dir, label string) []string {
 // and a serial merge in chunk order performs the authoritative
 // check-mark-append. Cross-chunk duplicates survive the worker prefilter
 // but die at the merge, so the result is byte-identical to the serial walk.
-func (g *Graph) expand(frontier []int32, dir Dir, sel int32, visited *bitmapidx.Bitset, workers int) []int32 {
+// A panic in a worker fails the traversal with an error.
+func (g *Graph) expand(frontier []int32, dir Dir, sel int32, visited *bitmapidx.Bitset, workers int) ([]int32, error) {
 	if workers <= 1 || len(frontier) < parallelFrontier {
 		var next []int32
 		for _, v := range frontier {
@@ -87,31 +88,27 @@ func (g *Graph) expand(frontier []int32, dir Dir, sel int32, visited *bitmapidx.
 				next = append(next, far)
 			})
 		}
-		return next
+		return next, nil
 	}
 	if workers > len(frontier) {
 		workers = len(frontier)
 	}
 	chunks := make([][]int32, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := len(frontier) * w / workers
-		hi := len(frontier) * (w + 1) / workers
-		wg.Add(1)
-		go func(w int, part []int32) {
-			defer wg.Done()
-			var cand []int32
-			for _, v := range part {
-				g.forNeighbors(v, dir, sel, func(far int32) {
-					if !visited.Has(int(far)) {
-						cand = append(cand, far)
-					}
-				})
-			}
-			chunks[w] = cand
-		}(w, frontier[lo:hi])
+	err := fanout.RunChunks(fanout.Partition{N: len(frontier), K: workers}, func(ci, lo, hi int) error {
+		var cand []int32
+		for _, v := range frontier[lo:hi] {
+			g.forNeighbors(v, dir, sel, func(far int32) {
+				if !visited.Has(int(far)) {
+					cand = append(cand, far)
+				}
+			})
+		}
+		chunks[ci] = cand
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	var next []int32
 	for _, cand := range chunks {
 		for _, far := range cand {
@@ -122,7 +119,7 @@ func (g *Graph) expand(frontier []int32, dir Dir, sel int32, visited *bitmapidx.
 			next = append(next, far)
 		}
 	}
-	return next
+	return next, nil
 }
 
 // Traverse performs the `FOR v IN min..max <dir> start` BFS expansion over
@@ -146,7 +143,10 @@ func (g *Graph) Traverse(start string, min, max int, dir Dir, label string, work
 		out = append(out, start)
 	}
 	for depth := 1; depth <= max && len(frontier) > 0; depth++ {
-		frontier = g.expand(frontier, dir, sel, visited, workers)
+		var err error
+		if frontier, err = g.expand(frontier, dir, sel, visited, workers); err != nil {
+			return nil, err
+		}
 		if depth >= min {
 			for _, v := range frontier {
 				out = append(out, g.keys[v])

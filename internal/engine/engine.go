@@ -166,15 +166,15 @@ type Engine struct {
 	cpMu    sync.Mutex // serializes whole checkpoints (cut → write → truncate)
 
 	subMu     sync.Mutex
-	subs      []*Replica
 	listeners []func([]wal.Record)
 }
 
 // Subscribe registers fn to be called synchronously with the redo batch of
 // every committed transaction, in commit order. This is the paper's
 // OctopusDB idea ("storage views defined over a central log") put to work:
-// the plan cache's DDL epoch is one such subscriber. Indexes are not: they
-// are keyspaces written inside the writing transaction.
+// the plan cache's DDL epoch and every Replica are such subscribers.
+// Indexes are not: they are keyspaces written inside the writing
+// transaction.
 func (e *Engine) Subscribe(fn func(batch []wal.Record)) {
 	e.subMu.Lock()
 	e.listeners = append(e.listeners, fn)
@@ -1358,24 +1358,18 @@ func (e *Engine) NewReplica(lagTxns int) *Replica {
 		r.keyspaces[ks] = tree.Snapshot()
 	}
 	e.mu.Unlock()
-	e.subMu.Lock()
-	e.subs = append(e.subs, r)
-	e.subMu.Unlock()
+	e.Subscribe(r.enqueue)
 	return r
 }
 
-// ship delivers a committed batch to every replica (synchronously, so tests
-// are deterministic; the lag model is logical, not wall-clock).
+// ship delivers a committed batch to every subscriber (synchronously, so
+// tests are deterministic; a replica's lag model is logical, not
+// wall-clock).
 func (e *Engine) ship(batch []wal.Record) {
 	e.subMu.Lock()
-	subs := make([]*Replica, len(e.subs))
-	copy(subs, e.subs)
 	listeners := make([]func([]wal.Record), len(e.listeners))
 	copy(listeners, e.listeners)
 	e.subMu.Unlock()
-	for _, r := range subs {
-		r.enqueue(batch)
-	}
 	for _, fn := range listeners {
 		fn(batch)
 	}
@@ -1460,9 +1454,6 @@ func (r *Replica) Scan(ks string, lo, hi []byte, fn func(key, value []byte) bool
 		t.Scan(lo, hi, fn)
 	}
 }
-
-// dataDir returns the engine directory (for tools).
-func (e *Engine) DataDir() string { return e.dir }
 
 // SetAfterFlushHook forwards to the WAL's after-flush test hook (no-op for
 // an Ephemeral engine) — crash-recovery tests capture the data directory in

@@ -45,12 +45,6 @@ func (s *Store) CSRFor(tx engine.Tx, graph string) (*csr.Graph, bool) {
 // CSRStats reports CSR cache effectiveness counters.
 func (s *Store) CSRStats() csr.Stats { return s.csr.Stats() }
 
-// InvalidateCSR drops the cached CSR snapshot for one graph, so the graph
-// is rebuilt from scratch once it is read often enough again (benchmarks
-// use it to measure cold builds; correctness never requires it — the
-// version vector and drop epoch already invalidate on any change).
-func (s *Store) InvalidateCSR(graph string) { s.csr.Invalidate(graph) }
-
 // vertexExists probes the vertex keyspace without decoding the document.
 func (s *Store) vertexExists(tx engine.Tx, graph, key string) (bool, error) {
 	_, ok, err := tx.Get(vKS(graph), keyenc.AppendString(nil, key))

@@ -4,13 +4,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
 
-// This file is the whole-program half of the lint suite: where flow.go walks
-// one function body at a time, the Program here ties every loaded package
-// together into a call graph with per-function summaries, so analyzers can
+// This file is the whole-program half of the lint suite: where lockcheck and
+// txnend walk one function body at a time, the Program here ties every
+// loaded package together into a call graph with per-function summaries
+// (collected by the shared path walker, walk.go), so analyzers can
 // ask interprocedural questions — "which mutexes may this call acquire,
 // transitively?", "can a snapshot read path ever reach the lock manager?" —
 // that no per-function walker can answer. The graph is built once per Runner
@@ -161,8 +163,8 @@ func BuildProgram(fset *token.FileSet, pkgs []*Package, locks LockClasses, guard
 					continue
 				}
 				fi := &FuncInfo{Obj: obj, Pkg: pkg, Decl: fd, mayAcquire: map[string]token.Pos{}}
-				w := &factWalker{pkg: pkg, fset: fset, locks: locks, guardField: guardField, fi: fi}
-				w.walkStmts(fd.Body.List, newFactState())
+				w := newFactWalker(pkg, fset, locks, guardField, fi)
+				w.paths.walkBody(fd.Body, &factState{held: heldSet{}})
 				p.Funcs[obj] = fi
 				p.funcList = append(p.funcList, fi)
 			}
@@ -179,23 +181,30 @@ func BuildProgram(fset *token.FileSet, pkgs []*Package, locks LockClasses, guard
 	return p
 }
 
-// factState is the walker's abstract state: the may-held lock set and the
+// factState is the summary walk's state: the may-held lock set and the
 // current snapshot-guard context.
 type factState struct {
-	held  map[string]token.Pos
+	held  heldSet
 	guard snapGuard
 }
 
-func newFactState() *factState {
-	return &factState{held: map[string]token.Pos{}}
+func (s *factState) clone() *factState {
+	return &factState{held: maps.Clone(s.held), guard: s.guard}
 }
 
-func (s *factState) clone() *factState {
-	c := &factState{held: make(map[string]token.Pos, len(s.held)), guard: s.guard}
-	for k, v := range s.held {
-		c.held[k] = v
+// join is the may-hold union of the live branches; the guard survives when
+// every live branch agrees on it (an if whose other arm returned leaves
+// that arm's opposite proven), and stays the entry guard otherwise.
+func (s *factState) join(live []*factState) {
+	s.held = heldSet{}
+	agree := true
+	for _, b := range live {
+		maps.Copy(s.held, b.held)
+		agree = agree && b.guard == live[0].guard
 	}
-	return c
+	if agree {
+		s.guard = live[0].guard
+	}
 }
 
 func (s *factState) heldSnapshot() []heldLock {
@@ -210,228 +219,80 @@ func (s *factState) heldSnapshot() []heldLock {
 	return out
 }
 
-// factWalker extracts one function's summary. It mirrors the control-flow
-// shapes flow.go handles, but tracks a may-hold lock set forward (a deferred
-// Unlock keeps the lock held for the rest of the body — the opposite reading
-// from leak checking) and a snapshot-guard context refined by if conditions.
+// factWalker extracts one function's summary as a client of the path
+// walker: it tracks a may-hold lock set forward (a deferred Unlock keeps
+// the lock held for the rest of the body — the opposite reading from leak
+// checking) and a snapshot-guard context refined by if conditions.
 type factWalker struct {
 	pkg        *Package
 	fset       *token.FileSet
 	locks      LockClasses
 	guardField string
 	fi         *FuncInfo
+	paths      pathWalker[*factState]
 }
 
-// walkStmts processes a statement list; the returned bool reports whether
-// every path through it terminated (return/branch/panic).
-func (w *factWalker) walkStmts(stmts []ast.Stmt, st *factState) bool {
-	for _, s := range stmts {
-		if w.walkStmt(s, st) {
-			return true
-		}
-	}
-	return false
+func newFactWalker(pkg *Package, fset *token.FileSet, locks LockClasses, guardField string, fi *FuncInfo) *factWalker {
+	w := &factWalker{pkg: pkg, fset: fset, locks: locks, guardField: guardField, fi: fi}
+	w.paths = pathWalker[*factState]{node: w.node, refine: w.refine, deferCall: w.walkDefer, goCall: w.walkGo}
+	return w
 }
 
-func (w *factWalker) walkStmt(s ast.Stmt, st *factState) bool {
-	switch t := s.(type) {
-	case nil:
-		return false
-	case *ast.BlockStmt:
-		return w.walkStmts(t.List, st)
-	case *ast.LabeledStmt:
-		return w.walkStmt(t.Stmt, st)
-	case *ast.ReturnStmt:
-		for _, res := range t.Results {
-			w.scanExpr(res, st)
-		}
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.DeferStmt:
-		w.walkDefer(t, st)
-		return false
-	case *ast.GoStmt:
-		// Arguments are evaluated now, in the current state; the body runs
-		// on a fresh goroutine that holds none of our locks.
-		for _, arg := range t.Call.Args {
-			w.scanExpr(arg, st)
-		}
-		fresh := newFactState()
-		fresh.guard = st.guard
-		if lit, ok := t.Call.Fun.(*ast.FuncLit); ok {
-			w.walkStmts(lit.Body.List, fresh)
-		} else {
-			w.handleCall(t.Call, fresh)
-		}
-		return false
-	case *ast.IfStmt:
-		if t.Init != nil {
-			w.walkStmt(t.Init, st)
-		}
-		w.scanExpr(t.Cond, st)
-		thenGuard, elseGuard := w.condGuards(t.Cond)
-		thenSt := st.clone()
-		if thenGuard != snapUnknown {
-			thenSt.guard = thenGuard
-		}
-		elseSt := st.clone()
-		if elseGuard != snapUnknown {
-			elseSt.guard = elseGuard
-		}
-		thenTerm := w.walkStmts(t.Body.List, thenSt)
-		elseTerm := false
-		if t.Else != nil {
-			elseTerm = w.walkStmt(t.Else, elseSt)
-		}
-		term := w.merge(st, thenSt, thenTerm, elseSt, elseTerm)
-		// A terminating branch leaves the opposite guard proven for the
-		// remainder: `if t.snap != nil { return ... }` makes everything after
-		// the if part of the locked (snap == nil) path, and vice versa.
-		if thenTerm && !elseTerm && elseGuard != snapUnknown {
-			st.guard = elseGuard
-		}
-		if elseTerm && !thenTerm && thenGuard != snapUnknown {
-			st.guard = thenGuard
-		}
-		return term
-	case *ast.ForStmt:
-		if t.Init != nil {
-			w.walkStmt(t.Init, st)
-		}
-		if t.Cond != nil {
-			w.scanExpr(t.Cond, st)
-		}
-		bodySt := st.clone()
-		w.walkStmts(t.Body.List, bodySt)
-		if t.Post != nil {
-			w.walkStmt(t.Post, bodySt)
-		}
-		return w.merge(st, bodySt, false, st.clone(), false)
-	case *ast.RangeStmt:
-		w.scanExpr(t.X, st)
-		bodySt := st.clone()
-		w.walkStmts(t.Body.List, bodySt)
-		return w.merge(st, bodySt, false, st.clone(), false)
-	case *ast.SwitchStmt:
-		if t.Init != nil {
-			w.walkStmt(t.Init, st)
-		}
-		if t.Tag != nil {
-			w.scanExpr(t.Tag, st)
-		}
-		return w.walkCases(t.Body, st)
-	case *ast.TypeSwitchStmt:
-		if t.Init != nil {
-			w.walkStmt(t.Init, st)
-		}
-		w.walkStmt(t.Assign, st)
-		return w.walkCases(t.Body, st)
-	case *ast.SelectStmt:
-		if len(t.Body.List) == 0 {
-			return true
-		}
-		return w.walkCases(t.Body, st)
+// node records the facts of one simple statement or expression.
+func (w *factWalker) node(n ast.Node, st *factState) {
+	switch t := n.(type) {
 	case *ast.ExprStmt:
-		if isTerminalCall(t.X) {
-			return true
-		}
-		w.checkDroppedError(t, st)
-		w.scanExpr(t.X, st)
-		return false
+		w.checkDroppedError(t)
 	case *ast.AssignStmt:
 		w.checkBlankError(t)
-		w.scanExpr(s, st)
-		return false
-	default:
-		w.scanExpr(s, st)
-		return false
+	}
+	w.scanExpr(n, st)
+}
+
+// refine sets the guard each arm of an if proves.
+func (w *factWalker) refine(cond ast.Expr, then, els *factState) {
+	thenGuard, elseGuard := w.condGuards(cond)
+	if thenGuard != snapUnknown {
+		then.guard = thenGuard
+	}
+	if elseGuard != snapUnknown {
+		els.guard = elseGuard
 	}
 }
 
-// walkCases clones the entry state per case and merges the survivors
-// (may-hold union; guard refinement inside cases stays local to them).
-func (w *factWalker) walkCases(body *ast.BlockStmt, st *factState) bool {
-	var survivors []*factState
-	allTerm := true
-	hasDef := hasDefault(body)
-	for _, cl := range body.List {
-		var stmts []ast.Stmt
-		switch c := cl.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.scanExpr(e, st)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				w.walkStmt(c.Comm, st)
-			}
-			stmts = c.Body
-		}
-		caseSt := st.clone()
-		if !w.walkStmts(stmts, caseSt) {
-			allTerm = false
-			survivors = append(survivors, caseSt)
-		}
+// walkGo models a go statement: arguments are evaluated now, in the current
+// state; the body runs on a fresh goroutine that holds none of our locks.
+func (w *factWalker) walkGo(call *ast.CallExpr, st *factState) {
+	for _, arg := range call.Args {
+		w.scanExpr(arg, st)
 	}
-	if !hasDef {
-		allTerm = false
-		survivors = append(survivors, st.clone())
+	fresh := &factState{held: heldSet{}, guard: st.guard}
+	if lit, ok := call.Fun.(*ast.FuncLit); ok {
+		w.paths.walkStmts(lit.Body.List, fresh)
+	} else {
+		w.handleCall(call, fresh)
 	}
-	if allTerm && len(body.List) > 0 {
-		return true
-	}
-	held := map[string]token.Pos{}
-	for _, s := range survivors {
-		for k, v := range s.held {
-			held[k] = v
-		}
-	}
-	st.held = held
-	return false
-}
-
-// merge folds two branch outcomes into st (may-hold union); returns true when
-// both branches terminated.
-func (w *factWalker) merge(st *factState, a *factState, aTerm bool, b *factState, bTerm bool) bool {
-	if aTerm && bTerm {
-		return true
-	}
-	held := map[string]token.Pos{}
-	if !aTerm {
-		for k, v := range a.held {
-			held[k] = v
-		}
-	}
-	if !bTerm {
-		for k, v := range b.held {
-			held[k] = v
-		}
-	}
-	st.held = held
-	return false
 }
 
 // walkDefer models a deferred call. A deferred Unlock does NOT release the
 // lock for the remainder of the body — it runs at exit — so it is simply
 // skipped. Deferred plain calls and literal bodies run with (approximately)
 // the current state; their effects on the held set are discarded.
-func (w *factWalker) walkDefer(d *ast.DeferStmt, st *factState) {
-	for _, arg := range d.Call.Args {
+func (w *factWalker) walkDefer(call *ast.CallExpr, st *factState) {
+	for _, arg := range call.Args {
 		w.scanExpr(arg, st)
 	}
-	if lit, ok := d.Call.Fun.(*ast.FuncLit); ok {
-		w.walkStmts(lit.Body.List, st.clone())
+	if lit, ok := call.Fun.(*ast.FuncLit); ok {
+		w.paths.walkStmts(lit.Body.List, st.clone())
 		return
 	}
-	if sel, ok := d.Call.Fun.(*ast.SelectorExpr); ok && isMutexMethod(&Pass{Pkg: w.pkg, Fset: w.fset}, sel) {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isMutexMethod(&Pass{Pkg: w.pkg, Fset: w.fset}, sel) {
 		switch sel.Sel.Name {
 		case "Unlock", "RUnlock", "Lock", "RLock":
 			return
 		}
 	}
-	w.handleCall(d.Call, st.clone())
+	w.handleCall(call, st.clone())
 }
 
 // scanExpr records calls, lock events, and time.Now reads inside an
@@ -444,7 +305,7 @@ func (w *factWalker) scanExpr(n ast.Node, st *factState) {
 	ast.Inspect(n, func(nd ast.Node) bool {
 		switch t := nd.(type) {
 		case *ast.FuncLit:
-			w.walkStmts(t.Body.List, st.clone())
+			w.paths.walkStmts(t.Body.List, st.clone())
 			return false
 		case *ast.CallExpr:
 			w.handleCall(t, st)
@@ -586,7 +447,7 @@ func (w *factWalker) isGuardField(e ast.Expr) bool {
 
 // checkDroppedError marks the summary when a bare call's result set includes
 // a discarded error (same shape errdrop reports intraprocedurally).
-func (w *factWalker) checkDroppedError(stmt *ast.ExprStmt, st *factState) {
+func (w *factWalker) checkDroppedError(stmt *ast.ExprStmt) {
 	call, ok := stmt.X.(*ast.CallExpr)
 	if !ok || w.fi.DropsError {
 		return

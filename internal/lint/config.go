@@ -14,10 +14,11 @@ package lint
 //	exhaustive   — query AST (Expr, Clause) and the closed value/op/source
 //	               vocabularies: a new kind must be wired everywhere before
 //	               the lint passes.
-//	determinism  — query executor merge/exec paths: the parallel executor
-//	               must stay byte-identical to the serial one.
-//	parallel-merge — the query stages' chunk bodies and chunk-result merges
-//	               must iterate recorded chunk/group order, never a map range.
+//	determinism  — the query executor, the CSR package and the fan-out
+//	               runner: no wall-clock read, randomness or map range, so a
+//	               parallel run stays byte-identical to the serial one and
+//	               the CSR cache token and the compiled vectorization plan
+//	               stay pure functions of graph state and query text.
 //	txnend       — core and query: a Begin without Commit/Abort wedges 2PL.
 //	syncbarrier  — the WAL group-commit window: no path may acknowledge a
 //	               committer (finishWindow, close of a done channel) before
@@ -26,11 +27,6 @@ package lint
 //	               snapshots and must never be mutated in place; every
 //	               writer path goes through mutable(), and the shared flag
 //	               only ever moves false→true.
-//	cachekey     — the CSR cache's validity token (drop epoch + version
-//	               vector) and the vectorization plan compiled into every
-//	               plan-cached pipeline: both must be pure (no map ranges,
-//	               wall-clock reads, or randomness), or one graph state or
-//	               query text silently stops mapping to one cache entry.
 func DefaultAnalyzers() []Analyzer {
 	return []Analyzer{
 		LockCheck{},
@@ -51,21 +47,16 @@ func DefaultAnalyzers() []Analyzer {
 			},
 		},
 		Determinism{Scope: []ScopeRef{
-			{Pkg: "repro/internal/query", Files: []string{
-				"exec.go", "eval.go", "parallel.go", "compile.go", "optimize.go",
-				"vector.go", "csrroute.go",
-			}},
-			// The whole CSR package: its parallel frontier expansion must be
-			// byte-identical to the serial walk, and its build scans feed a
-			// cache keyed by version vectors.
+			// The query executor, whose parallel stages must stay
+			// byte-identical to the serial run, and the vectorization plan
+			// it compiles into every plan-cached pipeline.
+			{Pkg: "repro/internal/query"},
+			// The CSR package: its parallel frontier expansion must match
+			// the serial walk, and its cache validity token (drop epoch +
+			// version vector) must map one graph state to one entry.
 			{Pkg: "repro/internal/csr"},
-		}},
-		ParallelMerge{Scope: []ScopeRef{
-			// The chunk bodies live with their stages, the merges in
-			// parallel.go.
-			{Pkg: "repro/internal/query", Files: []string{
-				"parallel.go", "exec.go", "optimize.go", "vector.go",
-			}},
+			// The goroutine fan-out runner every parallel path goes through.
+			{Pkg: "repro/internal/fanout"},
 		}},
 		TxnEnd{
 			Packages:   []string{"repro/internal/core", "repro/internal/query"},
@@ -84,14 +75,6 @@ func DefaultAnalyzers() []Analyzer {
 			MintFuncs:   []string{"mutable"},
 			WriterFuncs: []string{"insert", "split", "remove"},
 		},
-		CacheKey{Scope: []ScopeRef{
-			// The CSR cache's validity token (drop epoch + version vector):
-			// equal tokens must mean one graph state.
-			{Pkg: "repro/internal/csr", Files: []string{"cache.go"}},
-			// The vectorization plan is compiled once and served from the
-			// plan cache with its pipeline.
-			{Pkg: "repro/internal/query", Files: []string{"vector.go"}},
-		}},
 	}
 }
 

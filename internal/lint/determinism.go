@@ -3,30 +3,28 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 	"strconv"
 )
 
-// Determinism guards the serial≡parallel byte-identical contract of the
-// query executor: result merge paths must not observe wall-clock time,
-// random state, or Go's randomized map iteration order. In the configured
-// scope it forbids:
+// Determinism guards every path whose output must be a pure function of
+// its input: the query executor and the fan-out runner (a parallel run is
+// byte-identical to the serial one), the CSR package (its parallel frontier
+// expansion, and the cache validity token that must map one graph state to
+// one entry), and the vectorization plan compiled into plan-cached
+// pipelines. In the configured scope it forbids:
 //
-//	time.Now(...)                    — wall-clock reads
-//	import "math/rand" / rand/v2     — random state
-//	for k := range m { s = append(s, ...) }
-//	                                 — map iteration order leaking into an
-//	                                   ordered slice; sort the keys first
+//	time.Now(...)                  — a wall-clock read, directly or through
+//	                                 a call to a function outside the scope
+//	                                 that reads it (one level deep, from the
+//	                                 program summaries)
+//	import "math/rand" / rand/v2   — random state
+//	for ... := range m (m a map)   — Go randomizes map iteration order;
+//	                                 iterate a slice or sorted keys
+//
+// An order-insensitive map range (a sum, a map-to-map copy, keys collected
+// and then sorted) carries //unidblint:ignore determinism with its reason.
 type Determinism struct {
-	// Scope lists (package path, optional file basenames) to enforce in;
-	// empty basenames means the whole package.
 	Scope []ScopeRef
-}
-
-// ScopeRef selects files of a package.
-type ScopeRef struct {
-	Pkg   string
-	Files []string
 }
 
 // Name implements Analyzer.
@@ -34,36 +32,13 @@ func (Determinism) Name() string { return "determinism" }
 
 // Doc implements Analyzer.
 func (Determinism) Doc() string {
-	return "no time.Now, math/rand, or map-range-into-append in ordered executor paths"
+	return "no time.Now, math/rand, or map range in deterministic executor and cache-key paths"
 }
 
 // Run implements Analyzer.
 func (dt Determinism) Run(pass *Pass) {
-	var files []string
-	found := false
-	for _, ref := range dt.Scope {
-		if ref.Pkg == pass.Pkg.Path {
-			found, files = true, ref.Files
-			break
-		}
-	}
-	if !found {
-		return
-	}
-	inScope := func(f *ast.File) bool {
-		if len(files) == 0 {
-			return true
-		}
-		base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		for _, want := range files {
-			if base == want {
-				return true
-			}
-		}
-		return false
-	}
 	for _, file := range pass.Pkg.Files {
-		if !inScope(file) {
+		if !inScope(dt.Scope, pass.Pkg.Path, pass.Fset.Position(file.Pos()).Filename) {
 			continue
 		}
 		for _, imp := range file.Imports {
@@ -83,7 +58,12 @@ func (dt Determinism) Run(pass *Pass) {
 			case *ast.CallExpr:
 				dt.checkTaintedCall(pass, t)
 			case *ast.RangeStmt:
-				dt.checkMapRange(pass, t)
+				if tv, ok := pass.Pkg.Info.Types[t.X]; ok {
+					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+						pass.Reportf(t.Pos(),
+							"range over a map in a deterministic executor path: iteration order is nondeterministic; iterate a slice or sorted keys")
+					}
+				}
 			}
 			return true
 		})
@@ -94,7 +74,7 @@ func (dt Determinism) Run(pass *Pass) {
 // call from a scoped file into a function outside the scope that itself
 // reads time.Now makes the caller nondeterministic just as surely as a
 // direct read. In-scope callees are skipped — their own body is already
-// flagged directly, so the intraprocedural diagnostics stay unchanged.
+// flagged directly.
 func (dt Determinism) checkTaintedCall(pass *Pass, call *ast.CallExpr) {
 	if pass.Prog == nil {
 		return
@@ -104,31 +84,11 @@ func (dt Determinism) checkTaintedCall(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	fi := pass.Prog.Funcs[fn]
-	if fi == nil || !fi.CallsTimeNow || dt.inScopeFunc(pass, fi) {
+	if fi == nil || !fi.CallsTimeNow || inScope(dt.Scope, fi.Pkg.Path, pass.Fset.Position(fi.Decl.Pos()).Filename) {
 		return
 	}
 	pass.Reportf(call.Pos(), "call to %s reads the wall clock (time.Now at %s) in a deterministic executor path",
 		fi.Name(), pass.Prog.shortPos(fi.TimeNowPos))
-}
-
-// inScopeFunc reports whether fi's declaration falls inside the analyzer's
-// configured scope (and is therefore checked directly).
-func (dt Determinism) inScopeFunc(pass *Pass, fi *FuncInfo) bool {
-	for _, ref := range dt.Scope {
-		if ref.Pkg != fi.Pkg.Path {
-			continue
-		}
-		if len(ref.Files) == 0 {
-			return true
-		}
-		base := filepath.Base(pass.Fset.Position(fi.Decl.Pos()).Filename)
-		for _, want := range ref.Files {
-			if base == want {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // resolvedCallee statically resolves a call expression to the declared
@@ -143,51 +103,4 @@ func resolvedCallee(pkg *Package, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
-}
-
-// checkMapRange flags appends into an outer slice from inside a range over a
-// map: the append order then depends on Go's randomized map iteration.
-func (dt Determinism) checkMapRange(pass *Pass, rng *ast.RangeStmt) {
-	tv, ok := pass.Pkg.Info.Types[rng.X]
-	if !ok {
-		return
-	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return
-	}
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			call, ok := rhs.(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			fun, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok || fun.Name != "append" {
-				continue
-			}
-			if _, isBuiltin := pass.Pkg.Info.Uses[fun].(*types.Builtin); !isBuiltin {
-				continue
-			}
-			if i >= len(as.Lhs) {
-				continue
-			}
-			id, ok := as.Lhs[i].(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := pass.Pkg.Info.Uses[id]
-			if obj == nil {
-				obj = pass.Pkg.Info.Defs[id]
-			}
-			if obj != nil && obj.Pos() < rng.Pos() {
-				pass.Reportf(as.Pos(),
-					"append to %s while ranging over a map: iteration order is nondeterministic (sort keys first)", id.Name)
-			}
-		}
-		return true
-	})
 }

@@ -5,10 +5,11 @@ import (
 	"go/ast"
 	"go/printer"
 	"go/token"
+	"maps"
 )
 
-// The flow walker is a small path-sensitive abstract interpreter over
-// function bodies, shared by lockcheck (mutexes) and txnend (transactions).
+// The flow analysis, shared by lockcheck (mutexes) and txnend
+// (transactions), runs the path walker (walk.go) over one function body.
 // It tracks "resources" identified by string keys through acquire/release
 // events and reports any resource that may still be held at an exit point
 // (return or falling off the end of the function).
@@ -16,10 +17,8 @@ import (
 // Approximations, chosen to favor real engine bugs over noise:
 //   - A deferred release satisfies the resource immediately (defers run at
 //     every later exit).
-//   - Branch merge is a may-hold union: a resource held on any surviving
-//     branch is held after the merge.
-//   - break/continue/goto and panic/os.Exit terminate their path without an
-//     exit check (panic unwinding is out of scope).
+//   - Branch join is a may-hold union: a resource held on any surviving
+//     branch is held after the join.
 //   - Function literals are analyzed as independent functions; a release
 //     inside a *deferred* literal counts as a deferred release.
 
@@ -28,7 +27,6 @@ type flowKind int
 const (
 	flowAcquire flowKind = iota
 	flowRelease
-	flowDeferRelease
 )
 
 type flowEvent struct {
@@ -56,287 +54,93 @@ type eventsFunc func(n ast.Node) []flowEvent
 // the error arm the transaction was never created, so it owes no Commit.
 type branchFunc func(cond ast.Expr, negated bool) []flowEvent
 
-type flowState struct {
-	held map[string]token.Pos // key -> acquire position
-}
+// heldSet is a may-hold set: each held key maps to where it was acquired.
+type heldSet map[string]token.Pos
 
-func (s *flowState) clone() *flowState {
-	c := &flowState{held: make(map[string]token.Pos, len(s.held))}
-	for k, v := range s.held {
-		c.held[k] = v
+type flowState struct{ held heldSet }
+
+func (s *flowState) clone() *flowState { return &flowState{held: maps.Clone(s.held)} }
+
+func (s *flowState) join(live []*flowState) {
+	s.held = heldSet{}
+	for _, b := range live {
+		maps.Copy(s.held, b.held)
 	}
-	return c
 }
 
-type flowWalker struct {
-	events eventsFunc
-	branch branchFunc // may be nil
-	leaks  []flowLeak
+func (s *flowState) apply(evs []flowEvent) {
+	for _, ev := range evs {
+		if ev.kind == flowAcquire {
+			s.held[ev.key] = ev.pos
+		} else {
+			delete(s.held, ev.key)
+		}
+	}
 }
 
 // runFlow analyzes one function body and returns possible leaks, deduped by
 // acquire position (the first exit that leaks wins). branch may be nil.
 func runFlow(body *ast.BlockStmt, events eventsFunc, branch branchFunc) []flowLeak {
-	w := &flowWalker{events: events, branch: branch}
-	st := &flowState{held: map[string]token.Pos{}}
-	if !w.walkStmts(body.List, st) {
-		w.checkExit(st, body.End())
-	}
+	var leaks []flowLeak
 	seen := map[token.Pos]bool{}
-	var out []flowLeak
-	for _, l := range w.leaks {
-		if !seen[l.AcquirePos] {
-			seen[l.AcquirePos] = true
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-func (w *flowWalker) checkExit(st *flowState, exit token.Pos) {
-	for key, acq := range st.held {
-		w.leaks = append(w.leaks, flowLeak{Key: key, AcquirePos: acq, ExitPos: exit})
-	}
-}
-
-func (w *flowWalker) apply(st *flowState, evs []flowEvent) {
-	for _, ev := range evs {
-		switch ev.kind {
-		case flowAcquire:
-			st.held[ev.key] = ev.pos
-		case flowRelease, flowDeferRelease:
-			delete(st.held, ev.key)
-		}
-	}
-}
-
-// walkStmts processes a statement list; the returned bool reports whether
-// every path through the list terminated (return/branch/panic).
-func (w *flowWalker) walkStmts(stmts []ast.Stmt, st *flowState) bool {
-	for _, s := range stmts {
-		if w.walkStmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) bool {
-	switch t := s.(type) {
-	case nil:
-		return false
-	case *ast.BlockStmt:
-		return w.walkStmts(t.List, st)
-	case *ast.LabeledStmt:
-		return w.walkStmt(t.Stmt, st)
-	case *ast.ReturnStmt:
-		for _, res := range t.Results {
-			w.apply(st, w.events(res))
-		}
-		w.checkExit(st, t.Pos())
-		return true
-	case *ast.BranchStmt:
-		// break/continue/goto/fallthrough: stop propagating this path.
-		return true
-	case *ast.DeferStmt:
-		w.apply(st, w.deferEvents(t))
-		return false
-	case *ast.GoStmt:
-		// Arguments are evaluated now; the body runs later — extract
-		// events from arguments only.
-		for _, arg := range t.Call.Args {
-			w.apply(st, w.events(arg))
-		}
-		return false
-	case *ast.IfStmt:
-		if t.Init != nil {
-			w.walkStmt(t.Init, st)
-		}
-		w.apply(st, w.events(t.Cond))
-		thenSt := st.clone()
-		elseSt := st.clone()
-		if w.branch != nil {
-			w.apply(thenSt, w.branch(t.Cond, false))
-			w.apply(elseSt, w.branch(t.Cond, true))
-		}
-		thenTerm := w.walkStmts(t.Body.List, thenSt)
-		elseTerm := false
-		if t.Else != nil {
-			elseTerm = w.walkStmt(t.Else, elseSt)
-		}
-		return w.merge(st, thenSt, thenTerm, elseSt, elseTerm)
-	case *ast.ForStmt:
-		if t.Init != nil {
-			w.walkStmt(t.Init, st)
-		}
-		if t.Cond != nil {
-			w.apply(st, w.events(t.Cond))
-		}
-		bodySt := st.clone()
-		w.walkStmts(t.Body.List, bodySt)
-		if t.Post != nil {
-			w.walkStmt(t.Post, bodySt)
-		}
-		// May-hold union of "loop ran" and "loop skipped".
-		return w.merge(st, bodySt, false, st.clone(), false)
-	case *ast.RangeStmt:
-		w.apply(st, w.events(t.X))
-		bodySt := st.clone()
-		w.walkStmts(t.Body.List, bodySt)
-		return w.merge(st, bodySt, false, st.clone(), false)
-	case *ast.SwitchStmt:
-		if t.Init != nil {
-			w.walkStmt(t.Init, st)
-		}
-		if t.Tag != nil {
-			w.apply(st, w.events(t.Tag))
-		}
-		return w.walkCases(t.Body, st, !hasDefault(t.Body))
-	case *ast.TypeSwitchStmt:
-		if t.Init != nil {
-			w.walkStmt(t.Init, st)
-		}
-		w.walkStmt(t.Assign, st)
-		return w.walkCases(t.Body, st, !hasDefault(t.Body))
-	case *ast.SelectStmt:
-		if len(t.Body.List) == 0 {
-			return true // select{} blocks forever
-		}
-		return w.walkCases(t.Body, st, false)
-	case *ast.ExprStmt:
-		if isTerminalCall(t.X) {
-			return true
-		}
-		w.apply(st, w.events(t.X))
-		return false
-	default:
-		// AssignStmt, DeclStmt, IncDecStmt, SendStmt, EmptyStmt...
-		w.apply(st, w.events(s))
-		return false
-	}
-}
-
-// walkCases analyzes each case clause against a copy of the entry state and
-// merges the survivors. mayFallThrough adds the entry state itself as a
-// survivor (a switch without default may match nothing).
-func (w *flowWalker) walkCases(body *ast.BlockStmt, st *flowState, mayFallThrough bool) bool {
-	var survivors []*flowState
-	allTerm := true
-	for _, cl := range body.List {
-		var stmts []ast.Stmt
-		switch c := cl.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.apply(st, w.events(e))
+	w := &pathWalker[*flowState]{
+		node:      func(n ast.Node, st *flowState) { st.apply(events(n)) },
+		deferCall: func(call *ast.CallExpr, st *flowState) { st.apply(deferredReleases(call, events)) },
+		// Arguments are evaluated now; the body runs later.
+		goCall: func(call *ast.CallExpr, st *flowState) {
+			for _, arg := range call.Args {
+				st.apply(events(arg))
 			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				w.walkStmt(c.Comm, st)
+		},
+		exit: func(st *flowState, exit token.Pos) {
+			for key, acq := range st.held {
+				if !seen[acq] {
+					seen[acq] = true
+					leaks = append(leaks, flowLeak{Key: key, AcquirePos: acq, ExitPos: exit})
+				}
 			}
-			stmts = c.Body
-		}
-		caseSt := st.clone()
-		if !w.walkStmts(stmts, caseSt) {
-			allTerm = false
-			survivors = append(survivors, caseSt)
-		}
+		},
 	}
-	if mayFallThrough {
-		allTerm = false
-		survivors = append(survivors, st.clone())
-	}
-	if allTerm && len(body.List) > 0 {
-		return true
-	}
-	merged := &flowState{held: map[string]token.Pos{}}
-	for _, s := range survivors {
-		for k, v := range s.held {
-			merged.held[k] = v
+	if branch != nil {
+		w.refine = func(cond ast.Expr, then, els *flowState) {
+			then.apply(branch(cond, false))
+			els.apply(branch(cond, true))
 		}
 	}
-	st.held = merged.held
-	return false
+	w.walkBody(body, &flowState{held: heldSet{}})
+	return leaks
 }
 
-// merge folds two branch outcomes back into st; returns true when both
-// branches terminated.
-func (w *flowWalker) merge(st *flowState, a *flowState, aTerm bool, b *flowState, bTerm bool) bool {
-	if aTerm && bTerm {
-		return true
-	}
-	held := map[string]token.Pos{}
-	if !aTerm {
-		for k, v := range a.held {
-			held[k] = v
-		}
-	}
-	if !bTerm {
-		for k, v := range b.held {
-			held[k] = v
-		}
-	}
-	st.held = held
-	return false
-}
-
-// deferEvents turns the releases inside a deferred call (direct method call
-// or function literal body) into deferred releases; acquires inside a
-// deferred body are ignored.
-func (w *flowWalker) deferEvents(d *ast.DeferStmt) []flowEvent {
+// deferredReleases returns the releases inside a deferred call (direct
+// method call or function literal body), which satisfy their resources at
+// once; acquires inside a deferred body are ignored.
+func deferredReleases(call *ast.CallExpr, events eventsFunc) []flowEvent {
 	var out []flowEvent
 	scan := func(n ast.Node) {
-		for _, ev := range w.events(n) {
+		for _, ev := range events(n) {
 			if ev.kind == flowRelease {
-				ev.kind = flowDeferRelease
 				out = append(out, ev)
 			}
 		}
 	}
-	if lit, ok := d.Call.Fun.(*ast.FuncLit); ok {
-		// defer func() { ...; mu.Unlock() }(): scan the literal body's
-		// statements for releases (the events func skips nested literals).
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if _, isLit := n.(*ast.FuncLit); isLit {
-				return false
-			}
-			if call, isCall := n.(*ast.CallExpr); isCall {
-				scan(call)
-				return false
-			}
-			return true
-		})
+	lit, ok := call.Fun.(*ast.FuncLit)
+	if !ok {
+		scan(call)
 		return out
 	}
-	scan(d.Call)
-	return out
-}
-
-func hasDefault(body *ast.BlockStmt) bool {
-	for _, cl := range body.List {
-		if c, ok := cl.(*ast.CaseClause); ok && c.List == nil {
-			return true
+	// defer func() { ...; mu.Unlock() }(): scan the literal body's calls
+	// (the events func skips nested literals).
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if _, isLit := n.(*ast.FuncLit); isLit {
+			return false
 		}
-	}
-	return false
-}
-
-// isTerminalCall reports whether an expression statement never returns:
-// panic(...), os.Exit(...), log.Fatal*(...), (*testing.T).Fatal*.
-func isTerminalCall(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name == "panic"
-	case *ast.SelectorExpr:
-		name := fun.Sel.Name
-		return name == "Exit" || name == "Fatal" || name == "Fatalf" || name == "Fatalln" ||
-			name == "Panic" || name == "Panicf" || name == "Panicln"
-	}
-	return false
+		if c, isCall := n.(*ast.CallExpr); isCall {
+			scan(c)
+			return false
+		}
+		return true
+	})
+	return out
 }
 
 // exprText renders an expression as compact source text — the walker's

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -262,4 +263,22 @@ func splitSegments(p string) []string {
 		}
 	}
 	return out
+}
+
+// ScopeRef selects files of a package for a scoped analyzer: the named
+// basenames, or the whole package when Files is empty.
+type ScopeRef struct {
+	Pkg   string
+	Files []string
+}
+
+// inScope reports whether the named file of package pkgPath falls in scope.
+func inScope(scope []ScopeRef, pkgPath, filename string) bool {
+	base := filepath.Base(filename)
+	for _, ref := range scope {
+		if ref.Pkg == pkgPath && (len(ref.Files) == 0 || slices.Contains(ref.Files, base)) {
+			return true
+		}
+	}
+	return false
 }

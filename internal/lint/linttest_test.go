@@ -158,12 +158,6 @@ func TestDeterminismFixtures(t *testing.T) {
 	}, "determinism")
 }
 
-func TestParallelMergeFixtures(t *testing.T) {
-	runFixture(t, ParallelMerge{
-		Scope: []ScopeRef{{Pkg: "fixture/parallelmerge", Files: []string{"merge.go"}}},
-	}, "parallelmerge")
-}
-
 func TestSyncBarrierFixtures(t *testing.T) {
 	runFixture(t, SyncBarrier{
 		Scope:    []ScopeRef{{Pkg: "fixture/syncbarrier", Files: []string{"fixture.go"}}},
@@ -179,12 +173,6 @@ func TestCowSafeFixtures(t *testing.T) {
 		MintFuncs:   []string{"mutable"},
 		WriterFuncs: []string{"insert"},
 	}, "cowsafe")
-}
-
-func TestCacheKeyFixtures(t *testing.T) {
-	runFixture(t, CacheKey{
-		Scope: []ScopeRef{{Pkg: "fixture/cachekey", Files: []string{"fixture.go", "rand.go"}}},
-	}, "cachekey")
 }
 
 // TestSuppressPathSegments is the regression test for the fragment-matching

@@ -2,8 +2,8 @@ package lint
 
 import (
 	"go/ast"
-	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 )
 
@@ -52,17 +52,6 @@ func (SyncBarrier) Doc() string {
 
 // Run implements Analyzer.
 func (sb SyncBarrier) Run(pass *Pass) {
-	var files []string
-	found := false
-	for _, ref := range sb.Scope {
-		if ref.Pkg == pass.Pkg.Path {
-			found, files = true, ref.Files
-			break
-		}
-	}
-	if !found {
-		return
-	}
 	pat := sb.AckChanPattern
 	if pat == "" {
 		pat = `(?i)\bdone\b`
@@ -73,28 +62,16 @@ func (sb SyncBarrier) Run(pass *Pass) {
 		acks:      sb.Acks,
 		ackChanRx: regexp.MustCompile(pat),
 	}
-	exempt := map[string]bool{}
-	for _, a := range sb.Acks {
-		exempt[a] = true
-	}
+	chk.paths = pathWalker[*sbState]{node: chk.scanNode, deferCall: chk.scanFresh, goCall: chk.scanFresh}
 	for _, file := range pass.Pkg.Files {
-		base := filepath.Base(pass.Fset.Position(file.Pos()).Filename)
-		listed := len(files) == 0
-		for _, want := range files {
-			if base == want {
-				listed = true
-			}
-		}
-		if !listed {
+		if !inScope(sb.Scope, pass.Pkg.Path, pass.Fset.Position(file.Pos()).Filename) {
 			continue
 		}
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || exempt[fn.Name.Name] {
-				continue
+			if ok && fn.Body != nil && !slices.Contains(sb.Acks, fn.Name.Name) {
+				chk.paths.walkBody(fn.Body, &sbState{})
 			}
-			state := false
-			chk.walkStmts(fn.Body.List, &state)
 		}
 	}
 }
@@ -104,6 +81,20 @@ type sbCheck struct {
 	barriers  []string
 	acks      []string
 	ackChanRx *regexp.Regexp
+	paths     pathWalker[*sbState]
+}
+
+// sbState is the must-have-barrier flag of one path.
+type sbState struct{ barrier bool }
+
+func (s *sbState) clone() *sbState { return &sbState{barrier: s.barrier} }
+
+// join is the conjunction: a barrier on only one branch does not survive.
+func (s *sbState) join(live []*sbState) {
+	s.barrier = true
+	for _, b := range live {
+		s.barrier = s.barrier && b.barrier
+	}
 }
 
 type sbClass int
@@ -123,21 +114,15 @@ func (c *sbCheck) classify(call *ast.CallExpr) sbClass {
 	case *ast.SelectorExpr:
 		name = f.Sel.Name
 	}
-	if name == "close" && len(call.Args) == 1 {
+	switch {
+	case name == "close" && len(call.Args) == 1:
 		if c.ackChanRx.MatchString(exprText(c.pass.Fset, call.Args[0])) {
 			return sbAck
 		}
-		return sbNone
-	}
-	for _, b := range c.barriers {
-		if name == b {
-			return sbBarrier
-		}
-	}
-	for _, a := range c.acks {
-		if name == a {
-			return sbAck
-		}
+	case slices.Contains(c.barriers, name):
+		return sbBarrier
+	case slices.Contains(c.acks, name):
+		return sbAck
 	}
 	return sbNone
 }
@@ -146,16 +131,12 @@ func (c *sbCheck) classify(call *ast.CallExpr) sbClass {
 // in source order, updating the must-have-barrier state and reporting
 // acknowledgements that precede the barrier. Function literals are analyzed
 // as independent bodies with a fresh state.
-func (c *sbCheck) scanNode(n ast.Node, state *bool) {
-	if n == nil {
-		return
-	}
+func (c *sbCheck) scanNode(n ast.Node, st *sbState) {
 	var calls []*ast.CallExpr
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch t := x.(type) {
 		case *ast.FuncLit:
-			st := false
-			c.walkStmts(t.Body.List, &st)
+			c.paths.walkStmts(t.Body.List, &sbState{})
 			return false
 		case *ast.CallExpr:
 			calls = append(calls, t)
@@ -166,171 +147,21 @@ func (c *sbCheck) scanNode(n ast.Node, state *bool) {
 	for _, call := range calls {
 		switch c.classify(call) {
 		case sbBarrier:
-			*state = true
+			st.barrier = true
 		case sbAck:
-			if !*state {
-				c.report(call)
+			if !st.barrier {
+				c.pass.Reportf(call.Pos(),
+					"commit acknowledged before the durability barrier: %s reachable with no preceding %v call on this path",
+					exprText(c.pass.Fset, call.Fun), c.barriers)
 			}
 		}
 	}
 }
 
-func (c *sbCheck) report(call *ast.CallExpr) {
-	c.pass.Reportf(call.Pos(),
-		"commit acknowledged before the durability barrier: %s reachable with no preceding %v call on this path",
-		exprText(c.pass.Fset, call.Fun), c.barriers)
-}
-
-// scanFresh analyzes a subtree whose execution order is decoupled from the
-// surrounding path (go statements, deferred calls): no barrier from the
+// scanFresh analyzes a go or deferred call, whose execution order is
+// decoupled from the surrounding path (a deferred acknowledgement may run
+// on panic paths that never reached the barrier): no barrier from the
 // enclosing path carries in, and none established inside carries out.
-func (c *sbCheck) scanFresh(n ast.Node) {
-	st := false
-	c.scanNode(n, &st)
-}
-
-// walkStmts processes a statement list; the returned bool reports whether
-// every path through it terminated.
-func (c *sbCheck) walkStmts(stmts []ast.Stmt, state *bool) bool {
-	for _, s := range stmts {
-		if c.walkStmt(s, state) {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *sbCheck) walkStmt(s ast.Stmt, state *bool) bool {
-	switch t := s.(type) {
-	case nil:
-		return false
-	case *ast.BlockStmt:
-		return c.walkStmts(t.List, state)
-	case *ast.LabeledStmt:
-		return c.walkStmt(t.Stmt, state)
-	case *ast.ReturnStmt:
-		for _, res := range t.Results {
-			c.scanNode(res, state)
-		}
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.DeferStmt:
-		// A deferred acknowledgement may run on panic paths that never
-		// reached the barrier; analyze with a fresh state.
-		c.scanFresh(t.Call)
-		return false
-	case *ast.GoStmt:
-		c.scanFresh(t.Call)
-		return false
-	case *ast.IfStmt:
-		if t.Init != nil {
-			c.walkStmt(t.Init, state)
-		}
-		c.scanNode(t.Cond, state)
-		thenState, elseState := *state, *state
-		thenTerm := c.walkStmts(t.Body.List, &thenState)
-		elseTerm := false
-		if t.Else != nil {
-			elseTerm = c.walkStmt(t.Else, &elseState)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			*state = elseState
-		case elseTerm:
-			*state = thenState
-		default:
-			*state = thenState && elseState
-		}
-		return false
-	case *ast.ForStmt:
-		if t.Init != nil {
-			c.walkStmt(t.Init, state)
-		}
-		if t.Cond != nil {
-			c.scanNode(t.Cond, state)
-		}
-		bodyState := *state
-		c.walkStmts(t.Body.List, &bodyState)
-		if t.Post != nil {
-			c.walkStmt(t.Post, &bodyState)
-		}
-		// The body may run zero times: keep the conjunction.
-		*state = *state && bodyState
-		return false
-	case *ast.RangeStmt:
-		c.scanNode(t.X, state)
-		bodyState := *state
-		c.walkStmts(t.Body.List, &bodyState)
-		*state = *state && bodyState
-		return false
-	case *ast.SwitchStmt:
-		if t.Init != nil {
-			c.walkStmt(t.Init, state)
-		}
-		if t.Tag != nil {
-			c.scanNode(t.Tag, state)
-		}
-		return c.walkCases(t.Body, state, !hasDefault(t.Body))
-	case *ast.TypeSwitchStmt:
-		if t.Init != nil {
-			c.walkStmt(t.Init, state)
-		}
-		c.walkStmt(t.Assign, state)
-		return c.walkCases(t.Body, state, !hasDefault(t.Body))
-	case *ast.SelectStmt:
-		if len(t.Body.List) == 0 {
-			return true // select{} blocks forever
-		}
-		return c.walkCases(t.Body, state, false)
-	default:
-		// AssignStmt, ExprStmt, DeclStmt, SendStmt, IncDecStmt...
-		c.scanNode(s, state)
-		return false
-	}
-}
-
-// walkCases analyzes each case against a copy of the entry state and merges
-// the surviving states by conjunction; mayFallThrough keeps the entry state
-// as a survivor (a switch without default may match nothing).
-func (c *sbCheck) walkCases(body *ast.BlockStmt, state *bool, mayFallThrough bool) bool {
-	entry := *state
-	merged := true
-	anySurvivor := false
-	allTerm := true
-	for _, cl := range body.List {
-		var stmts []ast.Stmt
-		caseState := entry
-		switch cc := cl.(type) {
-		case *ast.CaseClause:
-			for _, e := range cc.List {
-				c.scanNode(e, &caseState)
-			}
-			stmts = cc.Body
-		case *ast.CommClause:
-			if cc.Comm != nil {
-				c.walkStmt(cc.Comm, &caseState)
-			}
-			stmts = cc.Body
-		}
-		if !c.walkStmts(stmts, &caseState) {
-			allTerm = false
-			merged = merged && caseState
-			anySurvivor = true
-		}
-	}
-	if mayFallThrough {
-		allTerm = false
-		merged = merged && entry
-		anySurvivor = true
-	}
-	if allTerm && len(body.List) > 0 {
-		return true
-	}
-	if anySurvivor {
-		*state = merged
-	}
-	return false
+func (c *sbCheck) scanFresh(call *ast.CallExpr, _ *sbState) {
+	c.scanNode(call, &sbState{})
 }

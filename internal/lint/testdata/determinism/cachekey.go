@@ -1,5 +1,7 @@
-// Package fixture seeds cachekey violations and clean counterparts.
 package fixture
+
+// Cache-key shapes: a key or validity decision must be a pure function of
+// its input.
 
 import (
 	"sort"
@@ -8,7 +10,7 @@ import (
 
 func okSortedNames(params map[string]int) []string {
 	names := make([]string, 0, len(params))
-	//unidblint:ignore cachekey collect-then-sort is iteration-order independent
+	//unidblint:ignore determinism collect-then-sort is iteration-order independent
 	for name := range params {
 		names = append(names, name)
 	}
@@ -16,7 +18,7 @@ func okSortedNames(params map[string]int) []string {
 	return names
 }
 
-func okRangeSlice(parts []string) string {
+func okRangeSliceKey(parts []string) string {
 	key := ""
 	for _, p := range parts {
 		key += "\x00" + p
@@ -31,12 +33,12 @@ func okSuppliedInstant(now time.Time, freshNano int64) time.Duration {
 
 func badMapRangeKey(params map[string]int) string {
 	key := ""
-	for name := range params { // want `range over a map in a cache-key path`
+	for name := range params { // want `range over a map in a deterministic executor path`
 		key += name
 	}
 	return key
 }
 
 func badFreshness() int64 {
-	return time.Now().UnixNano() // want `time\.Now in a cache-key path`
+	return time.Now().UnixNano() // want `time\.Now in a deterministic executor path`
 }

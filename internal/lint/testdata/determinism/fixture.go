@@ -1,4 +1,5 @@
-// Package fixture seeds determinism violations and clean counterparts.
+// Package fixture seeds determinism violations and clean counterparts. The
+// whole package is in the analyzer's scope.
 package fixture
 
 import (
@@ -7,10 +8,9 @@ import (
 )
 
 func okSortedKeys(m map[string]int) []string {
-	//unidblint:ignore determinism keys are sorted before use below
 	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k) //unidblint:ignore determinism sorted below
+	for k := range m { //unidblint:ignore determinism keys are sorted before use below
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
@@ -24,17 +24,19 @@ func okRangeSlice(xs []int) []int {
 	return out
 }
 
-func okMapToMap(m map[string]int) map[string]int {
+// badMapToMap is order-insensitive, but the ban on map ranges is outright:
+// an exception carries a suppression with its reason, as okSortedKeys does.
+func badMapToMap(m map[string]int) map[string]int {
 	out := map[string]int{}
-	for k, v := range m {
-		out[k] = v // writing a map from a map is order-insensitive
+	for k, v := range m { // want `range over a map in a deterministic executor path`
+		out[k] = v
 	}
 	return out
 }
 
-func okLocalAppend(m map[string][]int) int {
+func badOuterMapRange(m map[string][]int) int {
 	total := 0
-	for _, vs := range m {
+	for _, vs := range m { // want `range over a map in a deterministic executor path`
 		local := []int{}
 		for _, v := range vs {
 			local = append(local, v)
@@ -55,8 +57,8 @@ func badNow() int64 {
 
 func badMapAppend(m map[string]int) []string {
 	var keys []string
-	for k := range m {
-		keys = append(keys, k) // want `append to keys while ranging over a map: iteration order is nondeterministic`
+	for k := range m { // want `range over a map in a deterministic executor path: iteration order is nondeterministic`
+		keys = append(keys, k)
 	}
 	return keys
 }

@@ -1,7 +1,7 @@
-// Package fixture seeds parallel-merge violations and clean counterparts.
-// Every function in this file is enforced (the file is listed in the
-// analyzer's scope), mirroring internal/query/parallel.go.
 package fixture
+
+// Chunk-merge shapes, mirroring internal/query/parallel.go: partial results
+// merge in recorded chunk or first-seen order, never by a map range.
 
 type partial struct {
 	order  []string
@@ -40,7 +40,7 @@ func okChunkConcat(per [][]int) []int {
 // badMapRangeMerge ranges over the group map directly.
 func badMapRangeMerge(groups map[string]int) []int {
 	var out []int
-	for _, v := range groups { // want `range over a map in parallel merge path badMapRangeMerge`
+	for _, v := range groups { // want `range over a map in a deterministic executor path`
 		out = append(out, v)
 	}
 	return out
@@ -51,7 +51,7 @@ func badMapRangeMerge(groups map[string]int) []int {
 func badMapRangeInWorker(groups map[string]int) func() int {
 	return func() int {
 		total := 0
-		for _, v := range groups { // want `range over a map in parallel merge path badMapRangeInWorker`
+		for _, v := range groups { // want `range over a map in a deterministic executor path`
 			total += v
 		}
 		return total
@@ -61,7 +61,7 @@ func badMapRangeInWorker(groups map[string]int) func() int {
 // okSuppressed documents a genuinely order-insensitive exception.
 func okSuppressed(groups map[string]int) int {
 	total := 0
-	//unidblint:ignore parallel-merge summing is order-insensitive
+	//unidblint:ignore determinism summing is order-insensitive
 	for _, v := range groups {
 		total += v
 	}

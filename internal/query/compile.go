@@ -271,11 +271,6 @@ func vecReturnSpecs(e Expr, into, loopVar string) ([]vecAggSpec, bool) {
 	return specs, true
 }
 
-// HasMutation reports whether the pipeline contains DML (directly or in a
-// nested subquery). Exposed for callers that route read-only and mutating
-// statements differently.
-func (p *Pipeline) HasMutation() bool { return p.hasMutation }
-
 // ReadOnly reports whether the pipeline is proven free of DML (directly and
 // in every nested subquery) by the compile-time analysis, and may therefore
 // run on a lock-free snapshot transaction. An unanalyzed pipeline is

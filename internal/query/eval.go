@@ -500,20 +500,12 @@ func (c *execCtx) evalFunc(t *FuncCall, en *env) (mmvalue.Value, error) {
 		if err := need(1); err != nil {
 			return mmvalue.Null, err
 		}
-		return foldNumeric(args[0], func(acc, x float64) float64 { return acc + x }, 0), nil
+		return foldNumeric(arrayElems(args[0])).sumValue(), nil
 	case "AVG":
 		if err := need(1); err != nil {
 			return mmvalue.Null, err
 		}
-		arr := numericElems(args[0])
-		if len(arr) == 0 {
-			return mmvalue.Null, nil
-		}
-		sum := 0.0
-		for _, x := range arr {
-			sum += x
-		}
-		return mmvalue.Float(sum / float64(len(arr))), nil
+		return foldNumeric(arrayElems(args[0])).avgValue(), nil
 	case "MIN", "MAX":
 		if err := need(1); err != nil {
 			return mmvalue.Null, err
@@ -819,30 +811,53 @@ func (c *execCtx) evalGraphNav(name string, args []mmvalue.Value, en *env) (mmva
 	return mmvalue.ArrayOf(out), nil
 }
 
-func numericElems(v mmvalue.Value) []float64 {
-	var out []float64
-	for _, x := range v.AsArray() {
-		if x.IsNumber() {
-			out = append(out, x.AsFloat())
-		}
-	}
-	return out
+// numericFold is the left-to-right float64 fold SUM and AVG share over the
+// numeric elements of a stream (the others are skipped). The vectorized
+// aggregate refolds through it too, so both paths agree bit for bit.
+type numericFold struct {
+	sum    float64
+	n      int
+	allInt bool
 }
 
-func foldNumeric(v mmvalue.Value, f func(acc, x float64) float64, init float64) mmvalue.Value {
-	acc := init
-	allInt := true
-	for _, x := range v.AsArray() {
+// foldNumeric folds the elements each visits, in order.
+func foldNumeric(each func(visit func(mmvalue.Value))) numericFold {
+	f := numericFold{allInt: true}
+	each(func(x mmvalue.Value) {
 		if !x.IsNumber() {
-			continue
+			return
 		}
 		if x.Kind() != mmvalue.KindInt {
-			allInt = false
+			f.allInt = false
 		}
-		acc = f(acc, x.AsFloat())
+		f.sum += x.AsFloat()
+		f.n++
+	})
+	return f
+}
+
+// sumValue is SUM's result: an Int when every element was one and the sum
+// is integral, else a Float.
+func (f numericFold) sumValue() mmvalue.Value {
+	if f.allInt && f.sum == math.Trunc(f.sum) {
+		return mmvalue.Int(int64(f.sum))
 	}
-	if allInt && acc == math.Trunc(acc) {
-		return mmvalue.Int(int64(acc))
+	return mmvalue.Float(f.sum)
+}
+
+// avgValue is AVG's result: Null over no numbers.
+func (f numericFold) avgValue() mmvalue.Value {
+	if f.n == 0 {
+		return mmvalue.Null
 	}
-	return mmvalue.Float(acc)
+	return mmvalue.Float(f.sum / float64(f.n))
+}
+
+// arrayElems streams an array's elements (none for a non-array).
+func arrayElems(v mmvalue.Value) func(visit func(mmvalue.Value)) {
+	return func(visit func(mmvalue.Value)) {
+		for _, x := range v.AsArray() {
+			visit(x)
+		}
+	}
 }

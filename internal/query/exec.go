@@ -9,6 +9,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/docstore"
 	"repro/internal/engine"
+	"repro/internal/fanout"
 	"repro/internal/graphstore"
 	"repro/internal/kvstore"
 	"repro/internal/mmvalue"
@@ -335,7 +336,7 @@ func (c *execCtx) execRemove(cl *RemoveClause, rows []*env) ([]mmvalue.Value, er
 func (c *execCtx) execLet(cl *LetClause, rows []*env) ([]*env, error) {
 	next := make([]*env, len(rows))
 	p := c.split(len(rows), len(rows), cl.parallelSafe, &c.stats.ParallelEvals)
-	err := runChunks(p, func(_, lo, hi int) error {
+	err := fanout.RunChunks(p, func(_, lo, hi int) error {
 		for ri := lo; ri < hi; ri++ {
 			v, err := c.eval(cl.Expr, rows[ri])
 			if err != nil {
@@ -355,8 +356,8 @@ func (c *execCtx) execLet(cl *LetClause, rows []*env) ([]*env, error) {
 // FOR — e.g. after COLLECT or LET), keeping rows whose predicate is truthy.
 func (c *execCtx) execFilter(cl *FilterClause, rows []*env) ([]*env, error) {
 	p := c.split(len(rows), len(rows), cl.parallelSafe, &c.stats.ParallelEvals)
-	per := make([][]*env, p.k)
-	err := runChunks(p, func(ci, lo, hi int) error {
+	per := make([][]*env, p.K)
+	err := fanout.RunChunks(p, func(ci, lo, hi int) error {
 		var next []*env
 		for _, r := range rows[lo:hi] {
 			v, err := c.eval(cl.Expr, r)
@@ -373,7 +374,7 @@ func (c *execCtx) execFilter(cl *FilterClause, rows []*env) ([]*env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return concatChunks(per), nil
+	return fanout.ConcatChunks(per), nil
 }
 
 // execSort orders rows by the clause's keys. Each chunk evaluates its rows'
@@ -395,8 +396,8 @@ func (c *execCtx) execSort(cl *SortClause, rows []*env) ([]*env, error) {
 		return false
 	}
 	p := c.split(len(rows), len(rows), cl.parallelSafe, &c.stats.ParallelSorts)
-	runs := make([][]int, p.k)
-	err := runChunks(p, func(ci, lo, hi int) error {
+	runs := make([][]int, p.K)
+	err := fanout.RunChunks(p, func(ci, lo, hi int) error {
 		for ri := lo; ri < hi; ri++ {
 			ks := make([]mmvalue.Value, len(cl.Keys))
 			for ki, k := range cl.Keys {
@@ -494,7 +495,7 @@ func (c *execCtx) limitBound(cl *LimitClause) int {
 // global row order; see the DISTINCT note in parallel.go.
 func (c *execCtx) execDistinctRows(cl *distinctRowsClause, rows []*env) ([]*env, error) {
 	var next []*env
-	seen := map[uint64][]mmvalue.Value{}
+	seen := valueSet{}
 	for _, r := range rows {
 		keyVals := make([]mmvalue.Value, len(cl.keys))
 		for i, k := range cl.keys {
@@ -504,21 +505,27 @@ func (c *execCtx) execDistinctRows(cl *distinctRowsClause, rows []*env) ([]*env,
 			}
 			keyVals[i] = v
 		}
-		key := mmvalue.ArrayOf(keyVals)
-		h := key.Hash()
-		dup := false
-		for _, prev := range seen[h] {
-			if mmvalue.Equal(prev, key) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen[h] = append(seen[h], key)
+		if seen.add(mmvalue.ArrayOf(keyVals)) {
 			next = append(next, r)
 		}
 	}
 	return next, nil
+}
+
+// valueSet is a hash set of values under mmvalue.Equal: the
+// first-occurrence filter of both DISTINCT forms.
+type valueSet map[uint64][]mmvalue.Value
+
+// add inserts v, reporting whether no Equal value was in the set.
+func (s valueSet) add(v mmvalue.Value) bool {
+	h := v.Hash()
+	for _, prev := range s[h] {
+		if mmvalue.Equal(prev, v) {
+			return false
+		}
+	}
+	s[h] = append(s[h], v)
+	return true
 }
 
 // execReturn materializes results, handling DISTINCT and EXPAND. This is
@@ -528,8 +535,8 @@ func (c *execCtx) execDistinctRows(cl *distinctRowsClause, rows []*env) ([]*env,
 // their own values; DISTINCT dedup is a serial pass over the merged output.
 func (c *execCtx) execReturn(cl *ReturnClause, rows []*env) ([]mmvalue.Value, error) {
 	p := c.split(len(rows), len(rows), cl.parallelSafe, &c.stats.ParallelEvals)
-	per := make([][]mmvalue.Value, p.k)
-	err := runChunks(p, func(ci, lo, hi int) error {
+	per := make([][]mmvalue.Value, p.K)
+	err := fanout.RunChunks(p, func(ci, lo, hi int) error {
 		var out []mmvalue.Value
 		for _, r := range rows[lo:hi] {
 			v, err := c.eval(cl.Expr, r)
@@ -552,21 +559,12 @@ func (c *execCtx) execReturn(cl *ReturnClause, rows []*env) ([]mmvalue.Value, er
 	if err != nil {
 		return nil, err
 	}
-	out := concatChunks(per)
+	out := fanout.ConcatChunks(per)
 	if cl.Distinct {
 		var uniq []mmvalue.Value
-		seen := map[uint64][]mmvalue.Value{}
+		seen := valueSet{}
 		for _, v := range out {
-			h := v.Hash()
-			dup := false
-			for _, prev := range seen[h] {
-				if mmvalue.Equal(prev, v) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				seen[h] = append(seen[h], v)
+			if seen.add(v) {
 				uniq = append(uniq, v)
 			}
 		}
@@ -584,9 +582,9 @@ func (c *execCtx) execReturn(cl *ReturnClause, rows []*env) ([]mmvalue.Value, er
 func (c *execCtx) execCollect(cl *CollectClause, rows []*env) ([]*env, error) {
 	c.stats.DecomposedAggs += len(cl.aggSpecs)
 	p := c.split(len(rows), len(rows), cl.parallelSafe, &c.stats.ParallelCollects)
-	partials := make([]*groupTable, p.k)
+	partials := make([]*groupTable, p.K)
 	members := &memberRows{rows: rows, next: make([]int32, len(rows))}
-	err := runChunks(p, func(ci, lo, hi int) error {
+	err := fanout.RunChunks(p, func(ci, lo, hi int) error {
 		groups := newGroupTable()
 		keyVals := make([]mmvalue.Value, len(cl.Keys)) // reused; a new group copies it
 		for i := lo; i < hi; i++ {
@@ -700,8 +698,8 @@ func (c *execCtx) execFor(cl *ForClause, filters []*FilterClause, rows []*env, n
 		total += len(elems)
 	}
 	p := c.split(total, total, filtersSafe(filters), &c.stats.ParallelScans)
-	per := make([][]*env, p.k)
-	err := runChunks(p, func(ci, lo, hi int) error {
+	per := make([][]*env, p.K)
+	err := fanout.RunChunks(p, func(ci, lo, hi int) error {
 		var out []*env
 		if len(filters) == 0 {
 			out = make([]*env, 0, hi-lo) // every element binds one row
@@ -732,7 +730,7 @@ func (c *execCtx) execFor(cl *ForClause, filters []*FilterClause, rows []*env, n
 	if err != nil {
 		return nil, err
 	}
-	return concatChunks(per), nil
+	return fanout.ConcatChunks(per), nil
 }
 
 // applyFilters evaluates the residual filters against one row, reporting

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/docstore"
+	"repro/internal/fanout"
 	"repro/internal/inverted"
 	"repro/internal/mmvalue"
 )
@@ -294,8 +295,8 @@ func pathMatchesIndex(predPath, idxPath string) bool {
 // downstream recheck filters see the identical row sequence.
 func (c *execCtx) fetchDocs(coll string, keys []string) ([]mmvalue.Value, error) {
 	p := c.split(len(keys), len(keys), true, &c.stats.ParallelIndexFetches)
-	per := make([][]mmvalue.Value, p.k)
-	err := runChunks(p, func(ci, lo, hi int) error {
+	per := make([][]mmvalue.Value, p.K)
+	err := fanout.RunChunks(p, func(ci, lo, hi int) error {
 		var out []mmvalue.Value
 		for _, k := range keys[lo:hi] {
 			doc, ok, err := c.src.Docs.Get(c.tx, coll, k)
@@ -312,7 +313,7 @@ func (c *execCtx) fetchDocs(coll string, keys []string) ([]mmvalue.Value, error)
 	if err != nil {
 		return nil, err
 	}
-	out := concatChunks(per)
+	out := fanout.ConcatChunks(per)
 	c.stats.RowsRead += len(out)
 	return out, nil
 }

@@ -5,18 +5,18 @@ package query
 // [lo, hi) of its input, and a merge of the chunk results in chunk order:
 //
 //	stage                    chunk body                       merge
-//	FOR (exec.go)            bind loop var + fused FILTERs    concatChunks
-//	FILTER, RETURN           per-row evaluation               concatChunks
+//	FOR (exec.go)            bind loop var + fused FILTERs    ConcatChunks
+//	FILTER, RETURN           per-row evaluation               ConcatChunks
 //	LET                      per-row evaluation, 1:1 slots    none needed
 //	COLLECT                  chunk-local group table          mergeCollectPartials
 //	SORT                     key vectors + stable chunk sort  mergeSortedRuns
-//	fetchDocs (optimize.go)  fetch a key chunk's documents    concatChunks
+//	fetchDocs (optimize.go)  fetch a key chunk's documents    ConcatChunks
 //	execVecScan/execVecAgg   a run of column batches          batch order
 //	(vector.go)
 //
-// split is the only place that chooses how many chunks a stage runs as.
-// Serial execution is the one-chunk case: runChunks runs a single chunk on
-// the calling goroutine, and every merge returns its only input. A stage
+// split is the only place that chooses how many chunks a stage runs as, and
+// internal/fanout runs them. Serial execution is the one-chunk case:
+// fanout.RunChunks runs a single chunk on the calling goroutine, and every merge returns its only input. A stage
 // fans out only when it is parallelSafe (no subquery in its expressions;
 // subqueries run whole pipelines against shared executor state), the
 // pipeline was compile-analyzed and holds no mutation clause, the stage's
@@ -25,9 +25,10 @@ package query
 //
 // Byte-identity to the one-chunk run holds by construction: chunks are
 // contiguous and merged in ascending chunk order — never by ranging over a
-// map — so every output order is the serial order. The `parallel-merge`
-// analyzer in internal/lint enforces the no-map-range rule on the files
-// that hold chunk bodies and merges. The mergeable partial states:
+// map — so every output order is the serial order. The `determinism`
+// analyzer in internal/lint bans map ranges, wall-clock reads and
+// randomness across this package and internal/fanout. The mergeable
+// partial states:
 //
 //   - COLLECT: each chunk builds an ordered group table — first-seen key
 //     order within the chunk, member lists in row order, INTO member objects
@@ -53,15 +54,15 @@ package query
 // Expression evaluation reaches the engine only through Txn.Get/Scan and the
 // store read APIs, which the engine documents as safe for concurrent use on
 // one transaction (see engine.Txn); env rows are copy-on-bind, so outer
-// rows are never mutated. A panic in a chunk body fails the query with an error instead of
-// the process; only read-only pipelines ever run more than one chunk.
+// rows are never mutated. A panic in a chunk body fails the query with an
+// error instead of the process; only read-only pipelines ever run more than
+// one chunk.
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 
+	"repro/internal/fanout"
 	"repro/internal/mmvalue"
 )
 
@@ -106,93 +107,19 @@ func (c *execCtx) aboveThreshold(work int) bool {
 	return work >= parallelThreshold
 }
 
-// partition cuts [0, n) into k contiguous chunks of near-equal size, chunk
-// i being [i·n/k, (i+1)·n/k). k == 1 is serial execution.
-type partition struct{ n, k int }
-
-// chunk returns the bounds of chunk i.
-func (p partition) chunk(i int) (lo, hi int) {
-	return i * p.n / p.k, (i + 1) * p.n / p.k
-}
-
 // split chooses how many chunks a stage over n items runs as: the one chunk
 // [0, n) unless the stage is safe, the running pipeline is compile-analyzed
 // and read-only, work (n itself, or the rows behind n column batches)
 // reaches the threshold, and two or more workers can each take an item.
 // It counts a fan-out in the stage's Stats counter.
-func (c *execCtx) split(n, work int, safe bool, counter *int) partition {
+func (c *execCtx) split(n, work int, safe bool, counter *int) fanout.Partition {
 	k := min(c.maxWorkers(), n)
 	pipe := c.curPipe
 	if k < 2 || !safe || pipe == nil || !pipe.analyzed || pipe.hasMutation || !c.aboveThreshold(work) {
-		return partition{n: n, k: 1}
+		return fanout.Partition{N: n, K: 1}
 	}
 	*counter++
-	return partition{n: n, k: k}
-}
-
-// runChunks runs body over every chunk of p and returns the first error in
-// chunk order — the error a serial pass would hit first, since chunks are
-// contiguous and each body stops at its first error. A single chunk runs on
-// the calling goroutine; more run on one goroutine each.
-func runChunks(p partition, body func(ci, lo, hi int) error) error {
-	if p.k == 1 {
-		return runChunk(p, 0, body)
-	}
-	errs := make([]error, p.k)
-	var wg sync.WaitGroup
-	for ci := range p.k {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[ci] = runChunk(p, ci, body)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runChunk runs body over chunk ci, returning a panic in it as a
-// *chunkPanic error.
-func runChunk(p partition, ci int, body func(ci, lo, hi int) error) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &chunkPanic{value: v}
-		}
-	}()
-	lo, hi := p.chunk(ci)
-	return body(ci, lo, hi)
-}
-
-// chunkPanic is a panic recovered from a chunk body: the query fails with
-// it as its error.
-type chunkPanic struct{ value any }
-
-func (e *chunkPanic) Error() string { return fmt.Sprintf("query: executor panic: %v", e.value) }
-
-// concatChunks joins per-chunk results in chunk order. One chunk's result
-// is returned as is, and no results at all as nil, as a serial pass leaves
-// them.
-func concatChunks[T any](per [][]T) []T {
-	if len(per) == 1 {
-		return per[0]
-	}
-	total := 0
-	for _, s := range per {
-		total += len(s)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]T, 0, total)
-	for _, s := range per {
-		out = append(out, s...)
-	}
-	return out
+	return fanout.Partition{N: n, K: k}
 }
 
 // filtersSafe reports whether every filter may run in a chunk body off the

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"errors"
 	"runtime"
 	"sort"
 	"testing"
@@ -235,8 +234,8 @@ func TestAboveThresholdDefaultMask(t *testing.T) {
 	for _, tc := range cases {
 		counter := 0
 		p := tc.c.split(tc.n, tc.work, tc.safe, &counter)
-		if p.k != tc.want {
-			t.Errorf("%s: split(%d, %d) = %d chunks, want %d", tc.name, tc.n, tc.work, p.k, tc.want)
+		if p.K != tc.want {
+			t.Errorf("%s: split(%d, %d) = %d chunks, want %d", tc.name, tc.n, tc.work, p.K, tc.want)
 		}
 		wantCount := 0 // the stage counter counts fan-outs only
 		if tc.want > 1 {
@@ -246,40 +245,15 @@ func TestAboveThresholdDefaultMask(t *testing.T) {
 			t.Errorf("%s: counter = %d, want %d", tc.name, counter, wantCount)
 		}
 		next := 0
-		for ci := 0; ci < p.k; ci++ {
-			lo, hi := p.chunk(ci)
-			if lo != next || hi < lo || (p.k > 1 && hi == lo) {
+		for ci := 0; ci < p.K; ci++ {
+			lo, hi := p.Chunk(ci)
+			if lo != next || hi < lo || (p.K > 1 && hi == lo) {
 				t.Errorf("%s: chunk %d = [%d, %d) after %d", tc.name, ci, lo, hi, next)
 			}
 			next = hi
 		}
 		if next != tc.n {
 			t.Errorf("%s: chunks end at %d, want %d", tc.name, next, tc.n)
-		}
-	}
-}
-
-// TestRunChunksRecoversPanic checks that a panic in a chunk body becomes
-// the stage's error, carrying the panic value, whether the chunk runs on a
-// worker goroutine or inline as the only chunk.
-func TestRunChunksRecoversPanic(t *testing.T) {
-	for _, p := range []partition{{n: 2, k: 2}, {n: 1, k: 1}} {
-		ran := make([]bool, p.k)
-		err := runChunks(p, func(ci, lo, hi int) error {
-			ran[ci] = true
-			if ci == p.k-1 {
-				panic("boom")
-			}
-			return nil
-		})
-		var cp *chunkPanic
-		if !errors.As(err, &cp) || cp.value != "boom" {
-			t.Fatalf("%d chunks: err = %v, want a chunkPanic carrying \"boom\"", p.k, err)
-		}
-		for ci, ok := range ran {
-			if !ok {
-				t.Fatalf("%d chunks: chunk %d never ran", p.k, ci)
-			}
 		}
 	}
 }

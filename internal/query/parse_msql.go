@@ -401,7 +401,7 @@ func rewriteAggregates(e Expr, sourceVars []string) Expr {
 				}
 				args := make([]Expr, len(t.Args))
 				for i, a := range t.Args {
-					args[i] = substituteGroupRefs(a, inSet)
+					args[i] = substituteGroupRefs(a, inSet, sourceVars)
 				}
 				return &FuncCall{Name: t.Name, Args: args}
 			}
@@ -432,11 +432,12 @@ func rewriteAggregates(e Expr, sourceVars []string) Expr {
 }
 
 // substituteGroupRefs replaces source variable references with
-// __rows[*].<var> inside aggregate arguments.
-func substituteGroupRefs(e Expr, sourceVars map[string]bool) Expr {
+// __rows[*].<var> inside aggregate arguments. inSet holds sourceVars, which
+// may name one variable twice.
+func substituteGroupRefs(e Expr, inSet map[string]bool, sourceVars []string) Expr {
 	switch t := e.(type) {
 	case *VarRef:
-		if sourceVars[t.Name] {
+		if inSet[t.Name] {
 			return &FieldAccess{
 				Base: &IndexAccess{Base: &VarRef{Name: groupRowsVar}, Star: true},
 				Name: t.Name,
@@ -444,34 +445,32 @@ func substituteGroupRefs(e Expr, sourceVars map[string]bool) Expr {
 		}
 		// A bare column name (SUM(qty) with FROM sales s): with a single
 		// source, navigate through it — __rows[*].s.qty.
-		if !t.Param && t.Name != groupRowsVar && len(sourceVars) == 1 {
-			for sv := range sourceVars {
-				return &FieldAccess{
-					Base: &FieldAccess{
-						Base: &IndexAccess{Base: &VarRef{Name: groupRowsVar}, Star: true},
-						Name: sv,
-					},
-					Name: t.Name,
-				}
+		if !t.Param && t.Name != groupRowsVar && len(inSet) == 1 {
+			return &FieldAccess{
+				Base: &FieldAccess{
+					Base: &IndexAccess{Base: &VarRef{Name: groupRowsVar}, Star: true},
+					Name: sourceVars[0],
+				},
+				Name: t.Name,
 			}
 		}
 		return t
 	case *FieldAccess:
-		return &FieldAccess{Base: substituteGroupRefs(t.Base, sourceVars), Name: t.Name}
+		return &FieldAccess{Base: substituteGroupRefs(t.Base, inSet, sourceVars), Name: t.Name}
 	case *IndexAccess:
 		idx := t.Index
 		if idx != nil {
-			idx = substituteGroupRefs(idx, sourceVars)
+			idx = substituteGroupRefs(idx, inSet, sourceVars)
 		}
-		return &IndexAccess{Base: substituteGroupRefs(t.Base, sourceVars), Index: idx, Star: t.Star}
+		return &IndexAccess{Base: substituteGroupRefs(t.Base, inSet, sourceVars), Index: idx, Star: t.Star}
 	case *BinaryOp:
-		return &BinaryOp{Op: t.Op, L: substituteGroupRefs(t.L, sourceVars), R: substituteGroupRefs(t.R, sourceVars)}
+		return &BinaryOp{Op: t.Op, L: substituteGroupRefs(t.L, inSet, sourceVars), R: substituteGroupRefs(t.R, inSet, sourceVars)}
 	case *UnaryOp:
-		return &UnaryOp{Op: t.Op, X: substituteGroupRefs(t.X, sourceVars)}
+		return &UnaryOp{Op: t.Op, X: substituteGroupRefs(t.X, inSet, sourceVars)}
 	case *FuncCall:
 		args := make([]Expr, len(t.Args))
 		for i, a := range t.Args {
-			args[i] = substituteGroupRefs(a, sourceVars)
+			args[i] = substituteGroupRefs(a, inSet, sourceVars)
 		}
 		return &FuncCall{Name: t.Name, Args: args, Star: t.Star}
 	default:

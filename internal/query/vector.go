@@ -25,7 +25,7 @@ package query
 // comparisons, short-circuit truthiness, the arithmetic kind rules);
 // absent attributes evaluate as Null exactly as document navigation would;
 // aggregate finishes either satisfy the PR-4 exactness guard or refold
-// serially in row order, reproducing foldNumeric / AVG bit for bit. Rows
+// serially in row order through evalFunc's own fold (foldNumeric). Rows
 // that could make the row path error — a bare-column reference to an
 // attribute some row lacks, an unbound parameter — make the whole query
 // fall back to the row path, which then produces the identical error.
@@ -33,10 +33,9 @@ package query
 // in batch order, never map order.
 
 import (
-	"math"
-
 	"repro/internal/bitmapidx"
 	"repro/internal/colstore"
+	"repro/internal/fanout"
 	"repro/internal/mmvalue"
 )
 
@@ -614,7 +613,7 @@ func (c *execCtx) execVecScan(cl *ForClause, filters []*FilterClause, rows []*en
 	outPer := make([][]*env, len(batches))
 	skippedPer := make([]bool, len(batches))
 	p := c.split(len(batches), total, filtersSafe(residual), &c.stats.ParallelScans)
-	err = runChunks(p, func(_, lo, hi int) error {
+	err = fanout.RunChunks(p, func(_, lo, hi int) error {
 		for bi := lo; bi < hi; bi++ {
 			b := batches[bi]
 			ve := &vecEval{b: b}
@@ -656,7 +655,7 @@ func (c *execCtx) execVecScan(cl *ForClause, filters []*FilterClause, rows []*en
 			c.stats.BatchesSkippedByBitmap++
 		}
 	}
-	return concatChunks(outPer), true, nil // batch order == key order == serial row order
+	return fanout.ConcatChunks(outPer), true, nil // batch order == key order == serial row order
 }
 
 // --- vectorized aggregation (whole-pipeline shape) ------------------------
@@ -774,7 +773,7 @@ func (c *execCtx) vecAggBatch(v *vecPlan, preds []vnode, b *colstore.Batch) vecB
 // returning ok=false to fall back to the row path. The finish step binds
 // each aggregate's value under its hidden name (decompose.go) and lets
 // execReturn project it — states that could not stay byte-exact refold
-// serially in row order first, reproducing foldNumeric / AVG exactly.
+// serially in row order first, through evalFunc's foldNumeric.
 func (c *execCtx) execVecAgg(pipe *Pipeline) ([]mmvalue.Value, bool, error) {
 	v := pipe.vec
 	if c.resolveName(v.source) != "coltable" {
@@ -836,7 +835,7 @@ func (c *execCtx) execVecAgg(pipe *Pipeline) ([]mmvalue.Value, bool, error) {
 
 	results := make([]vecBatchAgg, len(batches))
 	p := c.split(len(batches), total, true, &c.stats.ParallelScans)
-	err = runChunks(p, func(_, lo, hi int) error {
+	err = fanout.RunChunks(p, func(_, lo, hi int) error {
 		for bi := lo; bi < hi; bi++ {
 			results[bi] = c.vecAggBatch(v, preds, batches[bi])
 		}
@@ -862,13 +861,15 @@ func (c *execCtx) execVecAgg(pipe *Pipeline) ([]mmvalue.Value, bool, error) {
 	}
 
 	// refoldElems re-walks the selected rows of every batch in order,
-	// feeding the exact element stream the serial fold would see.
-	refoldElems := func(sp vecAggSpec, visit func(el mmvalue.Value)) {
-		for bi, b := range batches {
-			results[bi].sel.ForEach(func(i int) bool {
-				colElems(batchValue(b, sp.path[1], i), sp.path[2:], visit)
-				return true
-			})
+	// streaming the exact elements the serial fold would see.
+	refoldElems := func(sp vecAggSpec) func(visit func(mmvalue.Value)) {
+		return func(visit func(mmvalue.Value)) {
+			for bi, b := range batches {
+				results[bi].sel.ForEach(func(i int) bool {
+					colElems(batchValue(b, sp.path[1], i), sp.path[2:], visit)
+					return true
+				})
+			}
 		}
 	}
 
@@ -884,46 +885,17 @@ func (c *execCtx) execVecAgg(pipe *Pipeline) ([]mmvalue.Value, bool, error) {
 			if st.ok {
 				val = mmvalue.Int(st.sum)
 			} else {
-				// The exactness guard tripped: reproduce foldNumeric.
-				acc := 0.0
-				allInt := true
-				refoldElems(sp, func(el mmvalue.Value) {
-					if !el.IsNumber() {
-						return
-					}
-					if el.Kind() != mmvalue.KindInt {
-						allInt = false
-					}
-					acc += el.AsFloat()
-				})
-				if allInt && acc == math.Trunc(acc) {
-					val = mmvalue.Int(int64(acc))
-				} else {
-					val = mmvalue.Float(acc)
-				}
+				// The exactness guard tripped: refold as evalFunc does.
+				val = foldNumeric(refoldElems(sp)).sumValue()
 			}
 		case "AVG":
-			if st.ok {
-				if ns[si] == 0 {
-					val = mmvalue.Null
-				} else {
-					val = mmvalue.Float(float64(st.sum) / float64(ns[si]))
-				}
-			} else {
-				acc := 0.0
-				n := int64(0)
-				refoldElems(sp, func(el mmvalue.Value) {
-					if !el.IsNumber() {
-						return
-					}
-					acc += el.AsFloat()
-					n++
-				})
-				if n == 0 {
-					val = mmvalue.Null
-				} else {
-					val = mmvalue.Float(acc / float64(n))
-				}
+			switch {
+			case !st.ok:
+				val = foldNumeric(refoldElems(sp)).avgValue()
+			case ns[si] == 0:
+				val = mmvalue.Null
+			default:
+				val = mmvalue.Float(float64(st.sum) / float64(ns[si]))
 			}
 		case "MIN", "MAX":
 			val = st.value(sp.stateSpec())

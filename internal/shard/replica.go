@@ -1,7 +1,7 @@
-// Sharded replicas: one WAL-shipping replica per shard behind the same
-// ReplicaView surface a single engine's replica offers. Point reads route
-// by the router's hash; scans gather per-shard runs as Txn scans do; lag is
-// the sum of per-shard backlogs. A cross-shard transaction ships one batch per
+// Replicas above the engine: one WAL-shipping engine replica per shard,
+// and one over a Single. Point reads route by the router's hash; scans
+// gather per-shard runs as Txn scans do; lag is the sum of per-shard
+// backlogs. A cross-shard transaction ships one batch per
 // participant, so a lagging sharded replica can transiently expose half of
 // one — the same bounded-staleness contract a lagging single replica
 // already has for sequences of transactions.
@@ -10,15 +10,16 @@ package shard
 
 import "repro/internal/engine"
 
-// Replica is a fan-out read replica over every shard.
+// Replica is an eventually consistent read replica over every shard of a
+// Backend (one for a Single).
 type Replica struct {
-	r    *Router
+	r    *Router // nil over a Single
 	subs []*engine.Replica
 }
 
 // NewReplica attaches a replica to every shard with the given per-shard
 // apply lag (in transactions).
-func (r *Router) NewReplica(lagTxns int) ReplicaView {
+func (r *Router) NewReplica(lagTxns int) *Replica {
 	subs := make([]*engine.Replica, len(r.shards))
 	for i, e := range r.shards {
 		subs[i] = e.NewReplica(lagTxns)
@@ -28,11 +29,18 @@ func (r *Router) NewReplica(lagTxns int) ReplicaView {
 
 // Get reads key from its owning shard's replica.
 func (p *Replica) Get(ks string, key []byte) ([]byte, bool) {
+	if len(p.subs) == 1 {
+		return p.subs[0].Get(ks, key)
+	}
 	return p.subs[p.r.shardFor(ks, key)].Get(ks, key)
 }
 
 // Scan iterates lo <= key < hi ascending, merged across shard replicas.
 func (p *Replica) Scan(ks string, lo, hi []byte, fn func(key, value []byte) bool) {
+	if len(p.subs) == 1 {
+		p.subs[0].Scan(ks, lo, hi, fn)
+		return
+	}
 	runs := make([][][2][]byte, len(p.subs))
 	for i, sub := range p.subs {
 		var pairs [][2][]byte

@@ -83,16 +83,6 @@ type Stats struct {
 	KeyspaceVersions []map[string]uint64
 }
 
-// ReplicaView is the read surface shared by a single engine's WAL-shipping
-// replica and the router's fan-out replica.
-type ReplicaView interface {
-	Get(ks string, key []byte) ([]byte, bool)
-	Scan(ks string, lo, hi []byte, fn func(key, value []byte) bool)
-	Lag() int
-	CatchUp()
-	AppliedTxns() uint64
-}
-
 // Backend is the storage surface the core layer programs against: one
 // implementation wraps a single engine (Single), the other a shard fleet
 // (Router). Everything above — model stores, query executor, public API —
@@ -108,7 +98,7 @@ type Backend interface {
 	SnapshotReads() uint64
 	WALStats() wal.Stats
 	Checkpoint() error
-	NewReplica(lagTxns int) ReplicaView
+	NewReplica(lagTxns int) *Replica
 	Stats() Stats
 	Close() error
 }
@@ -254,9 +244,6 @@ func (r *Router) closeShards() {
 		e.Close()
 	}
 }
-
-// NumShards returns the partition count.
-func (r *Router) NumShards() int { return len(r.shards) }
 
 // Shard exposes partition i's engine (tests and tooling).
 func (r *Router) Shard(i int) *engine.Engine { return r.shards[i] }

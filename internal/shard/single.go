@@ -53,8 +53,10 @@ func (s *Single) WALStats() wal.Stats { return s.E.WALStats() }
 // Checkpoint delegates to the engine.
 func (s *Single) Checkpoint() error { return s.E.Checkpoint() }
 
-// NewReplica delegates to the engine's WAL-shipping replica.
-func (s *Single) NewReplica(lagTxns int) ReplicaView { return s.E.NewReplica(lagTxns) }
+// NewReplica wraps the engine's WAL-shipping replica.
+func (s *Single) NewReplica(lagTxns int) *Replica {
+	return &Replica{subs: []*engine.Replica{s.E.NewReplica(lagTxns)}}
+}
 
 // Stats reports the single partition's keyspace versions; the cross-shard
 // counters are structurally zero.

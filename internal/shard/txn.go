@@ -12,9 +12,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/engine"
+	"repro/internal/fanout"
 	"repro/internal/wal"
 )
 
@@ -174,8 +174,9 @@ func (t *Txn) ScanReverse(ks string, lo, hi []byte, fn func(key, value []byte) b
 }
 
 // scan scatters the range over all shards, collecting each shard's run on
-// its own goroutine (the engine read path is safe for concurrent readers of
-// one transaction), then gathers by ordered merge and drives fn. The runs
+// its own goroutine through internal/fanout (the engine read path is safe
+// for concurrent readers of one transaction; a panic in one fails the scan
+// with an error), then gathers by ordered merge and drives fn. The runs
 // are complete before fn first runs, so fn may freely re-enter the
 // transaction; each holds only the pairs its shard has in range.
 func (t *Txn) scan(ks string, lo, hi []byte, fn func(key, value []byte) bool, reverse bool) error {
@@ -187,35 +188,27 @@ func (t *Txn) scan(ks string, lo, hi []byte, fn func(key, value []byte) bool, re
 	}
 	t.r.shardFanouts.Add(1)
 	runs := make([][][2][]byte, len(t.subs))
-	errs := make([]error, len(t.subs))
-	var wg sync.WaitGroup
-	for i := range t.subs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var pairs [][2][]byte
-			if lo == nil && hi == nil {
-				// A full scan returns the whole shard: one allocation of
-				// its committed size instead of a realloc chain.
-				pairs = make([][2][]byte, 0, t.r.shards[i].KeyspaceLen(ks))
-			}
-			collect := func(k, v []byte) bool {
-				pairs = append(pairs, [2][]byte{k, v})
-				return true
-			}
-			if reverse {
-				errs[i] = t.subs[i].ScanReverse(ks, lo, hi, collect)
-			} else {
-				errs[i] = t.subs[i].Scan(ks, lo, hi, collect)
-			}
-			runs[i] = pairs
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	err := fanout.RunChunks(fanout.Partition{N: len(t.subs), K: len(t.subs)}, func(i, _, _ int) error {
+		var pairs [][2][]byte
+		if lo == nil && hi == nil {
+			// A full scan returns the whole shard: one allocation of its
+			// committed size instead of a realloc chain.
+			pairs = make([][2][]byte, 0, t.r.shards[i].KeyspaceLen(ks))
 		}
+		collect := func(k, v []byte) bool {
+			pairs = append(pairs, [2][]byte{k, v})
+			return true
+		}
+		scan := t.subs[i].Scan
+		if reverse {
+			scan = t.subs[i].ScanReverse
+		}
+		err := scan(ks, lo, hi, collect)
+		runs[i] = pairs
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	gather(runs, reverse, fn)
 	return nil

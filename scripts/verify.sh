@@ -20,7 +20,7 @@ if [ -n "$unformatted" ]; then
   exit 1
 fi
 
-echo "== unidblint (per-package + whole-program lockorder/snapshotpure)"
+echo "== unidblint (lockcheck errdrop exhaustive determinism txnend syncbarrier cowsafe + whole-program lockorder snapshotpure)"
 if [ -n "${UNIDBLINT_JSON:-}" ]; then
   # Emit the machine-readable listing too (CI uploads it as an artifact).
   mkdir -p "$(dirname "$UNIDBLINT_JSON")"

@@ -519,7 +519,7 @@ func (t *Txn) CreateTableIndex(table, name, column string) error {
 // Replica is an eventually-consistent read endpoint fed by WAL shipping
 // with a configurable lag (measured in committed transactions).
 type Replica struct {
-	r shard.ReplicaView
+	r *shard.Replica
 }
 
 // NewReplica attaches a replica lagging the primary by lagTxns commits.
