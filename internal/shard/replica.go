@@ -1,10 +1,10 @@
 // Replicas above the engine: one WAL-shipping engine replica per shard,
 // and one over a Single. Point reads route by the router's hash; scans
 // gather per-shard runs as Txn scans do; lag is the sum of per-shard
-// backlogs. A cross-shard transaction ships one batch per
-// participant, so a lagging sharded replica can transiently expose half of
-// one — the same bounded-staleness contract a lagging single replica
-// already has for sequences of transactions.
+// backlogs. A cross-shard transaction ships one batch per participant, so
+// a lagging sharded replica can transiently expose half of one — the same
+// bounded-staleness contract a lagging single replica already has for
+// sequences of transactions.
 
 package shard
 
