@@ -158,6 +158,23 @@ func TestDeterminismFixtures(t *testing.T) {
 	}, "determinism")
 }
 
+// TestCacheKeyFixtures runs the determinism analyzer over cache-key shapes:
+// a key or validity decision must not read the clock, a random source or a
+// map's iteration order.
+func TestCacheKeyFixtures(t *testing.T) {
+	runFixture(t, Determinism{
+		Scope: []ScopeRef{{Pkg: "fixture/cachekey"}},
+	}, "cachekey")
+}
+
+// TestParallelMergeFixtures runs the determinism analyzer over chunk-merge
+// shapes: partial results merge in recorded order, never by a map range.
+func TestParallelMergeFixtures(t *testing.T) {
+	runFixture(t, Determinism{
+		Scope: []ScopeRef{{Pkg: "fixture/parallelmerge"}},
+	}, "parallelmerge")
+}
+
 func TestSyncBarrierFixtures(t *testing.T) {
 	runFixture(t, SyncBarrier{
 		Scope:    []ScopeRef{{Pkg: "fixture/syncbarrier", Files: []string{"fixture.go"}}},
