@@ -12,11 +12,33 @@
 // tree keeps mutating under the engine's locks — old versions' nodes are
 // never written again (see mutable, the single copy-on-write gate, and the
 // cowsafe analyzer in internal/lint that enforces this mechanically).
+//
+// A leaf holds no pointers to its pairs, so the garbage collector marks it
+// in O(1) however many pairs it stores. Its pairs live in one byte arena,
+// data, each key followed directly by its value; ents locates them in key
+// order. Put copies the key and the value into the arena and keeps neither
+// of the caller's slices.
+//
+// Arena bytes below len(data) are never rewritten. A private leaf only
+// appends; when its arena is full, compaction moves the live pairs to a
+// fresh arena sized live+need plus half again and leaves the old one
+// intact for whoever still reads it. Replaced and deleted pairs count as
+// dead bytes until that compaction drops them. A path-copied leaf shares
+// its arena with the old version, clipped to its length, so its first
+// append compacts too, and a split packs each half into a fresh arena.
+// Get, Scan and the iterator return capacity-clipped
+// subslices of an arena: they stay unchanged for as long as the caller
+// holds them, and appending to one copies it instead of overwriting a
+// neighbour. Holding one keeps its whole arena alive, so a caller that
+// keeps a returned slice long-term should copy it.
 package btree
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -40,10 +62,35 @@ type Tree struct {
 type node struct {
 	leaf     bool
 	shared   atomic.Bool
-	keys     [][]byte
-	vals     [][]byte // leaf only, parallel to keys
+	ents     []ent    // leaf only: one per pair, in key order
+	data     []byte   // leaf only: the arena the entries point into
+	dead     int      // leaf only: arena bytes no entry points at
+	keys     [][]byte // interior only: separators
 	children []*node  // interior only, len(children) == len(keys)+1
 }
+
+// ent locates one leaf pair in the leaf's arena: the key is
+// data[off:off+klen] and the value follows it directly. pfx is the key's
+// first eight bytes as a big-endian number, zero-padded: comparing two of
+// them orders most keys without reading the arena, whose bytes are far
+// less likely to be in cache than the entries.
+type ent struct {
+	pfx             uint64
+	off, klen, vlen uint32
+}
+
+// keyPrefix returns the pfx of an entry for key.
+func keyPrefix(key []byte) uint64 {
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64(key)
+	}
+	var b [8]byte
+	copy(b[:], key)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// size returns the arena bytes the pair occupies.
+func (e ent) size() int { return int(e.klen) + int(e.vlen) }
 
 // New returns an empty tree.
 func New() *Tree {
@@ -69,21 +116,51 @@ func (t *Tree) Snapshot() *Tree {
 // (both the copy and the old version now reach them). This is the single
 // copy-on-write gate — every writer path obtains its nodes through it, and
 // marking the shared flag is the only write ever performed on a shared node.
+// A leaf copy gets its own entries but shares the arena with its capacity
+// clipped to its length, so the copy's first append moves its pairs to a
+// fresh arena and never writes bytes the old version can see.
 func mutable(n *node) *node {
 	if !n.shared.Load() {
 		return n
 	}
 	cp := &node{leaf: n.leaf}
-	cp.keys = append(make([][]byte, 0, len(n.keys)+1), n.keys...)
 	if n.leaf {
-		cp.vals = append(make([][]byte, 0, len(n.vals)+1), n.vals...)
+		cp.ents = append(make([]ent, 0, len(n.ents)+1), n.ents...)
+		cp.data = n.data[:len(n.data):len(n.data)]
+		cp.dead = n.dead
 		return cp
 	}
+	cp.keys = append(make([][]byte, 0, len(n.keys)+1), n.keys...)
 	cp.children = append(make([]*node, 0, len(n.children)+1), n.children...)
 	for _, c := range cp.children {
 		c.shared.Store(true)
 	}
 	return cp
+}
+
+// count returns the number of keys in n: pairs in a leaf, separators in an
+// interior node.
+func (n *node) count() int {
+	if n.leaf {
+		return len(n.ents)
+	}
+	return len(n.keys)
+}
+
+// key returns leaf entry i's key, clipped so that appending to it copies.
+func (n *node) key(i int) []byte {
+	e := n.ents[i]
+	end := e.off + e.klen
+	return n.data[e.off:end:end]
+}
+
+// value returns leaf entry i's value, clipped so that appending to it
+// copies.
+func (n *node) value(i int) []byte {
+	e := n.ents[i]
+	lo := e.off + e.klen
+	hi := lo + e.vlen
+	return n.data[lo:hi:hi]
 }
 
 // Get returns the value stored under key.
@@ -92,22 +169,23 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 	for !n.leaf {
 		n = n.children[childIndex(n.keys, key)]
 	}
-	i, found := search(n.keys, key)
+	i, found := n.search(key)
 	if !found {
 		return nil, false
 	}
-	return n.vals[i], true
+	return n.value(i), true
 }
 
 // Put stores value under key, replacing any previous value. Key and value
-// are retained; callers must not mutate them afterwards.
+// are copied into the tree; the caller may reuse both afterwards. Put
+// panics if one leaf's pairs would outgrow a 4 GiB arena.
 func (t *Tree) Put(key, value []byte) {
 	t.root = mutable(t.root)
 	replaced := insert(t.root, key, value)
 	if !replaced {
 		t.size++
 	}
-	if len(t.root.keys) > degree {
+	if t.root.count() > degree {
 		left := t.root
 		mid, right := split(left)
 		t.root = &node{
@@ -135,12 +213,26 @@ func (t *Tree) Delete(key []byte) bool {
 	return true
 }
 
-// search returns the position of key in keys and whether it was found.
-func search(keys [][]byte, key []byte) (int, bool) {
-	lo, hi := 0, len(keys)
+// search returns the position of key among leaf n's entries and whether it
+// was found.
+func (n *node) search(key []byte) (int, bool) {
+	p := keyPrefix(key)
+	lo, hi := 0, len(n.ents)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		switch bytes.Compare(keys[mid], key) {
+		e := n.ents[mid]
+		var c int
+		switch {
+		case e.pfx != p:
+			c = cmp.Compare(e.pfx, p)
+		case e.klen <= 8 && len(key) <= 8:
+			// Equal padded prefixes of two short keys: one key is the
+			// other followed by zero bytes, so the shorter sorts first.
+			c = cmp.Compare(int(e.klen), len(key))
+		default:
+			c = bytes.Compare(n.key(mid), key)
+		}
+		switch c {
 		case -1:
 			lo = mid + 1
 		case 1:
@@ -172,20 +264,26 @@ func childIndex(keys [][]byte, key []byte) int {
 // path is privately owned by the time the leaf is edited.
 func insert(n *node, key, value []byte) (replaced bool) {
 	if n.leaf {
-		i, found := search(n.keys, key)
+		i, found := n.search(key)
 		if found {
-			n.vals[i] = value
+			// The old pair's bytes turn dead; its entry is emptied first
+			// so that a compaction below does not carry them over.
+			n.dead += n.ents[i].size()
+			n.ents[i] = ent{}
+			n.ents[i] = appendPair(n, key, value)
 			return true
 		}
-		n.keys = insertAt(n.keys, i, key)
-		n.vals = insertAt(n.vals, i, value)
+		e := appendPair(n, key, value)
+		n.ents = append(n.ents, ent{})
+		copy(n.ents[i+1:], n.ents[i:])
+		n.ents[i] = e
 		return false
 	}
 	ci := childIndex(n.keys, key)
 	child := mutable(n.children[ci])
 	n.children[ci] = child
 	replaced = insert(child, key, value)
-	if len(child.keys) > degree {
+	if child.count() > degree {
 		mid, right := split(child)
 		n.keys = insertAt(n.keys, ci, mid)
 		n.children = insertChildAt(n.children, ci+1, right)
@@ -193,19 +291,61 @@ func insert(n *node, key, value []byte) (replaced bool) {
 	return replaced
 }
 
+// appendPair writes key and value to the end of leaf n's arena and returns
+// the entry locating them; n must be mutable. When the arena has no room
+// left, the live pairs first move to a fresh arena sized live+need plus
+// half again, which drops the dead bytes. Bytes below len(n.data) are never
+// written.
+func appendPair(n *node, key, value []byte) ent {
+	need := len(key) + len(value)
+	if len(n.data)+need > cap(n.data) {
+		live := len(n.data) - n.dead
+		repack(n, live+need+(live+need)/2)
+	}
+	off := len(n.data)
+	n.data = append(append(n.data, key...), value...)
+	return ent{pfx: keyPrefix(key), off: uint32(off), klen: uint32(len(key)), vlen: uint32(len(value))}
+}
+
+// repack copies the pairs of leaf n's entries into a fresh arena with the
+// given capacity and points the entries at it; n must be mutable. The old
+// arena is left as it was.
+func repack(n *node, capacity int) {
+	if capacity > math.MaxUint32 {
+		panic("btree: leaf arena exceeds 4 GiB")
+	}
+	data := make([]byte, 0, capacity)
+	for i, e := range n.ents {
+		n.ents[i].off = uint32(len(data))
+		data = append(data, n.data[e.off:int(e.off)+e.size()]...)
+	}
+	n.data = data
+	n.dead = 0
+}
+
 // split divides an over-full node in two, returning the separator key and
-// the new right sibling. n must be mutable.
+// the new right sibling. n must be mutable. Each half of a leaf is packed
+// into a fresh arena, so neither keeps the other's bytes alive: the right
+// one with half again as much room, since ascending inserts land there, and
+// the left one exactly, since under ascending inserts it never grows again.
+// The old arena stays intact for whoever still reads it.
 func split(n *node) ([]byte, *node) {
-	half := len(n.keys) / 2
 	right := &node{leaf: n.leaf}
 	if n.leaf {
-		right.keys = append(right.keys, n.keys[half:]...)
-		right.vals = append(right.vals, n.vals[half:]...)
-		n.keys = n.keys[:half:half]
-		n.vals = n.vals[:half:half]
-		return right.keys[0], right
+		half := len(n.ents) / 2
+		right.ents = append(make([]ent, 0, len(n.ents)-half+1), n.ents[half:]...)
+		right.data = n.data
+		moved := 0
+		for _, e := range right.ents {
+			moved += e.size()
+		}
+		repack(right, moved+moved/2)
+		n.ents = n.ents[:half]
+		repack(n, len(n.data)-n.dead-moved)
+		return bytes.Clone(right.key(0)), right
 	}
 	// Interior: the middle key moves up, it does not stay in either half.
+	half := len(n.keys) / 2
 	mid := n.keys[half]
 	right.keys = append(right.keys, n.keys[half+1:]...)
 	right.children = append(right.children, n.children[half+1:]...)
@@ -218,19 +358,19 @@ func split(n *node) ([]byte, *node) {
 // key (Delete pre-checks presence).
 func remove(n *node, key []byte) {
 	if n.leaf {
-		i, found := search(n.keys, key)
+		i, found := n.search(key)
 		if !found {
 			return
 		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
+		n.dead += n.ents[i].size()
+		n.ents = append(n.ents[:i], n.ents[i+1:]...)
 		return
 	}
 	ci := childIndex(n.keys, key)
 	child := mutable(n.children[ci])
 	n.children[ci] = child
 	remove(child, key)
-	if child.leaf && len(child.keys) == 0 {
+	if child.leaf && len(child.ents) == 0 {
 		// Drop the empty leaf, unless it is the only child (the root
 		// collapse in Delete handles that case).
 		if len(n.children) > 1 {
@@ -293,7 +433,7 @@ func (t *Tree) Seek(lo, hi []byte) *Iterator {
 	}
 	idx := 0
 	if lo != nil {
-		idx, _ = search(n.keys, lo)
+		idx, _ = n.search(lo)
 	}
 	it.stack = append(it.stack, frame{n, idx})
 	it.settle()
@@ -316,7 +456,7 @@ func (it *Iterator) Valid() bool {
 		return false
 	}
 	top := it.stack[len(it.stack)-1]
-	if it.hi != nil && bytes.Compare(top.n.keys[top.idx], it.hi) >= 0 {
+	if it.hi != nil && bytes.Compare(top.n.key(top.idx), it.hi) >= 0 {
 		return false
 	}
 	return true
@@ -325,13 +465,13 @@ func (it *Iterator) Valid() bool {
 // Key returns the current key. Valid must be true.
 func (it *Iterator) Key() []byte {
 	top := it.stack[len(it.stack)-1]
-	return top.n.keys[top.idx]
+	return top.n.key(top.idx)
 }
 
 // Value returns the current value. Valid must be true.
 func (it *Iterator) Value() []byte {
 	top := it.stack[len(it.stack)-1]
-	return top.n.vals[top.idx]
+	return top.n.value(top.idx)
 }
 
 // Next advances to the following pair.
@@ -347,7 +487,7 @@ func (it *Iterator) settle() {
 	for len(it.stack) > 0 {
 		top := &it.stack[len(it.stack)-1]
 		if top.n.leaf {
-			if top.idx < len(top.n.keys) {
+			if top.idx < len(top.n.ents) {
 				return
 			}
 			it.stack = it.stack[:len(it.stack)-1]
@@ -396,19 +536,19 @@ func (t *Tree) ScanReverse(lo, hi []byte, fn func(key, value []byte) bool) {
 // once fn stops the scan or a key below lo is reached.
 func scanReverse(n *node, lo, hi []byte, fn func(key, value []byte) bool) bool {
 	if n.leaf {
-		idx := len(n.keys) - 1
+		idx := len(n.ents) - 1
 		if hi != nil {
 			// Position on the last key < hi; leaves left of the boundary
 			// leaf hold only smaller keys, so the search is a no-op there.
-			i, _ := search(n.keys, hi)
+			i, _ := n.search(hi)
 			idx = i - 1
 		}
 		for ; idx >= 0; idx-- {
-			k := n.keys[idx]
+			k := n.key(idx)
 			if lo != nil && bytes.Compare(k, lo) < 0 {
 				return false
 			}
-			if !fn(k, n.vals[idx]) {
+			if !fn(k, n.value(idx)) {
 				return false
 			}
 		}
@@ -434,15 +574,24 @@ func (t *Tree) check() error {
 	var walk func(n *node, depth int) (int, error)
 	walk = func(n *node, depth int) (int, error) {
 		if n.leaf {
-			for i, k := range n.keys {
+			live := 0
+			for i, e := range n.ents {
+				if int(e.off)+e.size() > len(n.data) {
+					return 0, fmt.Errorf("btree: leaf entry %d runs past its arena", i)
+				}
+				k := n.key(i)
+				if e.pfx != keyPrefix(k) {
+					return 0, fmt.Errorf("btree: stale key prefix at leaf idx %d", i)
+				}
 				if prev != nil && bytes.Compare(prev, k) >= 0 {
 					return 0, fmt.Errorf("btree: keys out of order at leaf idx %d", i)
 				}
 				prev = k
 				count++
+				live += e.size()
 			}
-			if len(n.vals) != len(n.keys) {
-				return 0, fmt.Errorf("btree: leaf vals/keys mismatch")
+			if live+n.dead != len(n.data) {
+				return 0, fmt.Errorf("btree: leaf arena holds %d bytes, %d live + %d dead", len(n.data), live, n.dead)
 			}
 			return depth, nil
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -350,6 +351,31 @@ func TestSnapshotWritable(t *testing.T) {
 	}
 }
 
+// TestSnapshotForksKeepOwnWrites forks three lineages off one leaf that
+// has spare arena capacity. Each appends a pair to its own copy of the
+// leaf; none may see another's bytes.
+func TestSnapshotForksKeepOwnWrites(t *testing.T) {
+	tr := New()
+	for i := 0; i < degree && spare(tr.root) < 32; i++ {
+		tr.Put(key(i), value(i))
+	}
+	if !tr.root.leaf || spare(tr.root) < 32 {
+		t.Fatal("setup must leave one leaf with spare arena capacity")
+	}
+	a, b := tr.Snapshot(), tr.Snapshot()
+	a.Put(key(100), []byte("from a"))
+	b.Put(key(100), []byte("from b"))
+	tr.Put(key(100), []byte("from tr"))
+	for name, lt := range map[string]*Tree{"a": a, "b": b, "tr": tr} {
+		if v, _ := lt.Get(key(100)); string(v) != "from "+name {
+			t.Errorf("lineage %s reads %q", name, v)
+		}
+		if err := lt.check(); err != nil {
+			t.Errorf("lineage %s: %v", name, err)
+		}
+	}
+}
+
 // TestConcurrentSnapshotReaders races lock-free snapshot readers against a
 // writer mutating the live tree — the core MVCC claim, checked under -race.
 func TestConcurrentSnapshotReaders(t *testing.T) {
@@ -389,14 +415,10 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 	<-done
 }
 
-func collect(tr *Tree) [][2]string {
-	var out [][2]string
-	tr.Scan(nil, nil, func(k, v []byte) bool {
-		out = append(out, [2]string{string(k), string(v)})
-		return true
-	})
-	return out
-}
+// spare returns the unused capacity of leaf n's arena.
+func spare(n *node) int { return cap(n.data) - len(n.data) }
+
+func collect(tr *Tree) [][2]string { return scanTree(tr, nil, nil) }
 
 func pairsEqual(a, b [][2]string) bool {
 	if len(a) != len(b) {
@@ -455,6 +477,116 @@ func TestPropertyMatchesMap(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReturnedSlicesStable pins the arena contract: a key or value handed
+// out by Get or Scan keeps its bytes through any number of later Puts,
+// Deletes, splits and compactions on the same leaves, and appending to one
+// never writes over the bytes that follow it in the arena (a key's own
+// value, or the next pair).
+func TestReturnedSlicesStable(t *testing.T) {
+	tr := New()
+	const n = 2000
+	for i := 0; i < n; i++ {
+		tr.Put(key(i), value(i))
+	}
+	type held struct{ got, want []byte }
+	var hold []held
+	keep := func(b []byte) { hold = append(hold, held{b, bytes.Clone(b)}) }
+	for i := 0; i < n; i += 7 {
+		v, _ := tr.Get(key(i))
+		keep(v)
+	}
+	tr.Scan(key(100), key(400), func(k, v []byte) bool {
+		keep(k)
+		keep(v)
+		return true
+	})
+
+	r := rand.New(rand.NewSource(5))
+	var snaps []*Tree
+	for op := 0; op < 20000; op++ {
+		i := r.Intn(2 * n)
+		switch r.Intn(4) {
+		case 0:
+			tr.Delete(key(i))
+		case 1:
+			snaps = append(snaps, tr.Snapshot())
+			fallthrough
+		default:
+			tr.Put(key(i), bytes.Repeat([]byte{byte(op)}, r.Intn(40)))
+		}
+	}
+	if err := tr.check(); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hold {
+		if !bytes.Equal(h.got, h.want) {
+			t.Fatalf("held slice %d changed: %q, want %q", i, h.got, h.want)
+		}
+	}
+
+	// Appending to a returned key or value copies it: the pair's value and
+	// the neighbouring pair stay intact.
+	for i := 0; i < n; i++ {
+		tr.Put(key(i), value(i))
+	}
+	k, v, _ := tr.Min()
+	k2, v2 := bytes.Clone(k), bytes.Clone(v)
+	_ = append(k, "XXXXXXXX"...)
+	_ = append(v, "YYYYYYYY"...)
+	tr.Scan(nil, nil, func(k, v []byte) bool {
+		if bytes.Equal(k, k2) && !bytes.Equal(v, v2) {
+			t.Fatalf("appending to the key overwrote its value: %q", v)
+		}
+		return true
+	})
+	got, _ := tr.Get(key(1))
+	if !bytes.Equal(got, value(1)) {
+		t.Fatalf("appending to a value overwrote the next pair: %q", got)
+	}
+	if cap(k) != len(k) || cap(v) != len(v) {
+		t.Fatalf("returned slices are not capacity-clipped: key %d/%d, value %d/%d", len(k), cap(k), len(v), cap(v))
+	}
+}
+
+// TestPutCopies checks that Put keeps none of the caller's slices: writing
+// over them afterwards changes nothing the tree reads back.
+func TestPutCopies(t *testing.T) {
+	tr := New()
+	k, v := []byte("key"), []byte("value")
+	tr.Put(k, v)
+	copy(k, "xxx")
+	copy(v, "zzzzz")
+	if got, ok := tr.Get([]byte("key")); !ok || string(got) != "value" {
+		t.Fatalf("Get after caller reuse = %q, %v", got, ok)
+	}
+}
+
+// TestLeafHeapObjectsPerPair checks that a leaf's pairs are not heap objects
+// of their own: 100 000 pairs add well under a quarter of an object each
+// (nodes, entry arrays, arenas and separators only), where one slice per
+// key and per value cost two.
+func TestLeafHeapObjectsPerPair(t *testing.T) {
+	const n = 100000
+	order := rand.New(rand.NewSource(9)).Perm(n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr := New()
+	for _, i := range order {
+		// Fresh slices per pair: a tree that kept them would keep two
+		// objects per pair alive.
+		tr.Put(key(i), value(i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tr)
+	perPair := (float64(after.HeapObjects) - float64(before.HeapObjects)) / n
+	if perPair >= 0.25 {
+		t.Fatalf("%.3f heap objects per pair, want < 0.25", perPair)
+	}
+	t.Logf("%.3f heap objects per pair", perPair)
 }
 
 func BenchmarkPut(b *testing.B) {

@@ -95,18 +95,6 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Invalidate drops the cached snapshot for one graph (used on graph drop,
-// and by benchmarks to measure cold-build amortization).
-func (c *Cache) Invalidate(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[name]; ok {
-		c.bytes -= e.g.Bytes()
-		delete(c.entries, name)
-	}
-	delete(c.pending, name)
-}
-
 // Get returns the CSR snapshot for the named graph as seen by tx's
 // snapshot: the cached one when its token matches, otherwise a fresh build
 // once buildAfter distinct snapshot transactions have observed this state.

@@ -448,20 +448,6 @@ func TestCacheLockedTxFallsBack(t *testing.T) {
 	})
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	e, s := setup(t)
-	seedSocial(t, e, s)
-	c := csr.NewCache()
-	cacheWarm(t, e, c, "soc")
-	if st := c.Stats(); st.Graphs != 1 || st.Bytes <= 0 {
-		t.Fatalf("stats before invalidate = %+v", st)
-	}
-	c.Invalidate("soc")
-	if st := c.Stats(); st.Graphs != 0 || st.Bytes != 0 {
-		t.Fatalf("stats after invalidate = %+v", st)
-	}
-}
-
 // engineView returns a read-only snapshot Tx for probe-path comparisons.
 // The test keeps it open for the duration of the calling test.
 func engineView(t *testing.T, e *engine.Engine) engine.Tx {

@@ -1290,6 +1290,8 @@ func (e *Engine) loadSnapshot(path string) error {
 		rest = rest[n:]
 		return x, nil
 	}
+	// readBytes returns the next field aliasing the file's bytes: the trees
+	// copy what they store, so nothing keeps the file alive past the load.
 	readBytes := func() ([]byte, error) {
 		ln, err := readUvarint()
 		if err != nil {
@@ -1298,8 +1300,7 @@ func (e *Engine) loadSnapshot(path string) error {
 		if uint64(len(rest)) < ln {
 			return nil, errors.New("engine: snapshot truncated")
 		}
-		out := make([]byte, ln)
-		copy(out, rest[:ln])
+		out := rest[:ln:ln]
 		rest = rest[ln:]
 		return out, nil
 	}

@@ -20,6 +20,7 @@ func FuzzKeyDecode(f *testing.F) {
 		{mmvalue.Null, mmvalue.True, mmvalue.False, mmvalue.Bytes([]byte{0, 0xff, 1})},
 		{mmvalue.MustParseJSON(`[1, "a", [], {"k": [null, 2.5]}]`)},
 		{mmvalue.Int(-1 << 53), mmvalue.Int(1 << 53), mmvalue.String("")},
+		{mmvalue.Int(1<<53 + 1), mmvalue.Int(-1<<53 - 1), mmvalue.Int(-1 << 63), mmvalue.Int(1<<63 - 1)},
 	} {
 		f.Add(Encode(tuple...))
 	}

@@ -13,10 +13,12 @@
 //	false:  0x03, true: 0x04
 //	number: 0x05 + 8-byte big-endian of the float64 bits with the sign bit
 //	        flipped for positives and all bits flipped for negatives (the
-//	        classic monotone double encoding); ints encode via their exact
-//	        float64 when possible, with a trailing disambiguator for the
-//	        int/float distinction that does not affect ordering of distinct
-//	        numbers
+//	        classic monotone double encoding) + a disambiguator, 0x00 for an
+//	        int and 0x01 for a float, that does not affect ordering of
+//	        distinct numbers; an int encodes through its float64 image, and
+//	        one of magnitude 2^53 or more, whose image may be shared with
+//	        its neighbours, is followed by its exact value as a big-endian
+//	        int64 with the sign bit flipped
 //	string: 0x06 + escaped bytes + 0x00 0x01 terminator (0x00 in the payload
 //	        is escaped as 0x00 0xFF)
 //	bytes:  0x07 + same escaping
@@ -26,6 +28,7 @@ package keyenc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -63,14 +66,7 @@ func Append(dst []byte, v mmvalue.Value) []byte {
 		}
 		return append(dst, tagFalse)
 	case mmvalue.KindInt:
-		dst = append(dst, tagNumber)
-		dst = appendMonotoneFloat(dst, float64(v.AsInt()))
-		// Disambiguator so Int(3) and Float(3.0) round-trip to their
-		// own kinds. 0x00 (int) sorts before 0x01 (float) only among
-		// numbers whose float64 images are identical, i.e. values
-		// that compare equal, so ordering of distinct values is
-		// unaffected.
-		return append(dst, 0x00)
+		return AppendInt(dst, v.AsInt())
 	case mmvalue.KindFloat:
 		dst = append(dst, tagNumber)
 		dst = appendMonotoneFloat(dst, v.AsFloat())
@@ -118,11 +114,26 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, terminator0, terminator1)
 }
 
+// exactFrom is 2^53: every int of smaller magnitude has a float64 image of
+// its own, and every other one carries its exact value after the
+// disambiguator. The decoder tells the two apart by the image alone.
+const exactFrom = 1 << 53
+
 // AppendInt appends an int element without building a Value.
 func AppendInt(dst []byte, i int64) []byte {
 	dst = append(dst, tagNumber)
 	dst = appendMonotoneFloat(dst, float64(i))
-	return append(dst, 0x00)
+	// Disambiguator so Int(3) and Float(3.0) round-trip to their own
+	// kinds. 0x00 (int) sorts before 0x01 (float) only among numbers whose
+	// float64 images are identical, i.e. values that compare equal, so
+	// ordering of distinct values is unaffected.
+	dst = append(dst, 0x00)
+	if i >= exactFrom || i <= -exactFrom {
+		// Ints this large that share an image are ordered by the exact
+		// value that follows it.
+		dst = binary.BigEndian.AppendUint64(dst, uint64(i)^(1<<63))
+	}
+	return dst
 }
 
 // AppendMin appends a sentinel that sorts before any encoded value; useful
@@ -157,9 +168,8 @@ func appendEscaped(dst, payload []byte) []byte {
 }
 
 // Decode decodes all elements of an encoded key. It is the inverse of
-// Encode for values representable exactly (ints beyond 2^53 lose precision
-// through the float64 image and are rejected at Append time by design: unidb
-// primary keys are strings or small ints).
+// Encode: every int64 and every float64 round-trips to its own value and
+// kind.
 func Decode(key []byte) ([]mmvalue.Value, error) {
 	return DecodeAppend(nil, key)
 }
@@ -199,7 +209,14 @@ func decodeOne(b []byte) (mmvalue.Value, int, error) {
 		f := decodeMonotoneFloat(b[1:9])
 		switch b[9] {
 		case 0x00:
-			return mmvalue.Int(int64(f)), 10, nil
+			if math.Abs(f) < exactFrom {
+				return mmvalue.Int(int64(f)), 10, nil
+			}
+			i, err := exactInt(b, f)
+			if err != nil {
+				return mmvalue.Null, 0, err
+			}
+			return mmvalue.Int(i), 18, nil
 		case 0x01:
 			return mmvalue.Float(f), 10, nil
 		default:
@@ -275,6 +292,16 @@ func Skip(b []byte) (int, error) {
 		if b[9] > 0x01 {
 			return 0, fmt.Errorf("keyenc: bad number disambiguator %#x", b[9])
 		}
+		if b[9] == 0x00 {
+			// Written as "not below" so that a NaN image takes this
+			// branch and fails there, as it does in decodeOne.
+			if f := decodeMonotoneFloat(b[1:9]); !(math.Abs(f) < exactFrom) {
+				if _, err := exactInt(b, f); err != nil {
+					return 0, err
+				}
+				return 18, nil
+			}
+		}
 		return 10, nil
 	case tagString, tagBytes:
 		end, _, err := scanEscaped(b[1:])
@@ -318,6 +345,19 @@ func UnescapedString(b []byte) (payload []byte, n int, ok bool) {
 		return nil, 0, false
 	}
 	return b[1 : 1+end], 1 + end + 2, true
+}
+
+// exactInt reads the exact value that follows an int element's
+// disambiguator in b, whose float64 image is f.
+func exactInt(b []byte, f float64) (int64, error) {
+	if len(b) < 18 {
+		return 0, fmt.Errorf("keyenc: short int")
+	}
+	i := int64(binary.BigEndian.Uint64(b[10:18]) ^ (1 << 63))
+	if float64(i) != f {
+		return 0, fmt.Errorf("keyenc: int %d does not match its float64 image %g", i, f)
+	}
+	return i, nil
 }
 
 func decodeMonotoneFloat(b []byte) float64 {

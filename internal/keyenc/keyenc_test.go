@@ -2,6 +2,7 @@ package keyenc
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -192,6 +193,52 @@ func TestAppendHelpersMatchValueEncoding(t *testing.T) {
 	}
 }
 
+// TestIntsPast2To53 checks ints around ±2^53 and ±2^63: each gets a key of
+// its own, keys sort as the ints do, every key decodes to its own int, and
+// ints of magnitude below 2^53 keep their ten-byte encoding.
+func TestIntsPast2To53(t *testing.T) {
+	const p53 = int64(1) << 53
+	ints := []int64{
+		math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 1024,
+		-p53 - 5, -p53 - 4, -p53 - 3, -p53 - 2, -p53 - 1, -p53, -p53 + 1,
+		-1, 0, 1,
+		p53 - 1, p53, p53 + 1, p53 + 2, p53 + 3, p53 + 4, p53 + 5,
+		math.MaxInt64 - 1024, math.MaxInt64 - 1, math.MaxInt64,
+	}
+	for i, x := range ints {
+		key := AppendInt(nil, x)
+		if i > 0 {
+			if prev := AppendInt(nil, ints[i-1]); bytes.Compare(prev, key) >= 0 {
+				t.Errorf("key of %d does not sort after key of %d", x, ints[i-1])
+			}
+		}
+		back, err := Decode(key)
+		if err != nil || len(back) != 1 || back[0].Kind() != mmvalue.KindInt || back[0].AsInt() != x {
+			t.Errorf("Decode(key of %d) = %v, %v", x, back, err)
+		}
+		if n, err := Skip(key); err != nil || n != len(key) {
+			t.Errorf("Skip(key of %d) = %d, %v; key has %d bytes", x, n, err, len(key))
+		}
+		if small := x > -p53 && x < p53; small != (len(key) == 10) {
+			t.Errorf("key of %d has %d bytes", x, len(key))
+		}
+	}
+	// Against floats the order follows mmvalue.Compare wherever it tells
+	// two numbers apart.
+	nums := []mmvalue.Value{mmvalue.Float(-0x1p63), mmvalue.Float(float64(-p53 - 2)), mmvalue.Float(float64(-p53)),
+		mmvalue.Float(float64(p53)), mmvalue.Float(float64(p53 + 2)), mmvalue.Float(float64(p53 + 4)), mmvalue.Float(0x1p63)}
+	for _, x := range ints {
+		nums = append(nums, mmvalue.Int(x))
+	}
+	for _, a := range nums {
+		for _, b := range nums {
+			if c := mmvalue.Compare(a, b); c != 0 && sign(bytes.Compare(Encode(a), Encode(b))) != c {
+				t.Errorf("%v vs %v: Compare %d, keys disagree", a, b, c)
+			}
+		}
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	bad := [][]byte{
 		{0x05},                               // short number
@@ -199,6 +246,9 @@ func TestDecodeErrors(t *testing.T) {
 		{0x06, 0x00, 0x02},                   // bad escape
 		{0x42},                               // unknown tag
 		{0x05, 0, 0, 0, 0, 0, 0, 0, 0, 0x07}, // bad disambiguator
+		// 2^53 without its exact value, and with one that is not 2^53.
+		{0x05, 0xc3, 0x40, 0, 0, 0, 0, 0, 0, 0x00},
+		{0x05, 0xc3, 0x40, 0, 0, 0, 0, 0, 0, 0x00, 0x80, 0x30, 0, 0, 0, 0, 0, 0},
 	}
 	for _, b := range bad {
 		if _, err := Decode(b); err == nil {

@@ -26,7 +26,9 @@ package lint
 //	cowsafe      — the COW B+tree: a node marked shared is referenced by
 //	               snapshots and must never be mutated in place; every
 //	               writer path goes through mutable(), and the shared flag
-//	               only ever moves false→true.
+//	               only ever moves false→true. The leaf-arena helpers
+//	               appendPair and repack are writers like insert, split and
+//	               remove: their callers pass a node mutable() returned.
 func DefaultAnalyzers() []Analyzer {
 	return []Analyzer{
 		LockCheck{},
@@ -73,7 +75,7 @@ func DefaultAnalyzers() []Analyzer {
 			NodeType:    "node",
 			SharedField: "shared",
 			MintFuncs:   []string{"mutable"},
-			WriterFuncs: []string{"insert", "split", "remove"},
+			WriterFuncs: []string{"insert", "split", "remove", "appendPair", "repack"},
 		},
 	}
 }

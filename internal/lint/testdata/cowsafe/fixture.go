@@ -8,9 +8,13 @@ type node struct {
 	leaf     bool
 	shared   atomic.Bool
 	gen      int
+	ents     []ent  // leaf entries locating pairs in data
+	data     []byte // leaf arena
 	keys     [][]byte
 	children []*node
 }
+
+type ent struct{ off, klen, vlen uint32 }
 
 // mutable is the copy-on-write gate (MintFuncs in the test config).
 func mutable(n *node) *node {
@@ -18,6 +22,8 @@ func mutable(n *node) *node {
 		return n
 	}
 	cp := &node{leaf: n.leaf}
+	cp.ents = append(cp.ents, n.ents...)
+	cp.data = n.data[:len(n.data):len(n.data)]
 	cp.keys = append(cp.keys, n.keys...)
 	cp.children = append(cp.children, n.children...)
 	for _, c := range cp.children {
@@ -66,6 +72,20 @@ func badDeepWrite(n *node) {
 	// mutable(n) does not make n's children private: writing through a
 	// non-identifier owner must be rebound through the gate first.
 	m.children[0].keys = nil // want `non-local node expression`
+}
+
+// badArenaWrite edits a leaf's entries and arena without minting the node:
+// a snapshot reading the same leaf would see the new entry or bytes.
+func badArenaWrite(n *node, e ent, i int) {
+	n.ents[i] = e                 // want `not proven mutable`
+	n.ents[i].off = 0             // want `not proven mutable`
+	n.data = append(n.data, 0xff) // want `not proven mutable`
+}
+
+func goodArenaWrite(n *node, e ent, i int) {
+	m := mutable(n)
+	m.ents[i] = e
+	m.data = append(m.data, 0xff)
 }
 
 func badCopyInto(n *node, src [][]byte) {

@@ -365,6 +365,9 @@ func decodeRecord(payload []byte) (Record, error) {
 	return r, nil
 }
 
+// takeBytes splits the length-prefixed field at the head of b from the
+// rest. The field aliases b: each record's payload is read into a buffer of
+// its own, and the trees recovery replays into copy what they keep.
 func takeBytes(b []byte) ([]byte, []byte, error) {
 	ln, n := binary.Uvarint(b)
 	if n <= 0 {
@@ -374,9 +377,7 @@ func takeBytes(b []byte) ([]byte, []byte, error) {
 	if uint64(len(b)) < ln {
 		return nil, nil, errors.New("wal: short field")
 	}
-	out := make([]byte, ln)
-	copy(out, b[:ln])
-	return out, b[ln:], nil
+	return b[:ln:ln], b[ln:], nil
 }
 
 // ReadAll replays every intact record in the file at path. A torn or

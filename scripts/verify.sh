@@ -45,7 +45,7 @@ go test -run '^$' -bench . -benchtime 1x ./internal/...
 echo "== go test (bench/, the nested module tier-1 skips)"
 (cd bench && go test ./...)
 
-echo "== fuzz smoke (parsers, record decoder, key decoder, column-batch reader, value JSON rendering, parameter values through the executor, GIN and full-text indexes vs scans)"
+echo "== fuzz smoke (parsers, record decoder, key decoder, column-batch reader, value JSON rendering, parameter values through the executor, GIN and full-text indexes vs scans, B+tree and its snapshots vs a sorted map)"
 go test -run=^$ -fuzz=FuzzParseMMQL -fuzztime=5s ./internal/query
 go test -run=^$ -fuzz=FuzzParseMSQL -fuzztime=5s ./internal/query
 go test -run=^$ -fuzz=FuzzDecode -fuzztime=5s ./internal/binenc
@@ -54,5 +54,6 @@ go test -run=^$ -fuzz=FuzzEachBatch -fuzztime=5s ./internal/colstore
 go test -run=^$ -fuzz=FuzzValueJSON -fuzztime=5s ./internal/mmvalue
 go test -run=^$ -fuzz=FuzzQueryParams -fuzztime=5s ./internal/core
 go test -run=^$ -fuzz=FuzzGINContains -fuzztime=5s ./internal/core
+go test -run=^$ -fuzz=FuzzTree -fuzztime=5s ./internal/btree
 
 echo "verify: OK"

@@ -245,6 +245,46 @@ func TestSQLFacade(t *testing.T) {
 	}
 }
 
+// TestIntPrimaryKeysPast2To53 inserts rows whose INT primary keys share a
+// float64 image: each is its own row, read back by its own key.
+func TestIntPrimaryKeysPast2To53(t *testing.T) {
+	db := open(t)
+	ids := []int64{1 << 53, 1<<53 + 1, 1<<53 + 2, -1<<53 - 1, -1 << 53, -1 << 63, 1<<63 - 1}
+	err := db.Update(func(tx *unidb.Txn) error {
+		if err := tx.CreateTable("t", unidb.TableSchema{
+			Columns:    []unidb.Column{{Name: "id", Type: unidb.TInt, NotNull: true}, {Name: "v", Type: unidb.TString}},
+			PrimaryKey: []string{"id"},
+		}); err != nil {
+			return err
+		}
+		for _, id := range ids {
+			row := unidb.MustParseJSON(fmt.Sprintf(`{"id":%d,"v":"row %d"}`, id, id))
+			if err := tx.InsertRow("t", row); err != nil {
+				return fmt.Errorf("insert %d: %w", id, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = db.View(func(tx *unidb.Txn) error {
+		for _, id := range ids {
+			row, ok, err := tx.GetRow("t", unidb.Int(id))
+			if err != nil || !ok {
+				return fmt.Errorf("GetRow(%d) = %v, %v", id, ok, err)
+			}
+			if v, _ := row.Get("v"); v.AsString() != fmt.Sprintf("row %d", id) {
+				return fmt.Errorf("GetRow(%d) = %v", id, row)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWideColumnAPI(t *testing.T) {
 	db := open(t)
 	err := db.Update(func(tx *unidb.Txn) error {
