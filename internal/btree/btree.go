@@ -24,8 +24,10 @@
 // fresh arena sized live+need plus half again and leaves the old one
 // intact for whoever still reads it. Replaced and deleted pairs count as
 // dead bytes until that compaction drops them. A path-copied leaf shares
-// its arena with the old version, clipped to its length, so its first
-// append compacts too, and a split packs each half into a fresh arena.
+// its arena with the old version. The first copy of a leaf appends into
+// the room past the old version's length, which the old version never
+// reads; any later copy gets the arena clipped to its length, so its first
+// append compacts. A split packs each half into a fresh arena.
 // Get, Scan and the iterator return capacity-clipped
 // subslices of an arena: they stay unchanged for as long as the caller
 // holds them, and appending to one copies it instead of overwriting a
@@ -62,11 +64,12 @@ type Tree struct {
 type node struct {
 	leaf     bool
 	shared   atomic.Bool
-	ents     []ent    // leaf only: one per pair, in key order
-	data     []byte   // leaf only: the arena the entries point into
-	dead     int      // leaf only: arena bytes no entry points at
-	keys     [][]byte // interior only: separators
-	children []*node  // interior only, len(children) == len(keys)+1
+	ents     []ent       // leaf only: one per pair, in key order
+	data     []byte      // leaf only: the arena the entries point into
+	dead     int         // leaf only: arena bytes no entry points at
+	spare    atomic.Bool // leaf only: a copy has taken the arena's room past len(data)
+	keys     [][]byte    // interior only: separators
+	children []*node     // interior only, len(children) == len(keys)+1
 }
 
 // ent locates one leaf pair in the leaf's arena: the key is
@@ -115,10 +118,14 @@ func (t *Tree) Snapshot() *Tree {
 // private to one tree version, otherwise a copy whose children become shared
 // (both the copy and the old version now reach them). This is the single
 // copy-on-write gate — every writer path obtains its nodes through it, and
-// marking the shared flag is the only write ever performed on a shared node.
-// A leaf copy gets its own entries but shares the arena with its capacity
-// clipped to its length, so the copy's first append moves its pairs to a
-// fresh arena and never writes bytes the old version can see.
+// setting the shared and spare flags are the only writes ever performed on a
+// shared node. A leaf copy gets its own entries and shares the arena. The
+// arena's room past len(data) is written by nobody that can see the old
+// version, so the first copy of a leaf takes it over and appends there
+// without copying a byte; the spare flag, like shared, only ever turns true.
+// Every later copy gets the arena clipped to its length, so its first
+// append moves its pairs to a fresh arena instead of writing over the first
+// copy's pairs.
 func mutable(n *node) *node {
 	if !n.shared.Load() {
 		return n
@@ -127,6 +134,9 @@ func mutable(n *node) *node {
 	if n.leaf {
 		cp.ents = append(make([]ent, 0, len(n.ents)+1), n.ents...)
 		cp.data = n.data[:len(n.data):len(n.data)]
+		if n.spare.CompareAndSwap(false, true) {
+			cp.data = n.data
+		}
 		cp.dead = n.dead
 		return cp
 	}

@@ -353,7 +353,8 @@ func TestSnapshotWritable(t *testing.T) {
 
 // TestSnapshotForksKeepOwnWrites forks three lineages off one leaf that
 // has spare arena capacity. Each appends a pair to its own copy of the
-// leaf; none may see another's bytes.
+// leaf; none may see another's bytes. The first copy appends into the
+// shared arena's spare room; the later ones move to arenas of their own.
 func TestSnapshotForksKeepOwnWrites(t *testing.T) {
 	tr := New()
 	for i := 0; i < degree && spare(tr.root) < 32; i++ {
@@ -363,9 +364,16 @@ func TestSnapshotForksKeepOwnWrites(t *testing.T) {
 		t.Fatal("setup must leave one leaf with spare arena capacity")
 	}
 	a, b := tr.Snapshot(), tr.Snapshot()
+	arena := &tr.root.data[:1][0]
 	a.Put(key(100), []byte("from a"))
 	b.Put(key(100), []byte("from b"))
 	tr.Put(key(100), []byte("from tr"))
+	if &a.root.data[0] != arena {
+		t.Error("the first copy of the leaf moved to a fresh arena")
+	}
+	if &b.root.data[0] == arena || &tr.root.data[0] == arena {
+		t.Error("a later copy of the leaf kept the shared arena")
+	}
 	for name, lt := range map[string]*Tree{"a": a, "b": b, "tr": tr} {
 		if v, _ := lt.Get(key(100)); string(v) != "from "+name {
 			t.Errorf("lineage %s reads %q", name, v)

@@ -24,6 +24,13 @@
 //	bytes:  0x07 + same escaping
 //	array:  0x08 + encoded elements + 0x00 0x01
 //	object: 0x09 + (string key, value)* + 0x00 0x01
+//
+// Builds before the exact suffix encoded every int as its image and
+// disambiguator alone. Such a key of an int of magnitude 2^53 or more does
+// not decode under this layout, and a lookup of the same int misses it.
+// Neither the snapshot file nor the WAL carries a format version, so
+// opening a data directory cannot detect this: one written by such a build
+// that holds ints this large must be rebuilt by loading its data again.
 package keyenc
 
 import (
