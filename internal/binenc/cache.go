@@ -8,19 +8,29 @@ import (
 )
 
 // DecodeCache memoizes Decode results for hot read paths (catalog
-// metadata, DOCUMENT()/KV() fetches, graph vertices, repeated scans of
-// small hot tables). It is content-addressed: entries are keyed by the
-// encoded bytes themselves, and Decode is a pure function of those bytes,
-// so a hit is correct by construction — transactional visibility is
-// untouched because the caller still reads the bytes through its own
-// transaction and only the decode step is memoized. Decoded Values are
-// shared read-only; mmvalue.Value is immutable by convention.
+// metadata, DOCUMENT()/KV() fetches, graph vertices, and document and
+// table scans). It is content-addressed: entries are keyed by the encoded
+// bytes themselves, and Decode is a pure function of those bytes, so a hit
+// is correct by construction — transactional visibility is untouched
+// because the caller still reads the bytes through its own transaction and
+// only the decode step is memoized.
+//
+// Decoded Values are shared: every reader of the same bytes gets the same
+// fields and elements, so a caller must treat a returned value's Fields()
+// and AsArray() as read-only (mmvalue.Value is immutable by convention;
+// Set, Delete and Merge build new values).
 //
 // The cache is sharded for concurrent use (the parallel query executor
 // issues point reads from several goroutines). A hit costs one hash and
 // one map lookup with no allocation. Each shard is cleared wholesale when
 // it reaches capacity: churn-heavy workloads pay a small amortized reset
-// instead of per-entry LRU bookkeeping.
+// instead of per-entry LRU bookkeeping. The clear keeps the map's room, so
+// a miss in a full cache allocates what Decode does and no map growth.
+// A store keeps one cache for all its collections or tables, its scans
+// and its point reads, and old versions left by writes hold entries until
+// their shard is cleared: a repeated scan is served from the cache only
+// while everything the store reads fits it, and a scan of more than a
+// shard's share clears the shard before it comes round again.
 type DecodeCache struct {
 	seed   maphash.Seed
 	shards [dcShards]dcShard
@@ -65,7 +75,7 @@ func (c *DecodeCache) Decode(raw []byte) (mmvalue.Value, error) {
 	}
 	sh.mu.Lock()
 	if len(sh.m) >= sh.cap {
-		sh.m = map[string]mmvalue.Value{}
+		clear(sh.m)
 	}
 	sh.m[key] = val
 	sh.mu.Unlock()

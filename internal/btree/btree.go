@@ -190,17 +190,16 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 // are copied into the tree; the caller may reuse both afterwards. Put
 // panics if one leaf's pairs would outgrow a 4 GiB arena.
 func (t *Tree) Put(key, value []byte) {
-	t.root = mutable(t.root)
-	replaced := insert(t.root, key, value)
-	if !replaced {
+	root := mutable(t.root)
+	t.root = root
+	if !insert(root, key, value) {
 		t.size++
 	}
-	if t.root.count() > degree {
-		left := t.root
-		mid, right := split(left)
+	if root.count() > degree {
+		mid, right := split(root)
 		t.root = &node{
 			keys:     [][]byte{mid},
-			children: []*node{left, right},
+			children: []*node{root, right},
 		}
 	}
 }
@@ -214,8 +213,9 @@ func (t *Tree) Delete(key []byte) bool {
 	if _, ok := t.Get(key); !ok {
 		return false
 	}
-	t.root = mutable(t.root)
-	remove(t.root, key)
+	root := mutable(t.root)
+	t.root = root
+	remove(root, key)
 	t.size--
 	for !t.root.leaf && len(t.root.children) == 1 {
 		t.root = t.root.children[0]

@@ -72,8 +72,8 @@ type Store struct {
 	cat    *catalog.Catalog
 	keySeq atomic.Uint64
 	// dc memoizes decoded documents on the point-lookup path (DOCUMENT()
-	// in queries); entries are validated against the raw bytes each read
-	// returns, so transactional visibility is unchanged.
+	// in queries) and in scans; entries are keyed by the raw bytes each
+	// read returns, so transactional visibility is unchanged.
 	dc *binenc.DecodeCache
 }
 
@@ -281,15 +281,25 @@ func (s *Store) Delete(tx engine.Tx, coll, key string) (bool, error) {
 	return true, tx.Delete(Keyspace(coll), pk)
 }
 
-// Scan iterates every document of a collection in key order.
+// Scan iterates every document of a collection in key order. Documents
+// are decoded through the store's decode cache, so fn may receive a
+// document other readers share: it must not write into the document's
+// Fields() or AsArray().
 func (s *Store) Scan(tx engine.Tx, coll string, fn func(key string, doc mmvalue.Value) bool) error {
 	var decodeErr error
 	var parts []mmvalue.Value // key scratch, reused row to row
 	err := tx.Scan(Keyspace(coll), nil, nil, func(k, v []byte) bool {
-		doc, err := binenc.Decode(v)
+		doc, err := s.dc.Decode(v)
 		if err != nil {
 			decodeErr = err
 			return false
+		}
+		// The stored document carries its key: hand that string on when
+		// the primary key is exactly it, instead of decoding a copy.
+		if p, n, ok := keyenc.UnescapedString(k); ok && n == len(k) {
+			if id := doc.GetOr(KeyField); id.Kind() == mmvalue.KindString && id.AsString() == string(p) {
+				return fn(id.AsString(), doc)
+			}
 		}
 		parts, err = keyenc.DecodeAppend(parts[:0], k)
 		if err != nil || len(parts) == 0 {

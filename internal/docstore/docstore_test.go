@@ -6,9 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/inverted"
+	"repro/internal/keyenc"
 	"repro/internal/mmvalue"
 )
 
@@ -154,6 +156,49 @@ func TestScanOrder(t *testing.T) {
 	})
 	if !reflect.DeepEqual(keys, []string{"a", "b", "c"}) {
 		t.Fatalf("scan order = %v", keys)
+	}
+}
+
+// TestScanKeys checks the keys Scan hands on: the document's own _key when
+// the primary key is exactly that string, the decoded primary key when the
+// key needs escaping or the stored _key disagrees with it, and an error
+// when the primary key does not decode.
+func TestScanKeys(t *testing.T) {
+	e, s := setup(t)
+	if err := e.Update(func(tx *engine.Txn) error {
+		for _, k := range []string{"plain", "nul\x00byte"} {
+			if err := s.Put(tx, "orders", k, mmvalue.Object()); err != nil {
+				return err
+			}
+		}
+		// A record whose _key is not its primary key: Scan reports the key.
+		return tx.Put(Keyspace("orders"), keyenc.AppendString(nil, "stored"),
+			binenc.Encode(mmvalue.Object(mmvalue.F(KeyField, mmvalue.String("other")))))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	if err := e.View(func(tx *engine.Txn) error {
+		return s.Scan(tx, "orders", func(k string, d mmvalue.Value) bool {
+			keys = append(keys, k)
+			return true
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"nul\x00byte", "plain", "stored"}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("scan keys = %q, want %q", keys, want)
+	}
+	if err := e.Update(func(tx *engine.Txn) error {
+		return tx.Put(Keyspace("orders"), []byte{0xff}, binenc.Encode(mmvalue.Object()))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	err := e.View(func(tx *engine.Txn) error {
+		return s.Scan(tx, "orders", func(string, mmvalue.Value) bool { return true })
+	})
+	if err == nil {
+		t.Fatal("Scan over a corrupt primary key succeeded")
 	}
 }
 

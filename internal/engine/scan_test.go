@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine/scantest"
 	"repro/internal/keyenc"
 	"repro/internal/mmvalue"
+	"repro/internal/relstore"
 )
 
 func openEphemeral(t *testing.T) *engine.Engine {
@@ -120,25 +121,38 @@ func TestScanAllocsIndependentOfKeyspaceSize(t *testing.T) {
 }
 
 // TestStoreScanAllocsPerRowIndependentOfSize is the guard on the per-row
-// cost of the store scans the query layer iterates: a document scan, a
-// wide-column item scan and the vectorized executor's column-batch read (of
-// a dense table, of the same table projected to one attribute, and of a
-// sparse one with as many attributes as rows) allocate the same per row, in
-// count and in bytes, from one to five batches' worth of rows as from five
-// to ten, and each stays within a fixed per-row allocation budget.
+// cost of the store scans the query layer iterates: a document scan and a
+// table scan, each of collections that fit the store's decode cache and of
+// ones that exceed it, a wide-column item scan and the vectorized
+// executor's column-batch read (of a dense table, of the same table
+// projected to one attribute, and of a sparse one with as many attributes
+// as rows). Each allocates the same per row, in count and in bytes, from
+// its smallest to its middle size as from its middle to its largest, and
+// stays within a fixed per-row allocation budget.
 //
 // The per-row cost is the slope between two table sizes, which leaves out a
 // scan's fixed cost: a dense column-batch read allocates about 0.03 times
 // per row, so its dozen allocations per call (the reader, the keyspace
 // name, the growing batch list) would move a per-row quotient by a third
-// between a thousand rows and ten thousand. The sizes are whole multiples
-// of colstore.DefaultBatchSize, so both slopes cover whole batches.
+// between a thousand rows and ten thousand. The column sizes are whole
+// multiples of colstore.DefaultBatchSize, so both slopes cover whole
+// batches. The document and table sizes keep each regime on one side of
+// the 8 192-entry decode cache: three that together fit it, read warm, and
+// three that each exceed it, so every record misses, is decoded and is
+// inserted again into a shard the scan keeps clearing.
 func TestStoreScanAllocsPerRowIndependentOfSize(t *testing.T) {
 	e := openEphemeral(t)
-	docs := docstore.New(e, catalog.New(e))
+	cat := catalog.New(e)
+	docs := docstore.New(e, cat)
+	rels := relstore.New(e, cat)
 	cols := colstore.New(e)
-	load := func(name string, n int) {
-		err := e.Update(func(tx *engine.Txn) error {
+	update := func(fn func(tx *engine.Txn) error) {
+		if err := e.Update(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loadDocs := func(name string, n int) {
+		update(func(tx *engine.Txn) error {
 			if err := docs.CreateCollection(tx, name, catalog.Schemaless); err != nil {
 				return err
 			}
@@ -150,6 +164,36 @@ func TestStoreScanAllocsPerRowIndependentOfSize(t *testing.T) {
 				if err := docs.Put(tx, name, key, doc); err != nil {
 					return err
 				}
+			}
+			return nil
+		})
+	}
+	loadRows := func(name string, n int) {
+		update(func(tx *engine.Txn) error {
+			if err := rels.CreateTable(tx, name, relstore.TableSchema{
+				Columns: []relstore.Column{
+					{Name: "id", Type: relstore.TInt, NotNull: true},
+					{Name: "name", Type: relstore.TString},
+					{Name: "country", Type: relstore.TString},
+					{Name: "credit_limit", Type: relstore.TInt},
+				},
+				PrimaryKey: []string{"id"},
+			}); err != nil {
+				return err
+			}
+			for i := 0; i < n; i++ {
+				row := mmvalue.Object(mmvalue.F("id", mmvalue.Int(int64(i))), mmvalue.F("name", mmvalue.String(fmt.Sprintf("c%06d", i))),
+					mmvalue.F("country", mmvalue.String(fmt.Sprintf("country%d", i%7))), mmvalue.F("credit_limit", mmvalue.Int(int64(i%10000))))
+				if err := rels.Insert(tx, name, row); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	loadCols := func(name string, n int) {
+		update(func(tx *engine.Txn) error {
+			for i := 0; i < n; i++ {
 				attrs := mmvalue.Object(mmvalue.F("v", mmvalue.Int(int64(i))), mmvalue.F("pos", mmvalue.Int(int64(i%1000))))
 				if err := cols.PutItem(tx, name, mmvalue.Int(int64(i%10)), mmvalue.Int(int64(i)), attrs); err != nil {
 					return err
@@ -163,19 +207,23 @@ func TestStoreScanAllocsPerRowIndependentOfSize(t *testing.T) {
 			}
 			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
-	sizes := []struct {
-		name string
-		rows int
-	}{{"small", 1 * colstore.DefaultBatchSize}, {"medium", 5 * colstore.DefaultBatchSize}, {"large", 10 * colstore.DefaultBatchSize}}
-	for _, sz := range sizes {
-		load(sz.name, sz.rows)
+	fits := [3]int{512, 1024, 2048}
+	exceeds := [3]int{10240, 15360, 20480}
+	batches := [3]int{1 * colstore.DefaultBatchSize, 5 * colstore.DefaultBatchSize, 10 * colstore.DefaultBatchSize}
+	// Every name is as long as the others, so a scan's fixed cost (its
+	// keyspace name among it) is the same at every size.
+	tableName := func(prefix string, n int) string { return fmt.Sprintf("%s%05d", prefix, n) }
+	for _, n := range append(fits[:], exceeds[:]...) {
+		loadDocs(tableName("d", n), n)
+		loadRows(tableName("r", n), n)
+	}
+	for _, n := range batches {
+		loadCols(tableName("c", n), n)
 	}
 	// cost returns what one scan of the named table allocates, in count and
-	// in bytes, and the rows it read.
+	// in bytes, and the rows it read. AllocsPerRun's warm-up run fills the
+	// decode cache for a table that fits it.
 	cost := func(scan func(tx engine.Tx, name string) (rows int, err error), name string) (allocs, bytes float64, rows int) {
 		err := e.SnapshotView(func(tx *engine.Txn) error {
 			run := func() {
@@ -197,6 +245,14 @@ func TestStoreScanAllocsPerRowIndependentOfSize(t *testing.T) {
 		}
 		return allocs, bytes, rows
 	}
+	docScan := func(tx engine.Tx, name string) (rows int, err error) {
+		err = docs.Scan(tx, name, func(string, mmvalue.Value) bool { rows++; return true })
+		return rows, err
+	}
+	relScan := func(tx engine.Tx, name string) (rows int, err error) {
+		err = rels.Scan(tx, name, func(mmvalue.Value) bool { rows++; return true })
+		return rows, err
+	}
 	readBatches := func(suffix string, project []string) func(tx engine.Tx, name string) (rows int, err error) {
 		return func(tx engine.Tx, name string) (rows int, err error) {
 			batches, err := cols.ReadBatches(tx, name+suffix, 0, project)
@@ -208,31 +264,36 @@ func TestStoreScanAllocsPerRowIndependentOfSize(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name      string
+		prefix    string // of the tableName of each size
+		sizes     [3]int
 		scan      func(tx engine.Tx, name string) (rows int, err error)
 		maxAllocs float64 // per row, plus a hundredth
 	}{
-		{"docstore.Scan", func(tx engine.Tx, name string) (rows int, err error) {
-			err = docs.Scan(tx, name, func(string, mmvalue.Value) bool { rows++; return true })
-			return rows, err
-		}, 4}, // 3 for the record, 1 for its key string
-		{"colstore.ScanJSON", func(tx engine.Tx, name string) (rows int, err error) {
+		// Warm: every record is a cache hit and its key the document's own _key.
+		{"docstore.Scan (fits the cache)", "d", fits, docScan, 0},
+		// Cold: a shard cleared in place keeps its map, so a miss costs
+		// what a plain decode does.
+		{"docstore.Scan (exceeds the cache)", "d", exceeds, docScan, 3}, // the record's string and two arenas
+		{"relstore.Scan (fits the cache)", "r", fits, relScan, 0},
+		{"relstore.Scan (exceeds the cache)", "r", exceeds, relScan, 2}, // the row's string and field arena
+		{"colstore.ScanJSON", "c", batches, func(tx engine.Tx, name string) (rows int, err error) {
 			err = cols.ScanJSON(tx, name, func(mmvalue.Value) bool { rows++; return true })
 			return rows, err
 		}, 2}, // the item's field slice and its one multi-byte attribute name
 		// Per batch its vectors, bitmaps and column names; a key allocates nothing.
-		{"colstore.ReadBatches", readBatches("", nil), 0.03},
+		{"colstore.ReadBatches", "c", batches, readBatches("", nil), 0.03},
 		// The same for one column; other attributes are skipped by their encoded name.
-		{"colstore.ReadBatches (projected)", readBatches("", []string{"v"}), 0.02},
+		{"colstore.ReadBatches (projected)", "c", batches, readBatches("", []string{"v"}), 0.02},
 		// The item's attribute name, plus per batch of ~12 items (cut where it
 		// stops being Dense) its map and one vector and bitmap per column.
-		{"colstore.ReadBatches (sparse)", readBatches("_sparse", nil), 5.4},
+		{"colstore.ReadBatches (sparse)", "c", batches, readBatches("_sparse", nil), 5.4},
 	} {
 		var allocs, bytes [3]float64
 		var rows [3]int
-		for i, sz := range sizes {
-			allocs[i], bytes[i], rows[i] = cost(c.scan, sz.name)
-			if rows[i] != sz.rows {
-				t.Fatalf("%s read %d rows of %s, want %d", c.name, rows[i], sz.name, sz.rows)
+		for i, n := range c.sizes {
+			allocs[i], bytes[i], rows[i] = cost(c.scan, tableName(c.prefix, n))
+			if rows[i] != n {
+				t.Fatalf("%s read %d rows of %s, want %d", c.name, rows[i], tableName(c.prefix, n), n)
 			}
 		}
 		slope := func(i int) (perRowAllocs, perRowBytes float64) {

@@ -17,11 +17,17 @@ import (
 //
 //   - the enclosing function is one of WriterFuncs — the low-level tree
 //     mutators whose documented contract is "n must be mutable", enforced at
-//     their call sites by this same analyzer, or
+//     their call sites by this same analyzer (below), or
 //   - the node being written is locally proven mutable: the written
 //     expression's owner is a plain identifier assigned (directly or via
 //     aliases) from a MintFuncs call (the copy-on-write gate), from a
 //     &node{...} composite literal, or from new(node).
+//
+// Every node-typed argument of a WriterFuncs call must itself be proven
+// mutable: a locally proven identifier as above, a &node{...} literal, or,
+// inside a WriterFuncs function, a node parameter of that function (whose
+// own callers were checked the same way). A field such as t.root is not
+// tracked: bind the minted node to a local before passing it.
 //
 // Writes through anything other than a plain identifier (n.children[i].keys
 // = ... reaches a child that mutable(n) did NOT make private) are always
@@ -113,6 +119,10 @@ func (cs CowSafe) checkFunc(pass *Pass, fn *ast.FuncDecl, nodeType, sharedField 
 				}
 				return true
 			}
+			if inList(calleeName(st), cs.WriterFuncs) {
+				cs.checkWriterCall(pass, fn, st, proven, nodeType)
+				return true
+			}
 			// copy(n.field, ...) mutates the node's backing array in place.
 			if !exempt {
 				if id, ok := st.Fun.(*ast.Ident); ok && id.Name == "copy" && len(st.Args) == 2 {
@@ -153,6 +163,46 @@ func (cs CowSafe) checkWrite(pass *Pass, lhs ast.Expr, proven map[types.Object]b
 	}
 	pass.Reportf(lhs.Pos(),
 		"in-place write to field %s of a non-local node expression in %s: bind the node via the copy-on-write gate before mutating it", field, fnName)
+}
+
+// checkWriterCall flags each node-typed argument of a WriterFuncs call
+// that is not known to be mutable: it must be a locally proven identifier,
+// a &node{...} literal, or — inside a WriterFuncs function — one of that
+// function's own node parameters, which its callers were checked to mint.
+func (cs CowSafe) checkWriterCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, proven map[types.Object]bool, nodeType string) {
+	callee := calleeName(call)
+	inWriter := inList(fn.Name.Name, cs.WriterFuncs)
+	for _, arg := range call.Args {
+		if tv, ok := pass.Pkg.Info.Types[arg]; !ok || !isNodeType(tv.Type, nodeType, pass.Pkg.Path) {
+			continue
+		}
+		switch a := ast.Unparen(arg).(type) {
+		case *ast.Ident:
+			if obj := pass.Pkg.Info.ObjectOf(a); obj != nil && (proven[obj] || inWriter && isParam(pass, fn, obj)) {
+				continue
+			}
+			pass.Reportf(arg.Pos(),
+				"%s(%s) in %s: %s is not proven mutable here — %s writes into it; obtain it from the copy-on-write gate first", callee, a.Name, fn.Name.Name, a.Name, callee)
+			continue
+		case *ast.UnaryExpr:
+			if _, ok := a.X.(*ast.CompositeLit); ok {
+				continue
+			}
+		}
+		pass.Reportf(arg.Pos(), "%s called on a non-local node expression in %s: bind the node via the copy-on-write gate first", callee, fn.Name.Name)
+	}
+}
+
+// isParam reports whether obj is one of fn's parameters.
+func isParam(pass *Pass, fn *ast.FuncDecl, obj types.Object) bool {
+	for _, field := range fn.Type.Params.List {
+		for _, name := range field.Names {
+			if pass.Pkg.Info.ObjectOf(name) == obj {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // provenMutable computes the set of identifiers proven to reference a

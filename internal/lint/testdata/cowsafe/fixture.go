@@ -33,9 +33,38 @@ func mutable(n *node) *node {
 }
 
 // insert is an allowlisted writer (WriterFuncs in the test config): its
-// contract is that callers pass a minted node.
+// contract is that callers pass a minted node. It may hand its own node
+// parameter on to another writer.
 func insert(n *node, k []byte) {
 	n.keys = append(n.keys, k)
+	if len(n.keys) > 4 {
+		insert(n, nil)
+	}
+	insert(n.children[0], k) // want `non-local node expression`
+}
+
+type tree struct{ root *node }
+
+// badWriterCall hands a writer a node nobody minted: the parameter may be
+// shared with a snapshot.
+func badWriterCall(n *node) {
+	insert(n, nil) // want `insert\(n\) in badWriterCall: n is not proven mutable`
+}
+
+// badWriterCallField passes the minted root through the field it was
+// stored in; the analyzer tracks locals, not fields.
+func badWriterCallField(t *tree) {
+	t.root = mutable(t.root)
+	insert(t.root, nil) // want `non-local node expression`
+}
+
+func goodWriterCall(t *tree, n *node) {
+	root := mutable(t.root)
+	t.root = root
+	insert(root, nil)
+	insert(&node{leaf: true}, nil)
+	m := mutable(n)
+	insert((m), nil)
 }
 
 func badDirectWrite(n *node) {

@@ -35,9 +35,9 @@ go test ./...
 echo "== go test -race (every package)"
 go test -race ./...
 
-echo "== go test -cpu 1,2,4 -count=20 (deadlock retry, scan contract, snapshot-read histories)"
+echo "== go test -cpu 1,2,4 -count=20 (deadlock retry, scan contract, snapshot-read histories, shared scanned documents)"
 go test -cpu 1,2,4 -count=20 -run 'TestUpdateRetriesDeadlock|Scan' ./internal/engine/...
-go test -cpu 1,2,4 -count=20 -run 'TestSnapshotReadsSeeCommitOrderPrefix' ./internal/core
+go test -cpu 1,2,4 -count=20 -run 'TestSnapshotReadsSeeCommitOrderPrefix|TestScannedDocumentsStayShared' ./internal/core
 
 echo "== microbenchmarks, one iteration each (the index-taxonomy tables)"
 go test -run '^$' -bench . -benchtime 1x ./internal/...
